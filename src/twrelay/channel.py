@@ -14,7 +14,7 @@ the same number in bits per second.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 _LN2 = math.log(2.0)
 
@@ -72,11 +72,10 @@ class LinkConfig:
     gamma0: float
     gamma1: float
     gamma2: float
-    noise_power: float = 1.0
     swapped: bool = False
 
     def __post_init__(self):
-        for name in ("gamma0", "gamma1", "gamma2", "noise_power"):
+        for name in ("gamma0", "gamma1", "gamma2"):
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
@@ -84,8 +83,6 @@ class LinkConfig:
             raise ValueError("terminal-relay SNRs must be strictly positive")
         if self.gamma0 < 0.0:
             raise ValueError("direct-link SNR must be nonnegative")
-        if self.noise_power <= 0.0:
-            raise ValueError("noise power must be strictly positive")
         if self.gamma2 < self.gamma1:
             raise AssumptionViolation(
                 "links must be ordered weaker-first: gamma1 <= gamma2 "
@@ -98,12 +95,7 @@ class LinkConfig:
             )
 
 
-def make_config(
-    gamma0: float,
-    gamma_a: float,
-    gamma_c: float,
-    noise_power: float = 1.0,
-) -> LinkConfig:
+def make_config(gamma0: float, gamma_a: float, gamma_c: float) -> LinkConfig:
     """Build a normalized :class:`LinkConfig` from per-terminal SNRs.
 
     ``gamma_a`` and ``gamma_c`` are the A-relay and C-relay SNRs in linear
@@ -121,14 +113,8 @@ def make_config(
         gamma0=float(gamma0),
         gamma1=float(g1),
         gamma2=float(g2),
-        noise_power=float(noise_power),
         swapped=swapped,
     )
-
-
-def swap_terminals(config: LinkConfig) -> LinkConfig:
-    """Flip the ``swapped`` flag without touching the SNRs."""
-    return replace(config, swapped=not config.swapped)
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ def _grid_refine(
     lo_bound: float,
     hi_bound: float,
 ) -> GridResult:
-    values = np.array([f(x) for x in grid])
+    values = np.array([f(x) for x in grid.tolist()])  # Python floats: faster scalar arithmetic
     i = int(np.argmax(values))  # first maximum: smallest parameter wins ties
     best_x = float(grid[i])
     best_v = float(values[i])
@@ -154,10 +154,7 @@ def ma_pair_two_way_rate(config: LinkConfig, rate_a: float, rate_c: float) -> fl
         )
     c1 = capacity(config.gamma1)
     c2 = capacity(config.gamma2)
-    duration = 1.0 + rate_c / c1
-    if rate_a > rate_c:
-        duration += (rate_a - rate_c) / c2
-    return (rate_a + rate_c) / duration
+    return (rate_a + rate_c) / schemes._broadcast_duration(rate_a, rate_c, c1, c2)
 
 
 def grid_max_ma_region(config: LinkConfig, grid_points: int = 401) -> GridResult:
@@ -175,8 +172,7 @@ def grid_max_ma_region(config: LinkConfig, grid_points: int = 401) -> GridResult
     rcs = np.linspace(0.0, region.cap_c, grid_points)
     ra = ras[:, None]
     rc = rcs[None, :]
-    duration = 1.0 + rc / region.cap_a + np.where(ra > rc, (ra - rc) / region.cap_c, 0.0)
-    rate = (ra + rc) / duration
+    rate = (ra + rc) / schemes._broadcast_duration(ra, rc, region.cap_a, region.cap_c)
     rate[ra + rc > region.cap_sum + 1e-12] = -np.inf
     flat = int(np.argmax(rate))  # row-major: smallest (rate_a, rate_c) wins ties
     i, j = divmod(flat, grid_points)
@@ -290,15 +286,8 @@ def separately_invertible(alphabet_a: int, alphabet_c: int, channel: Callable[[i
     codebook (of any size) can exist.
     """
     _, table = _tabulate(alphabet_a, alphabet_c, channel)
-    for a in range(alphabet_a):
-        row = table[a, :]
-        if len(set(map(int, row))) < len(row):
-            return False
-    for c in range(alphabet_c):
-        col = table[:, c]
-        if len(set(map(int, col))) < len(col):
-            return False
-    return True
+    _, self_conflict = _conflicts(table)
+    return not self_conflict
 
 
 def denoiser_feasible(

@@ -161,6 +161,30 @@ def _deswap(scheme: str, steps: list[TranscriptStep], delivered_ac: int,
     )
 
 
+def _relay_broadcast(steps: list[TranscriptStep], to_c: Packet, to_a: Packet,
+                     c1: float, c2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Broadcast the XOR of the C-bound and A-bound packets at ``c1``.
+
+    A C-bound packet at least as long is split and its excess sent to C
+    alone at ``c2`` as ``<label>2``; a shorter one is zero-padded.  Appends
+    the relay's steps; returns the bits A and C recover from them.
+    """
+    if len(to_c) >= len(to_a):
+        own_c, tail = split_at(to_c, len(to_a), labels=(to_c.label + "1", to_c.label + "2"))
+    else:
+        own_c, tail = pad_to(to_c, len(to_a)), None
+    d_b = xor_packets(own_c, to_a, "D_B")
+    steps.append(TranscriptStep("B", c1, len(d_b) / c1, len(d_b), "D_B"))
+    at_a = xor_packets(d_b, own_c).bits
+    at_c = xor_packets(d_b, to_a).bits
+    if tail is None:
+        at_c = at_c[: len(to_c)]
+    elif len(tail):
+        steps.append(TranscriptStep("B", c2, len(tail) / c2, len(tail), tail.label))
+        at_c = np.concatenate([at_c, tail.bits])
+    return at_a, at_c
+
+
 def _check_block(n_symbols) -> None:
     if not isinstance(n_symbols, (int, np.integer)) or isinstance(n_symbols, bool):
         raise ValueError(f"n_symbols must be an integer, got {n_symbols!r}")
@@ -177,6 +201,8 @@ def run_df(config: LinkConfig, n_symbols: int, theta: float, seed: int = 0) -> T
     suffixes, splitting the longer C-bound one (split-and-xor) or padding
     the shorter one (pad-and-xor), and broadcasts at the weaker-link rate;
     a split remainder goes out separately at the stronger-link rate.
+    Each terminal already holds the prefix it overheard, so the decode
+    check covers the suffix the relay delivered.
 
     Raises :class:`ProtocolConfigError` when the block is too short for
     every packet to hold at least one bit.
@@ -213,30 +239,8 @@ def run_df(config: LinkConfig, n_symbols: int, theta: float, seed: int = 0) -> T
     # the relay forwards only what the opposite terminal has not overheard
     d_bc = Packet(d_ac.bits[side_c:], "D_BC")
     d_ba = Packet(d_ca.bits[side_a:], "D_BA")
-
-    if len(d_bc) >= len(d_ba):
-        # split-and-xor: XOR the head of D_BC with all of D_BA, then send
-        # the leftover tail to C alone at the stronger-link rate
-        head, tail = split_at(d_bc, len(d_ba), labels=("D_BC1", "D_BC2"))
-        d_b = xor_packets(head, d_ba, "D_B")
-        steps.append(TranscriptStep("B", c1, len(d_b) / c1, len(d_b), "D_B"))
-        if len(tail):
-            steps.append(TranscriptStep("B", c2, len(tail) / c2, len(tail), "D_BC2"))
-        # A knows D_AC, hence D_BC and its head
-        at_a = np.concatenate([d_ca.bits[:side_a], xor_packets(d_b, head).bits])
-        # C knows D_CA, hence D_BA
-        at_c = np.concatenate([d_ac.bits[:side_c], xor_packets(d_b, d_ba).bits, tail.bits])
-    else:
-        # pad-and-xor: zero-extend D_BC to D_BA's length, XOR, broadcast once
-        padded = pad_to(d_bc, len(d_ba))
-        d_b = xor_packets(padded, d_ba, "D_B")
-        steps.append(TranscriptStep("B", c1, len(d_b) / c1, len(d_b), "D_B"))
-        at_a = np.concatenate([d_ca.bits[:side_a], xor_packets(d_b, padded).bits])
-        at_c = np.concatenate(
-            [d_ac.bits[:side_c], xor_packets(d_b, d_ba).bits[: len(d_bc)]]
-        )
-
-    if not (np.array_equal(at_c, d_ac.bits) and np.array_equal(at_a, d_ca.bits)):
+    at_a, at_c = _relay_broadcast(steps, d_bc, d_ba, c1, c2)
+    if not (np.array_equal(at_c, d_bc.bits) and np.array_equal(at_a, d_ba.bits)):
         raise ProtocolError("decode mismatch in DF exchange")
 
     total_symbols = n_symbols + sum(s.symbols for s in steps[2:])
@@ -253,8 +257,8 @@ def run_jdf(config: LinkConfig, n_symbols: int, lam: float, seed: int = 0) -> Tr
     Step 1: both terminals transmit simultaneously for ``N`` symbols at the
     multiple-access rate pair selected by ``lam``; the relay decodes both
     packets.  Step 2: the relay broadcasts the XOR of the packets at the
-    weaker-link rate, padding the A-bound packet or splitting the C-bound
-    one when their lengths differ.  Each terminal strips its own packet
+    weaker-link rate, padding the C-bound packet or splitting off its
+    excess when their lengths differ.  Each terminal strips its own packet
     from the XOR.
     """
     _check_block(n_symbols)
@@ -279,24 +283,7 @@ def run_jdf(config: LinkConfig, n_symbols: int, lam: float, seed: int = 0) -> Tr
         TranscriptStep("C", pair.rate_c, float(n_symbols), bits_ca, "D_CA"),
     ]
 
-    if bits_ca >= bits_ac:
-        # the A-bound packet is the longer one: pad D_AC up to it and
-        # broadcast a single XOR at the weaker-link rate
-        padded = pad_to(d_ac, bits_ca)
-        d_b = xor_packets(padded, d_ca, "D_B")
-        steps.append(TranscriptStep("B", c1, len(d_b) / c1, len(d_b), "D_B"))
-        at_a = xor_packets(d_b, padded).bits
-        at_c = xor_packets(d_b, d_ca).bits[:bits_ac]
-    else:
-        # the C-bound packet is longer: XOR its head with D_CA, then send
-        # the tail to C alone at the stronger-link rate
-        head, tail = split_at(d_ac, bits_ca, labels=("D_AC1", "D_AC2"))
-        d_b = xor_packets(head, d_ca, "D_B")
-        steps.append(TranscriptStep("B", c1, len(d_b) / c1, len(d_b), "D_B"))
-        steps.append(TranscriptStep("B", c2, len(tail) / c2, len(tail), "D_AC2"))
-        at_a = xor_packets(d_b, head).bits
-        at_c = np.concatenate([xor_packets(d_b, d_ca).bits, tail.bits])
-
+    at_a, at_c = _relay_broadcast(steps, d_ac, d_ca, c1, c2)
     if not (np.array_equal(at_c, d_ac.bits) and np.array_equal(at_a, d_ca.bits)):
         raise ProtocolError("decode mismatch in JDF exchange")
 

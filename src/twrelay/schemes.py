@@ -20,7 +20,7 @@ number of channel symbols spent, counting simultaneous transmissions once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .channel import LinkConfig, RatePair, capacity, ma_rate_pair
@@ -94,6 +94,21 @@ def _check_theta(theta: float) -> None:
         raise ValueError(f"theta must lie strictly inside (0, 1), got {theta!r}")
 
 
+def _broadcast_duration(to_c, to_a, c1: float, c2: float):
+    """Symbols spent per unit source phase when the relay must deliver
+    ``to_c`` bits per source symbol to C and ``to_a`` to A: the XOR at the
+    weaker-link rate ``c1``, any excess of ``to_c`` at the stronger ``c2``,
+
+        1 + to_a/c1 + max(to_c - to_a, 0)/c2
+
+    for Python floats or numpy arrays."""
+    # max(to_c - to_a, 0) as plain float arithmetic for scalars (the oracles
+    # call this per grid point) and elementwise for arrays; a negative
+    # excess times False is -0.0, which leaves the sum exact
+    excess = (to_c - to_a) * (to_c > to_a)
+    return 1.0 + to_a / c1 + excess / c2
+
+
 def df_packet_sizes(config: LinkConfig, theta: float, n_symbols: float) -> tuple[float, float]:
     """Binned packet sizes (|D_BC|, |D_BA|) of the DF relay, in bits.
 
@@ -125,12 +140,7 @@ def df_rate(config: LinkConfig, theta: float) -> DfBreakdown:
     size_dbc, size_dba = df_packet_sizes(config, theta, 1.0)
     c1 = capacity(config.gamma1)
     c2 = capacity(config.gamma2)
-    if size_dbc >= size_dba:
-        case = "split-and-xor"
-        duration = 1.0 + size_dba / c1 + (size_dbc - size_dba) / c2
-    else:
-        case = "pad-and-xor"
-        duration = 1.0 + size_dba / c1
+    duration = _broadcast_duration(size_dbc, size_dba, c1, c2)
     delivered = (1.0 - theta) * c1 + theta * c2  # source-phase bits, N = 1
     return DfBreakdown(
         theta=theta,
@@ -138,7 +148,7 @@ def df_rate(config: LinkConfig, theta: float) -> DfBreakdown:
         size_dba=size_dba,
         duration=duration,
         rate=delivered / duration,
-        case=case,
+        case="split-and-xor" if size_dbc >= size_dba else "pad-and-xor",
     )
 
 
@@ -179,13 +189,7 @@ def df_max_rate_no_direct(config: LinkConfig) -> SchemeRate:
     c2 = capacity(config.gamma2)
     rate = 2.0 * c1 * c2 / (c1 + 2.0 * c2)
     theta = c1 / (c1 + c2)  # theta_star at gamma0 = 0
-    zeroed = LinkConfig(
-        gamma0=0.0,
-        gamma1=config.gamma1,
-        gamma2=config.gamma2,
-        noise_power=config.noise_power,
-        swapped=config.swapped,
-    )
+    zeroed = replace(config, gamma0=0.0)
     return SchemeRate("DF", rate=rate, parameter=theta, breakdown=df_rate(zeroed, theta))
 
 
@@ -193,15 +197,15 @@ def af_breakdown(config: LinkConfig) -> AfBreakdown:
     """Effective SNRs of amplify-and-forward relaying.
 
     The relay scales its received sum signal to unit average power with
-    ``beta = 1/sqrt(|h1|^2 + |h2|^2 + N0)`` where ``|h_i|^2 = gamma_i*N0``.
+    ``beta = 1/sqrt(gamma1 + gamma2 + 1)`` (unit noise power).
     After each terminal subtracts its own (known) contribution the
     end-to-end SNRs collapse to
 
         snr_a_to_c = g1*g2 / (g1 + 2*g2 + 1)
         snr_c_to_a = g1*g2 / (2*g1 + g2 + 1)
     """
-    g1, g2, n0 = config.gamma1, config.gamma2, config.noise_power
-    amplification = 1.0 / math.sqrt(n0 * (g1 + g2 + 1.0))
+    g1, g2 = config.gamma1, config.gamma2
+    amplification = 1.0 / math.sqrt(g1 + g2 + 1.0)
     snr_a_to_c = g1 * g2 / (g1 + 2.0 * g2 + 1.0)
     snr_c_to_a = g1 * g2 / (2.0 * g1 + g2 + 1.0)
     return AfBreakdown(
@@ -237,13 +241,19 @@ def jdf_lambda0(config: LinkConfig) -> Optional[float]:
     left over.  Returns None when the balance point falls outside [0, 1],
     i.e. when ``gamma2 > gamma1 + gamma1**2`` (the A-favouring corner then
     still leaves the C-bound packet longer).
+
+    ``(2*C2 - C12) / (2*(C1+C2-C12))`` is evaluated as
+    ``C((g2-g1+g2**2)/(1+g1+g2)) / (2*C(g1*g2/(1+g1+g2)))``, whose terms do
+    not cancel at low SNR; ValueError if even that denominator underflows.
     """
     if not _jdf_has_crossing(config):
         return None
-    c1 = capacity(config.gamma1)
-    c2 = capacity(config.gamma2)
-    c12 = capacity(config.gamma1 + config.gamma2)
-    lam = (2.0 * c2 - c12) / (2.0 * c1 + 2.0 * c2 - 2.0 * c12)
+    g1, g2 = config.gamma1, config.gamma2
+    total = 1.0 + g1 + g2
+    denominator = 2.0 * capacity(g1 * g2 / total)
+    if denominator == 0.0:
+        raise ValueError(f"JDF balance point underflows at gamma1={g1!r}, gamma2={g2!r}")
+    lam = capacity((g2 - g1 + g2 * g2) / total) / denominator
     # lam lies in [0, 1] whenever the crossing test passes; rounding can
     # push it an ulp past an endpoint, which downstream domain checks reject
     return min(1.0, max(0.0, lam))
@@ -262,10 +272,7 @@ def jdf_rate(config: LinkConfig, lam: float) -> JdfBreakdown:
     c1 = capacity(config.gamma1)
     c2 = capacity(config.gamma2)
     c12 = capacity(config.gamma1 + config.gamma2)
-    if pair.rate_c >= pair.rate_a:
-        duration = 1.0 + pair.rate_c / c1
-    else:
-        duration = 1.0 + pair.rate_c / c1 + (pair.rate_a - pair.rate_c) / c2
+    duration = _broadcast_duration(pair.rate_a, pair.rate_c, c1, c2)
     # pair.rate_a + pair.rate_c == c12 on the dominant face
     rate = c12 / duration
     return JdfBreakdown(

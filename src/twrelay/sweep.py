@@ -12,12 +12,50 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Optional, Sequence, Union
+from typing import IO, Callable, Optional, Sequence, Union
 
 from . import oracle, schemes
 from .channel import AssumptionViolation, LinkConfig, db_to_linear, linear_to_db, make_config
 
-SCHEME_NAMES = ("DF", "AF", "JDF", "DNF")
+
+@dataclass(frozen=True)
+class SchemeEntry:
+    """One scheme: its closed form in :mod:`schemes`, its brute-force
+    oracle in :mod:`oracle` (or None), whether it takes gamma0 (one column
+    per gamma0 rule) and the text ``twrelay rate`` prints after its rate.
+    Functions are held by name and looked up at each call, so a function
+    rebound on its module (a test double, a profiler) is the one called.
+    """
+
+    closed_form: str
+    oracle: Optional[str]
+    uses_gamma0: bool
+    detail: Callable[[schemes.SchemeRate], str]
+
+    def best(self, config: LinkConfig) -> schemes.SchemeRate:
+        return getattr(schemes, self.closed_form)(config)
+
+    def brute(self, config: LinkConfig, grid_points: int) -> oracle.GridResult:
+        return getattr(oracle, self.oracle)(config, grid_points)
+
+
+SCHEME_TABLE = {
+    "DF": SchemeEntry(
+        "df_max_rate", "grid_max_df_theta", True,
+        lambda best: f"theta* = {best.parameter:.9g}  [{best.breakdown.case}]",
+    ),
+    "AF": SchemeEntry(
+        "af_rate", None, False,
+        lambda best: "(A->C {0.rate_a:.9g}, C->A {0.rate_c:.9g})".format(best.breakdown.rate_pair),
+    ),
+    "JDF": SchemeEntry(
+        "jdf_max_rate", "grid_max_jdf_lambda", False,
+        lambda best: f"lambda* = {best.parameter:.9g}  [{best.breakdown.regime}]",
+    ),
+    "DNF": SchemeEntry("dnf_upper_bound", None, False, lambda best: "upper bound"),
+}
+
+SCHEME_NAMES = tuple(SCHEME_TABLE)
 
 VERIFY_TOLERANCE = 1e-6  # relative deviation allowed between formula and oracle
 
@@ -161,7 +199,6 @@ class SweepSpec:
     gamma0_rules: tuple[Gamma0Rule, ...] = (Gamma0Rule("zero"),)
     schemes: tuple[str, ...] = SCHEME_NAMES
     verify: bool = False
-    noise_power: float = 1.0
     oracle_grid_points: int = 1001
 
     def __post_init__(self):
@@ -219,20 +256,39 @@ class SweepRow:
         raise KeyError(column)
 
 
-def df_column_labels(spec: SweepSpec) -> list[str]:
-    """CSV column label for each gamma0 rule's DF curve."""
-    if len(spec.gamma0_rules) == 1:
+def df_column_labels(gamma0_rules: Sequence[Gamma0Rule]) -> list[str]:
+    """Column label for each gamma0 rule's DF curve."""
+    if len(gamma0_rules) == 1:
         return ["DF"]
-    return [f"DF[{rule.label}]" for rule in spec.gamma0_rules]
+    return [f"DF[{rule.label}]" for rule in gamma0_rules]
 
 
-def _checked(closed: float, grid: oracle.GridResult, column: str, db: float):
+def _columns(names: Sequence[str], gamma0_rules: Sequence[Gamma0Rule]) -> list[tuple]:
+    """(label, entry, k) of each output column, in ``names`` order.
+
+    Column k runs on config k of ``[gamma0 = 0, one config per gamma0
+    rule]``: a scheme that takes gamma0 gets one column per rule.
+    """
+    columns = []
+    for name in names:
+        entry = SCHEME_TABLE[name]
+        if entry.uses_gamma0:
+            labels = df_column_labels(gamma0_rules)
+            columns += [(label, entry, k) for k, label in enumerate(labels, start=1)]
+        else:
+            columns.append((name, entry, 0))
+    return columns
+
+
+def _checked(closed: float, grid: oracle.GridResult, column: str, where: str,
+             tolerance: float = VERIFY_TOLERANCE) -> float:
+    """Relative deviation of the oracle from the closed form, within ``tolerance``."""
     deviation = abs(grid.best_rate - closed) / closed
-    if deviation > VERIFY_TOLERANCE:
+    if deviation > tolerance:
         raise VerificationError(
             f"{column} closed form {closed!r} deviates from oracle "
-            f"{grid.best_rate!r} at gamma1 = {db:g} dB "
-            f"(relative deviation {deviation:.3g})"
+            f"{grid.best_rate!r} at {where} "
+            f"(relative deviation {deviation:.3g}, tolerance {tolerance:g})"
         )
     return deviation
 
@@ -245,7 +301,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     :class:`VerificationError` if verification is on and a closed form
     strays from its oracle by more than ``VERIFY_TOLERANCE``.
     """
-    df_labels = df_column_labels(spec)
+    columns = _columns(spec.schemes, spec.gamma0_rules)
     rows = []
     for db in spec.grid_db():
         gamma1 = db_to_linear(db)
@@ -260,41 +316,27 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
         def build(gamma0: float, what: str) -> LinkConfig:
             try:
-                return make_config(gamma0, gamma1, gamma2, spec.noise_power)
+                return make_config(gamma0, gamma1, gamma2)
             except (AssumptionViolation, ValueError) as exc:
                 raise SweepConfigError(
                     f"invalid configuration for {what} at gamma1 = {db:g} dB: {exc}"
                 ) from exc
 
-        base = build(0.0, "the relay links")
-        df_configs = [
-            (build(rule.apply(gamma1), f"gamma0 rule '{rule.label}'"), label)
-            for rule, label in zip(spec.gamma0_rules, df_labels)
+        configs = [build(0.0, "the relay links")] + [
+            build(rule.apply(gamma1), f"gamma0 rule '{rule.label}'") for rule in spec.gamma0_rules
         ]
 
         rates: list[tuple[str, float]] = []
         oracle_rates: list[tuple[str, float]] = []
         deviations: list[tuple[str, float]] = []
-        for scheme in spec.schemes:
-            if scheme == "DF":
-                for cfg, label in df_configs:
-                    best = schemes.df_max_rate(cfg)
-                    rates.append((label, best.rate))
-                    if spec.verify:
-                        grid = oracle.grid_max_df_theta(cfg, spec.oracle_grid_points)
-                        deviations.append((label, _checked(best.rate, grid, label, db)))
-                        oracle_rates.append((label, grid.best_rate))
-            elif scheme == "AF":
-                rates.append(("AF", schemes.af_rate(base).rate))
-            elif scheme == "JDF":
-                best = schemes.jdf_max_rate(base)
-                rates.append(("JDF", best.rate))
-                if spec.verify:
-                    grid = oracle.grid_max_jdf_lambda(base, spec.oracle_grid_points)
-                    deviations.append(("JDF", _checked(best.rate, grid, "JDF", db)))
-                    oracle_rates.append(("JDF", grid.best_rate))
-            else:  # DNF upper bound
-                rates.append(("DNF", schemes.dnf_upper_bound(base).rate))
+        for label, entry, k in columns:
+            best = entry.best(configs[k])
+            rates.append((label, best.rate))
+            if spec.verify and entry.oracle is not None:
+                grid = entry.brute(configs[k], spec.oracle_grid_points)
+                where = f"gamma1 = {db:g} dB"
+                deviations.append((label, _checked(best.rate, grid, label, where)))
+                oracle_rates.append((label, grid.best_rate))
         rows.append(
             SweepRow(
                 gamma1_db=db,

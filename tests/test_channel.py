@@ -101,16 +101,11 @@ def test_make_config_rejects_bad_numbers(args):
         make_config(*args)
 
 
-def test_noise_power_must_be_positive():
-    with pytest.raises(ValueError):
-        make_config(0.0, 1.0, 1.0, noise_power=0.0)
-
-
 @given(snr, snr, st.floats(min_value=0.0, max_value=0.9))
 def test_make_config_idempotent(ga, gc, frac):
     gamma0 = frac * min(ga, gc)
     cfg = make_config(gamma0, ga, gc)
-    again = make_config(cfg.gamma0, cfg.gamma1, cfg.gamma2, cfg.noise_power)
+    again = make_config(cfg.gamma0, cfg.gamma1, cfg.gamma2)
     assert again.gamma1 == cfg.gamma1
     assert again.gamma2 == cfg.gamma2
     assert again.swapped is False  # already ordered

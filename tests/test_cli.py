@@ -178,6 +178,27 @@ def test_simulate_degenerate_block_exits_one(capsys):
     assert "empty" in err
 
 
+def test_negative_range_as_separate_token(capsys):
+    for command, option, value, extra in (
+        ("sweep", "--gamma1-db", "-10:0:1", ()),
+        ("verify", "--gamma1-db-range", "-60:60", ("--samples", "3")),
+    ):
+        code, joined, _ = run(capsys, command, f"{option}={value}", *extra)
+        assert code == 0
+        code, separate, err = run(capsys, command, option, value, *extra)
+        assert code == 0 and err == ""
+        assert separate == joined
+
+
+def test_jdf_at_very_low_snr(capsys):
+    code, out, err = run(capsys, "rate", "--gamma1-db", "-160")
+    assert code == 0 and err == ""
+    assert "lambda* = 0.5" in out
+    code, _, err = run(capsys, "simulate", "--scheme", "jdf", "--gamma1-db", "-160")
+    assert code == 1
+    assert "empty packet" in err and "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -200,6 +200,21 @@ def test_af_effective_snrs_are_degraded(g1, g2):
     assert bd.snr_a_to_c <= bd.snr_c_to_a + 1e-15
 
 
+def test_broadcast_duration_scalars_and_arrays():
+    # split: the excess of the C-bound load goes out at the stronger rate
+    assert schemes._broadcast_duration(3.0, 1.0, 1.0, 4.0) == 1.0 + 1.0 + 0.5
+    # pad: the XOR is as long as the A-bound load
+    assert schemes._broadcast_duration(1.0, 3.0, 1.0, 4.0) == 4.0
+    assert type(schemes._broadcast_duration(3.0, 1.0, 1.0, 4.0)) is float
+    to_c = np.linspace(0.0, 2.0, 9)[:, None]
+    to_a = np.linspace(0.0, 2.0, 7)[None, :]
+    grid = schemes._broadcast_duration(to_c, to_a, 1.5, 2.5)
+    assert grid.shape == (9, 7)
+    for i, c in enumerate(to_c[:, 0]):
+        for j, a in enumerate(to_a[0]):
+            assert grid[i, j] == schemes._broadcast_duration(float(c), float(a), 1.5, 2.5)
+
+
 # ---------------------------------------------------------------- JDF
 
 
@@ -212,6 +227,16 @@ def test_jdf_lambda0_values():
     )
     # raw crossing ~1.2374 falls outside [0, 1]
     assert schemes.jdf_lambda0(make_config(0.0, 1.0, 3.0)) is None
+
+
+def test_jdf_lambda0_at_very_low_snr():
+    # 2*(C1 + C2 - C12) cancels to 0.0 here when formed from capacities
+    for db in (-160.0, -170.0, -300.0):
+        g = 10.0 ** (db / 10.0)
+        assert schemes.jdf_lambda0(make_config(0.0, g, g)) == 0.5
+    # gamma1 * gamma2 underflows: no balance point can be formed
+    with pytest.raises(ValueError, match="underflows"):
+        schemes.jdf_lambda0(make_config(0.0, 1e-170, 1e-170))
 
 
 @given(snr, st.floats(min_value=0.0, max_value=1.0))

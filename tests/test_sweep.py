@@ -1,6 +1,7 @@
 """Sweep construction, CSV emission and plot-script emission."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -253,3 +254,15 @@ def test_emit_plot_script_needs_rows_and_columns():
     ]
     with pytest.raises(ValueError):
         emit_plot_script(stripped, "x.gp")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("kind", ["equal", "quad"])
+@pytest.mark.parametrize("verify", [False, True])
+def test_comparison_csv_matches_golden(kind, verify):
+    # frozen output of the comparison sweeps; any byte change is a behaviour change
+    name = f"comparison_{kind}{'_verify' if verify else ''}.csv"
+    text = emit_csv(run_sweep(comparison_spec(kind, verify=verify)))
+    assert text.encode() == (GOLDEN / name).read_bytes()
