@@ -47,7 +47,10 @@ def db_to_linear(value_db: float) -> float:
         return 0.0
     if not math.isfinite(value_db):
         raise ValueError("SNR in dB must be finite or -inf")
-    return 10.0 ** (value_db / 10.0)
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"SNR of {value_db!r} dB exceeds the float range") from None
 
 
 def linear_to_db(value: float) -> float:
@@ -168,15 +171,24 @@ def ma_rate_pair(config: LinkConfig, lam: float) -> RatePair:
     (``lam=0``) to the A-favouring corner (``lam=1``).  Every returned pair
     has ``rate_a + rate_c`` equal to the sum capacity.
     """
+    _check_lam(lam)
+    return RatePair(*_face_point(ma_region(config), lam))
+
+
+def _check_lam(lam: float) -> None:
     if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
         raise ValueError(f"lam must be a finite number, got {lam!r}")
     if lam < 0.0 or lam > 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
-    region = ma_region(config)
+
+
+def _face_point(region: MaRegion, lam):
+    """``(rate_a, rate_c)`` at time share ``lam`` on the dominant face, for
+    a Python float or elementwise for a numpy array of ``lam``."""
     la, lc = region.corner_la, region.corner_lc
-    return RatePair(
-        rate_a=(1.0 - lam) * lc.rate_a + lam * la.rate_a,
-        rate_c=(1.0 - lam) * lc.rate_c + lam * la.rate_c,
+    return (
+        (1.0 - lam) * lc.rate_a + lam * la.rate_a,
+        (1.0 - lam) * lc.rate_c + lam * la.rate_c,
     )
 
 

@@ -106,16 +106,17 @@ def _cmd_rate(args) -> int:
     gamma2 = Gamma2Rule.parse(args.gamma2).apply(gamma1)
     rules = _parse_gamma0_rules(args.gamma0)
     names = _parse_schemes(args.schemes)
-    # validate every configuration before emitting anything
+    # validate and evaluate everything before emitting anything
     gamma0s = [0.0] + [rule.apply(gamma1) for rule in rules]
     configs = [make_config(gamma0, gamma1, gamma2) for gamma0 in gamma0s]
-    print(
+    lines = [
         f"gamma1 = {gamma1:.9g} ({args.gamma1_db:g} dB), "
         f"gamma2 = {gamma2:.9g} ({linear_to_db(gamma2):.9g} dB)"
-    )
+    ]
     for label, entry, k in _columns(names, rules):
         best = entry.best(configs[k])
-        print(f"{label:<16} rate = {best.rate:<12.9g} {entry.detail(best)}")
+        lines.append(f"{label:<16} rate = {best.rate:<12.9g} {entry.detail(best)}")
+    print("\n".join(lines))
     return 0
 
 

@@ -5,6 +5,10 @@ located by dense grid scans (optionally sharpened by golden-section
 refinement), the multiple-access search walks the whole rate region, and
 the denoiser search enumerates relay codebooks exhaustively.  Tests compare
 these independent answers against the formulas.
+
+The 1-D scans evaluate the per-parameter rate rules of :mod:`schemes`
+(``_df_two_way``, ``_jdf_two_way``) on the whole grid in one numpy pass,
+then refine on the same rule with Python floats.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from .channel import LinkConfig, capacity, ma_contains, ma_region, RatePair
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+
+MAX_GRID_POINTS = 1_000_000  # largest grid a scan or sweep may allocate
 
 
 @dataclass(frozen=True)
@@ -65,15 +71,25 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
     return x, steps
 
 
+def _check_grid_points(grid_points: int) -> None:
+    if grid_points < 3:
+        raise ValueError(f"grid_points must be at least 3, got {grid_points!r}")
+    if grid_points > MAX_GRID_POINTS:
+        raise ValueError(f"grid_points must be at most {MAX_GRID_POINTS}, got {grid_points!r}")
+
+
 def _grid_refine(
-    f: Callable[[float], float],
+    f: Callable,
     grid: np.ndarray,
     method: str,
     tol: float,
     lo_bound: float,
     hi_bound: float,
 ) -> GridResult:
-    values = np.array([f(x) for x in grid.tolist()])  # Python floats: faster scalar arithmetic
+    """Maximize ``f`` over ``grid`` in one call on the whole array, then
+    (``method="golden"``) refine around the best cell with scalar calls;
+    ``f`` maps a float to a float and an array to an array."""
+    values = f(grid)
     i = int(np.argmax(values))  # first maximum: smallest parameter wins ties
     best_x = float(grid[i])
     best_v = float(values[i])
@@ -108,12 +124,14 @@ def grid_max_df_theta(
     golden-section search (the rate is unimodal in theta), while
     ``method="grid"`` reports the raw grid maximum.
     """
-    if grid_points < 3:
-        raise ValueError(f"grid_points must be at least 3, got {grid_points!r}")
+    _check_grid_points(grid_points)
     grid = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]  # keep theta in (0, 1)
+    c0 = capacity(config.gamma0)
+    c1 = capacity(config.gamma1)
+    c2 = capacity(config.gamma2)
 
-    def f(theta: float) -> float:
-        return schemes.df_rate(config, theta).rate
+    def f(theta):
+        return schemes._df_two_way(c0, c1, c2, theta)[3]
 
     # golden-section probes stay strictly interior, so the bracket may
     # extend to the open-interval endpoints even though f(0)/f(1) are
@@ -128,12 +146,12 @@ def grid_max_jdf_lambda(
     tol: float = 1e-10,
 ) -> GridResult:
     """Maximize the JDF rate over the time-share weight lam by brute force."""
-    if grid_points < 3:
-        raise ValueError(f"grid_points must be at least 3, got {grid_points!r}")
+    _check_grid_points(grid_points)
     grid = np.linspace(0.0, 1.0, grid_points)
+    region = ma_region(config)
 
-    def f(lam: float) -> float:
-        return schemes.jdf_rate(config, lam).rate
+    def f(lam):
+        return schemes._jdf_two_way(region, lam)[3]
 
     return _grid_refine(f, grid, method, tol, lo_bound=0.0, hi_bound=1.0)
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .channel import LinkConfig, RatePair, capacity, ma_rate_pair
+from .channel import LinkConfig, MaRegion, RatePair, _check_lam, _face_point, capacity, ma_region
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,33 @@ def _broadcast_duration(to_c, to_a, c1: float, c2: float):
     return 1.0 + to_a / c1 + excess / c2
 
 
+# The two rate rules below take per-config capacities (Python floats) and
+# apply only + - * / to the parameter, so an array of parameters gives,
+# elementwise, exactly the floats that one call per parameter gives.  The
+# breakdown functions and the oracles' grid scans share them.
+
+
+def _df_two_way(c0: float, c1: float, c2: float, theta):
+    """DF at time split ``theta`` from the link capacities ``c0``, ``c1``,
+    ``c2``: ``(size_dbc, size_dba, duration, rate)`` for a unit-length
+    source phase, for a Python float or elementwise for a numpy array."""
+    size_dbc = (1.0 - theta) * (c1 - c0)
+    size_dba = theta * (c2 - c0)
+    duration = _broadcast_duration(size_dbc, size_dba, c1, c2)
+    delivered = (1.0 - theta) * c1 + theta * c2  # source-phase bits, N = 1
+    return size_dbc, size_dba, duration, delivered / duration
+
+
+def _jdf_two_way(region: MaRegion, lam):
+    """JDF at time share ``lam`` on the dominant face of ``region``:
+    ``(rate_a, rate_c, duration, rate)``, for a Python float or elementwise
+    for a numpy array."""
+    rate_a, rate_c = _face_point(region, lam)
+    duration = _broadcast_duration(rate_a, rate_c, region.cap_a, region.cap_c)
+    # rate_a + rate_c == cap_sum on the dominant face
+    return rate_a, rate_c, duration, region.cap_sum / duration
+
+
 def df_packet_sizes(config: LinkConfig, theta: float, n_symbols: float) -> tuple[float, float]:
     """Binned packet sizes (|D_BC|, |D_BA|) of the DF relay, in bits.
 
@@ -137,17 +164,16 @@ def df_rate(config: LinkConfig, theta: float) -> DfBreakdown:
     weaker-link rate; in the split case the excess of the longer C-bound
     packet goes out separately at the stronger-link rate.
     """
-    size_dbc, size_dba = df_packet_sizes(config, theta, 1.0)
-    c1 = capacity(config.gamma1)
-    c2 = capacity(config.gamma2)
-    duration = _broadcast_duration(size_dbc, size_dba, c1, c2)
-    delivered = (1.0 - theta) * c1 + theta * c2  # source-phase bits, N = 1
+    _check_theta(theta)
+    size_dbc, size_dba, duration, rate = _df_two_way(
+        capacity(config.gamma0), capacity(config.gamma1), capacity(config.gamma2), theta
+    )
     return DfBreakdown(
         theta=theta,
         size_dbc=size_dbc,
         size_dba=size_dba,
         duration=duration,
-        rate=delivered / duration,
+        rate=rate,
         case="split-and-xor" if size_dbc >= size_dba else "pad-and-xor",
     )
 
@@ -168,11 +194,19 @@ def df_max_rate(config: LinkConfig) -> SchemeRate:
         rate = C(g1) * (1 + delta*(C(g2) - C(g1))) / (1 + delta*(C(g2) - C(g0)))
 
     which equals ``df_rate(config, df_theta_star(config)).rate``.
+    ValueError where the denominator of delta rounds to 0: it underflows
+    at subnormal SNRs, and cancels when C(g0) rounds to C(g1) = C(g2).
     """
     c0 = capacity(config.gamma0)
     c1 = capacity(config.gamma1)
     c2 = capacity(config.gamma2)
-    delta = (c1 - c0) / (c1 * (c1 + c2 - 2.0 * c0))
+    denominator = c1 * (c1 + c2 - 2.0 * c0)
+    if denominator == 0.0:
+        raise ValueError(
+            f"DF optimum is undefined: C1*(C1+C2-2*C0) rounds to 0 at "
+            f"gamma0={config.gamma0!r}, gamma1={config.gamma1!r}, gamma2={config.gamma2!r}"
+        )
+    delta = (c1 - c0) / denominator
     rate = c1 * (1.0 + delta * (c2 - c1)) / (1.0 + delta * (c2 - c0))
     theta = df_theta_star(config)
     return SchemeRate("DF", rate=rate, parameter=theta, breakdown=df_rate(config, theta))
@@ -268,16 +302,11 @@ def jdf_rate(config: LinkConfig, lam: float) -> JdfBreakdown:
     weaker-link rate; when the A-bound packet is longer its excess goes
     out separately at the stronger-link rate.
     """
-    pair = ma_rate_pair(config, lam)
-    c1 = capacity(config.gamma1)
-    c2 = capacity(config.gamma2)
-    c12 = capacity(config.gamma1 + config.gamma2)
-    duration = _broadcast_duration(pair.rate_a, pair.rate_c, c1, c2)
-    # pair.rate_a + pair.rate_c == c12 on the dominant face
-    rate = c12 / duration
+    _check_lam(lam)
+    rate_a, rate_c, duration, rate = _jdf_two_way(ma_region(config), lam)
     return JdfBreakdown(
         lam=lam,
-        rate_pair=pair,
+        rate_pair=RatePair(rate_a=rate_a, rate_c=rate_c),
         lambda0=jdf_lambda0(config),
         duration=duration,
         rate=rate,

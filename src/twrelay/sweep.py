@@ -221,12 +221,22 @@ class SweepSpec:
                 raise ValueError(f"unknown scheme {s!r} (expected one of {SCHEME_NAMES})")
         if len(set(normalized)) != len(normalized):
             raise ValueError("duplicate scheme names")
-        if self.oracle_grid_points < 3:
-            raise ValueError("oracle_grid_points must be at least 3")
+        oracle._check_grid_points(self.oracle_grid_points)
+        # checked before grid_db builds the list; may be inf
+        if self._steps() >= oracle.MAX_GRID_POINTS:
+            raise ValueError(
+                f"the gamma1 grid {self.start_db:g}:{self.stop_db:g}:{self.step_db:g} "
+                f"has more than {oracle.MAX_GRID_POINTS} points"
+            )
+
+    def _steps(self) -> float:
+        # whole steps from start to stop, padded so that rounding just
+        # below an integer still reaches the stop point
+        return (self.stop_db - self.start_db) / self.step_db + 1e-9
 
     def grid_db(self) -> list[float]:
         """The gamma1 grid in dB, inclusive of both endpoints."""
-        count = int(math.floor((self.stop_db - self.start_db) / self.step_db + 1e-9)) + 1
+        count = int(math.floor(self._steps())) + 1
         return [self.start_db + i * self.step_db for i in range(count)]
 
 

@@ -51,6 +51,11 @@ def test_capacity_concave_on_grid():
     assert np.all(mids >= 0.5 * (caps[:-2] + caps[2:]) - 1e-12)
 
 
+def test_db_to_linear_overflow_is_a_value_error():
+    with pytest.raises(ValueError, match="float range"):
+        db_to_linear(4000.0)  # 10**400 overflows
+
+
 def test_db_conversions():
     assert db_to_linear(0.0) == 1.0
     assert math.isclose(db_to_linear(10.0), 10.0, rel_tol=1e-15)

@@ -2,6 +2,10 @@
 
 import math
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +201,48 @@ def test_jdf_at_very_low_snr(capsys):
     code, _, err = run(capsys, "simulate", "--scheme", "jdf", "--gamma1-db", "-160")
     assert code == 1
     assert "empty packet" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("db", ["4000", "-3200"])
+def test_extreme_snr_exits_one(capsys, db):
+    # 10**400 overflows; at -3200 dB the DF optimum's denominator underflows
+    code, out, err = run(capsys, "rate", "--gamma1-db", db)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_rate_prints_nothing_before_an_error(capsys):
+    # DF and AF evaluate at -1620 dB, the JDF balance point underflows
+    code, out, err = run(capsys, "rate", "--gamma1-db", "-1620")
+    assert code == 1 and out == ""
+    assert "underflows" in err
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_oversized_sweep_grid_exits_one_at_once():
+    # 3*10**10 points; the child's address space is capped so that a list
+    # built anyway ends in MemoryError instead of exhausting the machine
+    script = (
+        "import sys, time\n"
+        "from twrelay.cli import main\n"
+        "t = time.perf_counter()\n"
+        "code = main(['sweep', '--gamma1-db=0:30:1e-9'])\n"
+        "print(time.perf_counter() - t)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        preexec_fn=_limit_address_space, timeout=60,
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert "points" in proc.stderr
+    assert float(proc.stdout) < 1.0
 
 
 def test_help_exits_zero(capsys):

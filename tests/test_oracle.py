@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twrelay import oracle, schemes
-from twrelay.channel import capacity, make_config
+from twrelay.channel import capacity, ma_region, make_config
+from twrelay.sweep import VERIFY_TOLERANCE
 
 snr = st.floats(min_value=1e-2, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -71,6 +72,115 @@ def test_searches_match_closed_forms(g1, g2, g0_frac):
     assert math.isclose(df.best_rate, schemes.df_max_rate(cfg).rate, rel_tol=1e-6)
     jdf = oracle.grid_max_jdf_lambda(cfg, grid_points=301)
     assert math.isclose(jdf.best_rate, schemes.jdf_max_rate(cfg).rate, rel_tol=1e-6)
+
+
+def test_grid_size_is_bounded():
+    cfg = make_config(0.0, 1.0, 1.0)
+    for search in (oracle.grid_max_df_theta, oracle.grid_max_jdf_lambda):
+        with pytest.raises(ValueError, match="at most"):
+            search(cfg, grid_points=oracle.MAX_GRID_POINTS + 1)
+
+
+# ------------------------------------------------- one array pass per scan
+
+db = st.floats(min_value=-10.0, max_value=30.0)
+ratio_db = st.floats(min_value=0.0, max_value=10.0)
+g0_frac = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5))
+
+
+def _config(g1_db, r_db, frac):
+    g1 = 10.0 ** (g1_db / 10.0)
+    return make_config(frac * g1, g1, g1 * 10.0 ** (r_db / 10.0))
+
+
+def _df_grid(n):
+    return np.linspace(0.0, 1.0, n + 2)[1:-1]
+
+
+def _jdf_grid(n):
+    return np.linspace(0.0, 1.0, n)
+
+
+@given(db, ratio_db, g0_frac)
+@settings(max_examples=25, deadline=None)
+def test_array_rate_rules_equal_the_per_point_rates(g1_db, r_db, frac):
+    cfg = _config(g1_db, r_db, frac)
+    c0, c1, c2 = (capacity(g) for g in (cfg.gamma0, cfg.gamma1, cfg.gamma2))
+    grid = _df_grid(1001)
+    df = schemes._df_two_way(c0, c1, c2, grid)[3]
+    assert df.tolist() == [schemes.df_rate(cfg, t).rate for t in grid.tolist()]
+    grid = _jdf_grid(1001)
+    jdf = schemes._jdf_two_way(ma_region(cfg), grid)[3]
+    assert jdf.tolist() == [schemes.jdf_rate(cfg, lam).rate for lam in grid.tolist()]
+
+
+def _scalar_grid_refine(f, grid, method, tol, lo_bound, hi_bound):
+    # the scan as one call per grid point, kept here as the reference the
+    # array pass must reproduce exactly
+    values = np.array([f(x) for x in grid.tolist()])
+    i = int(np.argmax(values))
+    best_x = float(grid[i])
+    best_v = float(values[i])
+    iterations = 0
+    if method == "golden":
+        lo = float(grid[i - 1]) if i > 0 else lo_bound
+        hi = float(grid[i + 1]) if i < len(grid) - 1 else hi_bound
+        x, iterations = oracle._golden_max(f, lo, hi, tol)
+        v = f(x)
+        if v >= best_v:
+            best_x, best_v = x, v
+    return oracle.GridResult(best_x, best_v, len(grid), iterations)
+
+
+@given(db, ratio_db, g0_frac, st.sampled_from(["golden", "grid"]), st.sampled_from([3, 301, 1001]))
+@settings(max_examples=40, deadline=None)
+def test_array_scans_equal_the_per_point_scans(g1_db, r_db, frac, method, n):
+    cfg = _config(g1_db, r_db, frac)
+    expected = _scalar_grid_refine(
+        lambda t: schemes.df_rate(cfg, t).rate, _df_grid(n), method, 1e-10, 0.0, 1.0
+    )
+    assert oracle.grid_max_df_theta(cfg, n, method) == expected
+    expected = _scalar_grid_refine(
+        lambda lam: schemes.jdf_rate(cfg, lam).rate, _jdf_grid(n), method, 1e-10, 0.0, 1.0
+    )
+    assert oracle.grid_max_jdf_lambda(cfg, n, method) == expected
+
+
+def test_scans_use_no_closed_form_optimum(monkeypatch):
+    configs = [
+        make_config(0.0, 1.0, 1.0),
+        make_config(0.1, 1.0, 1.5),
+        make_config(0.0, 1.0, 3.0),  # JDF saturated
+        make_config(0.3, 40.0, 400.0),
+    ]
+    expected = [(oracle.grid_max_df_theta(c), oracle.grid_max_jdf_lambda(c)) for c in configs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oracle called a closed-form optimum")
+
+    for name in ("df_theta_star", "df_max_rate", "df_max_rate_no_direct",
+                 "jdf_lambda0", "jdf_max_rate"):
+        monkeypatch.setattr(schemes, name, forbidden)
+    got = [(oracle.grid_max_df_theta(c), oracle.grid_max_jdf_lambda(c)) for c in configs]
+    assert got == expected
+
+
+# Over the whole +-300 dB range, on the regime boundaries g2 = g1 (equal
+# links) and g2 = g1 + g1^2 (JDF crossing/saturated) and off them.
+wide_db = st.floats(min_value=-300.0, max_value=300.0)
+gamma2_kind = st.sampled_from(["equal", "quad", "ratio"])
+
+
+@given(wide_db, gamma2_kind, ratio_db, g0_frac)
+@settings(max_examples=300, deadline=None)
+def test_closed_forms_match_oracles_over_wide_snr_range(g1_db, kind, r_db, frac):
+    g1 = 10.0 ** (g1_db / 10.0)
+    g2 = {"equal": g1, "quad": g1 + g1 * g1, "ratio": g1 * 10.0 ** (r_db / 10.0)}[kind]
+    cfg = make_config(frac * g1, g1, g2)
+    for closed, brute in ((schemes.df_max_rate, oracle.grid_max_df_theta),
+                          (schemes.jdf_max_rate, oracle.grid_max_jdf_lambda)):
+        rate = closed(cfg).rate
+        assert abs(brute(cfg).best_rate - rate) <= VERIFY_TOLERANCE * rate
 
 
 # ---------------------------------------------------------------- region search

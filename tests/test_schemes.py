@@ -239,6 +239,15 @@ def test_jdf_lambda0_at_very_low_snr():
         schemes.jdf_lambda0(make_config(0.0, 1e-170, 1e-170))
 
 
+def test_df_max_rate_where_its_denominator_rounds_to_zero():
+    # c1 * (c1 + c2) underflows to 0.0 at -3200 dB
+    with pytest.raises(ValueError, match="gamma1=1e-320"):
+        schemes.df_max_rate(make_config(0.0, 1e-320, 1e-320))
+    # C(gamma0) rounds to C(1.0) = 1, so c1 + c2 - 2*c0 cancels to 0.0
+    with pytest.raises(ValueError, match="rounds to 0"):
+        schemes.df_max_rate(make_config(math.nextafter(1.0, 0.0), 1.0, 1.0))
+
+
 @given(snr, st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=200)
 def test_jdf_lambda0_balances_uplinks(g1, shrink):

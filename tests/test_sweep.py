@@ -84,6 +84,19 @@ def test_spec_validation():
         SweepSpec(0.0, 1.0, 1.0, gamma0_rules=())
 
 
+def test_spec_grid_sizes_are_bounded():
+    # rejected from the point count alone, before any list is built
+    for start, stop, step in ((0.0, 30.0, 1e-9), (-1e308, 1e308, 1.0), (0.0, 1.0, 1e-320)):
+        with pytest.raises(ValueError, match="points"):
+            SweepSpec(start, stop, step)
+    largest = SweepSpec(0.0, oracle.MAX_GRID_POINTS - 1.0, 1.0)
+    assert largest.grid_db()[-1] == oracle.MAX_GRID_POINTS - 1.0
+    with pytest.raises(ValueError):
+        SweepSpec(0.0, float(oracle.MAX_GRID_POINTS), 1.0)
+    with pytest.raises(ValueError):
+        SweepSpec(0.0, 1.0, 1.0, oracle_grid_points=oracle.MAX_GRID_POINTS + 1)
+
+
 def test_run_sweep_single_point_matches_closed_forms():
     spec = SweepSpec(0.0, 0.0, 1.0, gamma0_rules=(Gamma0Rule("zero"), Gamma0Rule("fraction", 0.1)))
     (row,) = run_sweep(spec)
