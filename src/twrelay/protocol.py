@@ -185,11 +185,24 @@ def _relay_broadcast(steps: list[TranscriptStep], to_c: Packet, to_a: Packet,
     return at_a, at_c
 
 
+# bounds the symbols of a block and the bits of each packet, so that the
+# bit arrays (one byte per bit, a few alive at once) stay within ~1 GB
+MAX_BLOCK_SIZE = 100_000_000
+
+
 def _check_block(n_symbols) -> None:
     if not isinstance(n_symbols, (int, np.integer)) or isinstance(n_symbols, bool):
         raise ValueError(f"n_symbols must be an integer, got {n_symbols!r}")
-    if n_symbols < 1:
-        raise ValueError(f"n_symbols must be positive, got {n_symbols!r}")
+    if not 1 <= n_symbols <= MAX_BLOCK_SIZE:
+        raise ValueError(f"n_symbols must lie in [1, {MAX_BLOCK_SIZE}], got {n_symbols!r}")
+
+
+def _check_packets(bits_ac: int, bits_ca: int) -> None:
+    if max(bits_ac, bits_ca) > MAX_BLOCK_SIZE:
+        raise ValueError(
+            f"source packets of {bits_ac} and {bits_ca} bits exceed the "
+            f"{MAX_BLOCK_SIZE}-bit limit; use a shorter block"
+        )
 
 
 def run_df(config: LinkConfig, n_symbols: int, theta: float, seed: int = 0) -> Transcript:
@@ -228,6 +241,7 @@ def run_df(config: LinkConfig, n_symbols: int, theta: float, seed: int = 0) -> T
             f"D_BC={bits_bc}, D_BA={bits_ba})"
         )
 
+    _check_packets(bits_ac, bits_ca)
     rng = _rng(seed)
     d_ac = _random_packet(rng, bits_ac, "D_AC")
     d_ca = _random_packet(rng, bits_ca, "D_CA")
@@ -275,6 +289,7 @@ def run_jdf(config: LinkConfig, n_symbols: int, lam: float, seed: int = 0) -> Tr
             f"packet (sizes: D_AC={bits_ac}, D_CA={bits_ca})"
         )
 
+    _check_packets(bits_ac, bits_ca)
     rng = _rng(seed)
     d_ac = _random_packet(rng, bits_ac, "D_AC")
     d_ca = _random_packet(rng, bits_ca, "D_CA")

@@ -178,12 +178,24 @@ def df_rate(config: LinkConfig, theta: float) -> DfBreakdown:
     )
 
 
+def _df_theta(c0: float, c1: float, c2: float) -> float:
+    return (c1 - c0) / (c1 + c2 - 2.0 * c0)
+
+
+def _df_max(c0: float, c1: float, c2: float) -> tuple[float, float]:
+    """``(rate, theta*)`` of :func:`df_max_rate` from the link capacities."""
+    denominator = c1 * (c1 + c2 - 2.0 * c0)
+    if denominator == 0.0:
+        raise ValueError("DF optimum is undefined: C1*(C1+C2-2*C0) rounds to 0")
+    delta = (c1 - c0) / denominator
+    theta = _df_theta(c0, c1, c2)
+    _check_theta(theta)
+    return c1 * (1.0 + delta * (c2 - c1)) / (1.0 + delta * (c2 - c0)), theta
+
+
 def df_theta_star(config: LinkConfig) -> float:
     """Optimal DF time split; equalizes the two binned packet sizes."""
-    c0 = capacity(config.gamma0)
-    c1 = capacity(config.gamma1)
-    c2 = capacity(config.gamma2)
-    return (c1 - c0) / (c1 + c2 - 2.0 * c0)
+    return _df_theta(capacity(config.gamma0), capacity(config.gamma1), capacity(config.gamma2))
 
 
 def df_max_rate(config: LinkConfig) -> SchemeRate:
@@ -194,21 +206,18 @@ def df_max_rate(config: LinkConfig) -> SchemeRate:
         rate = C(g1) * (1 + delta*(C(g2) - C(g1))) / (1 + delta*(C(g2) - C(g0)))
 
     which equals ``df_rate(config, df_theta_star(config)).rate``.
-    ValueError where the denominator of delta rounds to 0: it underflows
-    at subnormal SNRs, and cancels when C(g0) rounds to C(g1) = C(g2).
+    ValueError where the denominator of delta rounds to 0 (it underflows
+    at subnormal SNRs, and cancels when C(g0) rounds to C(g1) = C(g2)),
+    and where theta* rounds onto an end of (0, 1) (C(g0) rounds to C(g1)).
     """
-    c0 = capacity(config.gamma0)
-    c1 = capacity(config.gamma1)
-    c2 = capacity(config.gamma2)
-    denominator = c1 * (c1 + c2 - 2.0 * c0)
-    if denominator == 0.0:
-        raise ValueError(
-            f"DF optimum is undefined: C1*(C1+C2-2*C0) rounds to 0 at "
-            f"gamma0={config.gamma0!r}, gamma1={config.gamma1!r}, gamma2={config.gamma2!r}"
+    try:
+        rate, theta = _df_max(
+            capacity(config.gamma0), capacity(config.gamma1), capacity(config.gamma2)
         )
-    delta = (c1 - c0) / denominator
-    rate = c1 * (1.0 + delta * (c2 - c1)) / (1.0 + delta * (c2 - c0))
-    theta = df_theta_star(config)
+    except ValueError as exc:
+        raise ValueError(
+            f"{exc} at gamma0={config.gamma0!r}, gamma1={config.gamma1!r}, gamma2={config.gamma2!r}"
+        ) from None
     return SchemeRate("DF", rate=rate, parameter=theta, breakdown=df_rate(config, theta))
 
 
@@ -227,6 +236,21 @@ def df_max_rate_no_direct(config: LinkConfig) -> SchemeRate:
     return SchemeRate("DF", rate=rate, parameter=theta, breakdown=df_rate(zeroed, theta))
 
 
+def _af_two_way(g1: float, g2: float) -> tuple[float, float, float, float, float]:
+    """``(snr_a_to_c, snr_c_to_a, rate_a, rate_c, rate)`` of
+    :func:`af_breakdown` and :func:`af_rate` from the link SNRs ``g1 <= g2``."""
+    product = g1 * g2
+    if math.isinf(product) or math.isinf(g1 + 2.0 * g2 + 1.0):
+        # num and den divided by g2, the larger SNR: no term overflows
+        snr_a_to_c = g1 / ((g1 + 1.0) / g2 + 2.0)
+        snr_c_to_a = g1 / ((2.0 * g1 + 1.0) / g2 + 1.0)
+    else:
+        snr_a_to_c = product / (g1 + 2.0 * g2 + 1.0)
+        snr_c_to_a = product / (2.0 * g1 + g2 + 1.0)
+    rate_a, rate_c = capacity(snr_a_to_c), capacity(snr_c_to_a)
+    return snr_a_to_c, snr_c_to_a, rate_a, rate_c, 0.5 * (rate_a + rate_c)
+
+
 def af_breakdown(config: LinkConfig) -> AfBreakdown:
     """Effective SNRs of amplify-and-forward relaying.
 
@@ -238,16 +262,7 @@ def af_breakdown(config: LinkConfig) -> AfBreakdown:
         snr_a_to_c = g1*g2 / (g1 + 2*g2 + 1)
         snr_c_to_a = g1*g2 / (2*g1 + g2 + 1)
     """
-    g1, g2 = config.gamma1, config.gamma2
-    amplification = 1.0 / math.sqrt(g1 + g2 + 1.0)
-    snr_a_to_c = g1 * g2 / (g1 + 2.0 * g2 + 1.0)
-    snr_c_to_a = g1 * g2 / (2.0 * g1 + g2 + 1.0)
-    return AfBreakdown(
-        amplification=amplification,
-        snr_a_to_c=snr_a_to_c,
-        snr_c_to_a=snr_c_to_a,
-        rate_pair=RatePair(rate_a=capacity(snr_a_to_c), rate_c=capacity(snr_c_to_a)),
-    )
+    return af_rate(config).breakdown
 
 
 def af_rate(config: LinkConfig) -> SchemeRate:
@@ -256,15 +271,55 @@ def af_rate(config: LinkConfig) -> SchemeRate:
     Each direction delivers N*C(snr) bits over the 2N symbols of the two
     steps, so the two-way rate is the plain average of the two capacities.
     """
-    bd = af_breakdown(config)
-    rate = 0.5 * (bd.rate_pair.rate_a + bd.rate_pair.rate_c)
+    g1, g2 = config.gamma1, config.gamma2
+    snr_a_to_c, snr_c_to_a, rate_a, rate_c, rate = _af_two_way(g1, g2)
+    bd = AfBreakdown(
+        amplification=1.0 / math.sqrt(g1 + g2 + 1.0),
+        snr_a_to_c=snr_a_to_c,
+        snr_c_to_a=snr_c_to_a,
+        rate_pair=RatePair(rate_a=rate_a, rate_c=rate_c),
+    )
     return SchemeRate("AF", rate=rate, parameter=None, breakdown=bd)
 
 
-def _jdf_has_crossing(config: LinkConfig) -> bool:
-    # rate_c(lam) meets C(g1) inside [0, 1] iff g2 <= g1 + g1^2;
-    # beyond that even the A-favouring corner keeps rate_c above C(g1)
-    return config.gamma2 <= config.gamma1 + config.gamma1 ** 2
+def _jdf_has_crossing(g1: float, g2: float) -> bool:
+    """Whether ``g2 <= g1 + g1*g1``, the bound in float arithmetic.
+
+    rate_c(lam) meets C(g1) inside [0, 1] iff it holds; beyond that even
+    the A-favouring corner keeps rate_c above C(g1).  A float product
+    overflows to inf where ``g1 ** 2`` would raise, and the bound rounds
+    the way the quadratic sweep rule builds gamma2, so those configs test
+    as crossing; within that rounding of the exact bound the two regimes'
+    rates agree up to rounding.
+    """
+    return g2 <= g1 + g1 * g1
+
+
+def _jdf_balance(g1: float, g2: float) -> float:
+    # (2*C2 - C12) / (2*(C1+C2-C12)) in a form whose terms do not cancel
+    if math.isinf(g2 * g2):
+        # num and den divided by g2, where g2**2 (and so g1*g2) overflows
+        scaled_total = (1.0 + g1) / g2 + 1.0
+        low, high = g1 / scaled_total, (1.0 - g1 / g2 + g2) / scaled_total
+    else:
+        total = 1.0 + g1 + g2
+        low, high = g1 * g2 / total, (g2 - g1 + g2 * g2) / total
+    denominator = 2.0 * capacity(low)
+    if denominator == 0.0:
+        raise ValueError(f"JDF balance point underflows at gamma1={g1!r}, gamma2={g2!r}")
+    lam = capacity(high) / denominator
+    # lam lies in [0, 1] whenever the crossing test passes; rounding can
+    # push it an ulp past an endpoint, which downstream domain checks reject
+    return min(1.0, max(0.0, lam))
+
+
+def _jdf_max(g1: float, g2: float, c1: float) -> tuple[float, float]:
+    """``(rate, lambda*)`` of :func:`jdf_max_rate` from the link SNRs and
+    ``c1 = C(g1)``."""
+    c12 = capacity(g1 + g2)
+    if _jdf_has_crossing(g1, g2):
+        return c1 * 2.0 * c12 / (2.0 * c1 + c12), _jdf_balance(g1, g2)
+    return c1, 1.0
 
 
 def jdf_lambda0(config: LinkConfig) -> Optional[float]:
@@ -280,17 +335,9 @@ def jdf_lambda0(config: LinkConfig) -> Optional[float]:
     ``C((g2-g1+g2**2)/(1+g1+g2)) / (2*C(g1*g2/(1+g1+g2)))``, whose terms do
     not cancel at low SNR; ValueError if even that denominator underflows.
     """
-    if not _jdf_has_crossing(config):
+    if not _jdf_has_crossing(config.gamma1, config.gamma2):
         return None
-    g1, g2 = config.gamma1, config.gamma2
-    total = 1.0 + g1 + g2
-    denominator = 2.0 * capacity(g1 * g2 / total)
-    if denominator == 0.0:
-        raise ValueError(f"JDF balance point underflows at gamma1={g1!r}, gamma2={g2!r}")
-    lam = capacity((g2 - g1 + g2 * g2) / total) / denominator
-    # lam lies in [0, 1] whenever the crossing test passes; rounding can
-    # push it an ulp past an endpoint, which downstream domain checks reject
-    return min(1.0, max(0.0, lam))
+    return _jdf_balance(config.gamma1, config.gamma2)
 
 
 def jdf_rate(config: LinkConfig, lam: float) -> JdfBreakdown:
@@ -310,7 +357,7 @@ def jdf_rate(config: LinkConfig, lam: float) -> JdfBreakdown:
         lambda0=jdf_lambda0(config),
         duration=duration,
         rate=rate,
-        regime="crossing" if _jdf_has_crossing(config) else "saturated",
+        regime="crossing" if _jdf_has_crossing(config.gamma1, config.gamma2) else "saturated",
     )
 
 
@@ -324,14 +371,7 @@ def jdf_max_rate(config: LinkConfig) -> SchemeRate:
 
     Otherwise the rate saturates at C(gamma1), reached at ``lam = 1``.
     """
-    c1 = capacity(config.gamma1)
-    c12 = capacity(config.gamma1 + config.gamma2)
-    if _jdf_has_crossing(config):
-        lam = jdf_lambda0(config)
-        rate = c1 * 2.0 * c12 / (2.0 * c1 + c12)
-    else:
-        lam = 1.0
-        rate = c1
+    rate, lam = _jdf_max(config.gamma1, config.gamma2, capacity(config.gamma1))
     return SchemeRate("JDF", rate=rate, parameter=lam, breakdown=jdf_rate(config, lam))
 
 

@@ -3,26 +3,36 @@
 A sweep walks gamma1 over a dB grid; gamma2 and gamma0 follow from rules
 (equal, quadratic growth, fixed value, fixed ratio).  Several gamma0 rules
 may run side by side, producing one DF column each; the other schemes do
-not use the direct link.  With ``verify=True`` every closed-form optimum
-is re-checked against the brute-force oracle on the fly.
+not use the direct link.
+
+A sweep is computed column by column: each link SNR and capacity is one
+list over the grid, and each scheme's column applies to them the
+capacity-level rule in :mod:`schemes` that its closed form also calls.
+:class:`SweepResult` keeps the lists; indexing it gives a
+:class:`SweepRow`.  With ``verify=True`` every closed-form optimum is
+re-checked against the brute-force oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Optional, Sequence, Union
 
 from . import oracle, schemes
-from .channel import AssumptionViolation, LinkConfig, db_to_linear, linear_to_db, make_config
+from .channel import AssumptionViolation, LinkConfig, capacity, db_to_linear, linear_to_db, make_config
 
 
 @dataclass(frozen=True)
 class SchemeEntry:
     """One scheme: its closed form in :mod:`schemes`, its brute-force
     oracle in :mod:`oracle` (or None), whether it takes gamma0 (one column
-    per gamma0 rule) and the text ``twrelay rate`` prints after its rate.
+    per gamma0 rule), the text ``twrelay rate`` prints after its rate and
+    its sweep column: the rates at every grid point, from the
+    :class:`_Links` of a sweep and the index of the column's gamma0 rule.
     Functions are held by name and looked up at each call, so a function
     rebound on its module (a test double, a profiler) is the one called.
     """
@@ -31,6 +41,7 @@ class SchemeEntry:
     oracle: Optional[str]
     uses_gamma0: bool
     detail: Callable[[schemes.SchemeRate], str]
+    column: Callable[["_Links", int], list[float]]
 
     def best(self, config: LinkConfig) -> schemes.SchemeRate:
         return getattr(schemes, self.closed_form)(config)
@@ -43,16 +54,23 @@ SCHEME_TABLE = {
     "DF": SchemeEntry(
         "df_max_rate", "grid_max_df_theta", True,
         lambda best: f"theta* = {best.parameter:.9g}  [{best.breakdown.case}]",
+        lambda links, k: [rate for rate, _ in links.each(
+            schemes._df_max, links.c0[k - 1], links.c1, links.c2)],
     ),
     "AF": SchemeEntry(
         "af_rate", None, False,
         lambda best: "(A->C {0.rate_a:.9g}, C->A {0.rate_c:.9g})".format(best.breakdown.rate_pair),
+        lambda links, k: [af[-1] for af in links.each(schemes._af_two_way, links.g1, links.g2)],
     ),
     "JDF": SchemeEntry(
         "jdf_max_rate", "grid_max_jdf_lambda", False,
         lambda best: f"lambda* = {best.parameter:.9g}  [{best.breakdown.regime}]",
+        # lambda* is formed too, so the column raises where jdf_max_rate does
+        lambda links, k: [rate for rate, _ in links.each(
+            schemes._jdf_max, links.g1, links.g2, links.c1)],
     ),
-    "DNF": SchemeEntry("dnf_upper_bound", None, False, lambda best: "upper bound"),
+    "DNF": SchemeEntry("dnf_upper_bound", None, False, lambda best: "upper bound",
+                       lambda links, k: list(links.c1)),
 }
 
 SCHEME_NAMES = tuple(SCHEME_TABLE)
@@ -242,10 +260,10 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Rates at one gamma1 grid point.
+    """Rates at one gamma1 grid point: one row of a :class:`SweepResult`.
 
-    ``rates`` maps column labels (``DF``, or ``DF[g0=...]`` with several
-    gamma0 rules, plus ``AF``/``JDF``/``DNF``) to two-way rates, in stable
+    ``rates`` pairs column labels (``DF``, or ``DF[g0=...]`` with several
+    gamma0 rules, plus ``AF``/``JDF``/``DNF``) with two-way rates, in
     output order.  With verification on, ``oracle_rates`` and
     ``deviations`` carry the oracle's answers and the relative gaps for
     the parameterized schemes.
@@ -264,6 +282,41 @@ class SweepRow:
             if label == column:
                 return value
         raise KeyError(column)
+
+
+@dataclass(frozen=True)
+class SweepResult(SequenceABC):
+    """A sweep as one list per CSV column, over the gamma1 grid.
+
+    ``gamma0_db`` holds one list per gamma0 rule; ``rates``,
+    ``oracle_rates`` and ``deviations`` pair each column label with its
+    list.  As a sequence it has one :class:`SweepRow` per grid point,
+    built when indexed; a slice is a plain list of rows.
+    """
+
+    gamma1_db: list[float]
+    gamma2_db: list[float]
+    gamma0_db: tuple[list[float], ...]
+    gamma0_labels: tuple[str, ...]
+    rates: tuple[tuple[str, list[float]], ...]
+    oracle_rates: tuple[tuple[str, list[float]], ...] = ()
+    deviations: tuple[tuple[str, list[float]], ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.gamma1_db)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+
+        def at(group):
+            return tuple((label, column[i]) for label, column in group)
+
+        return SweepRow(
+            self.gamma1_db[i], self.gamma2_db[i], tuple(column[i] for column in self.gamma0_db),
+            self.gamma0_labels, at(self.rates), at(self.oracle_rates), at(self.deviations),
+        )
 
 
 def df_column_labels(gamma0_rules: Sequence[Gamma0Rule]) -> list[str]:
@@ -303,114 +356,146 @@ def _checked(closed: float, grid: oracle.GridResult, column: str, where: str,
     return deviation
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+class _Links:
+    """The link SNRs and capacities at the grid points of a sweep, one list
+    each (``g1``, ``g2``, ``c1``, ``c2``; ``g0`` and ``c0`` one per gamma0
+    rule), set by :func:`run_sweep`.
+
+    A failure at point i ends the lists there: later rules run on the
+    points before i only, so ``failure`` ends up holding the error that
+    evaluating the points one by one, rule by rule, would meet first.
+    """
+
+    def __init__(self, grid_db: list[float]):
+        self.grid_db = grid_db
+        self.limit = len(grid_db)  # points before the first failure
+        self.failure: Optional[ValueError] = None
+
+    def fail(self, i: int, exc: ValueError) -> None:
+        self.limit, self.failure = i, exc
+
+    def each(self, rule: Callable, *columns: list) -> list:
+        """``rule`` at each point before the first failure; a ValueError
+        it raises is recorded, naming its point, and ends the list."""
+        values = []
+        try:
+            for args in islice(zip(*columns), self.limit):
+                values.append(rule(*args))
+        except ValueError as exc:
+            error = ValueError(f"{exc} at gamma1 = {self.grid_db[len(values)]:g} dB")
+            error.__cause__ = exc
+            self.fail(len(values), error)
+        return values
+
+
+def _check_point(spec: SweepSpec, db: float, gamma1: float, gamma2: float) -> None:
+    """Raise :class:`SweepConfigError` if a config at grid point ``db`` is invalid."""
+    if gamma2 < gamma1:
+        # the columns label gamma1 as the weaker link; silently
+        # swapping the roles would falsify every curve to the right
+        raise SweepConfigError(
+            f"gamma2 rule '{spec.gamma2_rule.label}' puts gamma2 below gamma1 "
+            f"at gamma1 = {db:g} dB"
+        )
+    gamma0s = [(0.0, "the relay links")] + [
+        (rule.apply(gamma1), f"gamma0 rule '{rule.label}'") for rule in spec.gamma0_rules
+    ]
+    for gamma0, what in gamma0s:
+        try:
+            make_config(gamma0, gamma1, gamma2)
+        except (AssumptionViolation, ValueError) as exc:
+            raise SweepConfigError(
+                f"invalid configuration for {what} at gamma1 = {db:g} dB: {exc}"
+            ) from exc
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate all requested schemes over the gamma1 grid.
 
     Raises :class:`SweepConfigError` naming the offending grid point when
-    a rule produces an invalid configuration, and
+    a rule produces an invalid configuration, ValueError naming the grid
+    point where a closed form is undefined, and
     :class:`VerificationError` if verification is on and a closed form
     strays from its oracle by more than ``VERIFY_TOLERANCE``.
     """
+    grid = spec.grid_db()
+    links = _Links(grid)
+    g1 = links.g1 = links.each(db_to_linear, grid)
+    g2 = links.g2 = [spec.gamma2_rule.apply(g) for g in g1]
+    g0 = links.g0 = [[rule.apply(g) for g in g1] for rule in spec.gamma0_rules]
+    # the config checks run only where this screen fails
+    suspect = {i for i, (a, b) in enumerate(zip(g1, g2)) if not 0.0 < a <= b < math.inf}
+    for column in g0:
+        suspect.update(i for i, (z, a) in enumerate(zip(column, g1)) if not 0.0 <= z < a)
+    for i in sorted(suspect):
+        try:
+            _check_point(spec, grid[i], g1[i], g2[i])
+        except SweepConfigError as exc:
+            links.fail(i, exc)
+            break
+    links.c1, links.c2 = links.each(capacity, g1), links.each(capacity, g2)
+    links.c0 = [links.each(capacity, column) for column in g0]
+
     columns = _columns(spec.schemes, spec.gamma0_rules)
-    rows = []
-    for db in spec.grid_db():
-        gamma1 = db_to_linear(db)
-        gamma2 = spec.gamma2_rule.apply(gamma1)
-        if gamma2 < gamma1:
-            # the columns label gamma1 as the weaker link; silently
-            # swapping the roles would falsify every curve to the right
-            raise SweepConfigError(
-                f"gamma2 rule '{spec.gamma2_rule.label}' puts gamma2 below gamma1 "
-                f"at gamma1 = {db:g} dB"
-            )
-
-        def build(gamma0: float, what: str) -> LinkConfig:
-            try:
-                return make_config(gamma0, gamma1, gamma2)
-            except (AssumptionViolation, ValueError) as exc:
-                raise SweepConfigError(
-                    f"invalid configuration for {what} at gamma1 = {db:g} dB: {exc}"
-                ) from exc
-
-        configs = [build(0.0, "the relay links")] + [
-            build(rule.apply(gamma1), f"gamma0 rule '{rule.label}'") for rule in spec.gamma0_rules
-        ]
-
-        rates: list[tuple[str, float]] = []
-        oracle_rates: list[tuple[str, float]] = []
-        deviations: list[tuple[str, float]] = []
-        for label, entry, k in columns:
-            best = entry.best(configs[k])
-            rates.append((label, best.rate))
-            if spec.verify and entry.oracle is not None:
-                grid = entry.brute(configs[k], spec.oracle_grid_points)
-                where = f"gamma1 = {db:g} dB"
-                deviations.append((label, _checked(best.rate, grid, label, where)))
-                oracle_rates.append((label, grid.best_rate))
-        rows.append(
-            SweepRow(
-                gamma1_db=db,
-                gamma2_db=linear_to_db(gamma2),
-                gamma0_db=tuple(linear_to_db(rule.apply(gamma1)) for rule in spec.gamma0_rules),
-                gamma0_labels=tuple(rule.label for rule in spec.gamma0_rules),
-                rates=tuple(rates),
-                oracle_rates=tuple(oracle_rates),
-                deviations=tuple(deviations),
-            )
-        )
-    return rows
+    rates = tuple((label, entry.column(links, k)) for label, entry, k in columns)
+    checked = [(label, entry, k, rate) for (label, entry, k), (_, rate) in zip(columns, rates)
+               if spec.verify and entry.oracle is not None]
+    oracle_rates = tuple((label, []) for label, *_ in checked)
+    deviations = tuple((label, []) for label, *_ in checked)
+    for i in range(links.limit):
+        where = f"gamma1 = {grid[i]:g} dB"
+        for (label, entry, k, rate), (_, best), (_, gap) in zip(checked, oracle_rates, deviations):
+            config = make_config(g0[k - 1][i] if k else 0.0, g1[i], g2[i])
+            grid_result = entry.brute(config, spec.oracle_grid_points)
+            gap.append(_checked(rate[i], grid_result, label, where))
+            best.append(grid_result.best_rate)
+    if links.failure is not None:
+        raise links.failure
+    return SweepResult(
+        gamma1_db=grid,
+        gamma2_db=[linear_to_db(g) for g in g2],
+        gamma0_db=tuple([linear_to_db(g) for g in column] for column in g0),
+        gamma0_labels=tuple(rule.label for rule in spec.gamma0_rules),
+        rates=rates,
+        oracle_rates=oracle_rates,
+        deviations=deviations,
+    )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
-def _csv_header(rows: Sequence[SweepRow]) -> list[str]:
-    first = rows[0]
+def _csv_header(result: SweepResult) -> list[str]:
     header = ["gamma1_db", "gamma2_db"]
-    if len(first.gamma0_db) == 1:
+    if len(result.gamma0_labels) == 1:
         header.append("gamma0_db")
     else:
-        header.extend(f"gamma0_db[{label}]" for label in first.gamma0_labels)
-    header.extend(label for label, _ in first.rates)
-    header.extend(f"oracle[{label}]" for label, _ in first.oracle_rates)
-    header.extend(f"deviation[{label}]" for label, _ in first.deviations)
-    for row in rows:
-        if (
-            row.gamma0_labels != first.gamma0_labels
-            or tuple(l for l, _ in row.rates) != tuple(l for l, _ in first.rates)
-            or tuple(l for l, _ in row.oracle_rates) != tuple(l for l, _ in first.oracle_rates)
-        ):
-            raise ValueError("rows have inconsistent columns")
+        header.extend(f"gamma0_db[{label}]" for label in result.gamma0_labels)
+    header.extend(label for label, _ in result.rates)
+    header.extend(f"oracle[{label}]" for label, _ in result.oracle_rates)
+    header.extend(f"deviation[{label}]" for label, _ in result.deviations)
     return header
 
 
 Destination = Union[str, Path, IO[str]]
 
 
-def emit_csv(rows: Sequence[SweepRow], destination: Optional[Destination] = None) -> str:
-    """Render sweep rows as CSV and optionally write them out.
+def emit_csv(rows: SweepResult, destination: Optional[Destination] = None) -> str:
+    """Render a sweep as CSV and optionally write it out.
 
     Floats are printed with nine significant digits; a zero gamma0 prints
-    as ``-inf`` dB.  The byte content is a pure function of the rows.
+    as ``-inf`` dB.  The byte content is a pure function of the columns.
     """
     if not rows:
         raise ValueError("no rows to emit")
-    lines = [",".join(_csv_header(rows))]
-    for row in rows:
-        cells = [_fmt(row.gamma1_db), _fmt(row.gamma2_db)]
-        cells.extend(_fmt(v) for v in row.gamma0_db)
-        cells.extend(_fmt(v) for _, v in row.rates)
-        cells.extend(_fmt(v) for _, v in row.oracle_rates)
-        cells.extend(_fmt(v) for _, v in row.deviations)
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
+    columns = [rows.gamma1_db, rows.gamma2_db, *rows.gamma0_db]
+    for group in (rows.rates, rows.oracle_rates, rows.deviations):
+        columns.extend(column for _, column in group)
+    line = ",".join(["{:.9g}"] * len(columns)).format
+    text = ",".join(_csv_header(rows)) + "\n" + "\n".join(map(line, *columns)) + "\n"
     _write(destination, text)
     return text
 
 
 def emit_plot_script(
-    rows: Sequence[SweepRow],
+    rows: SweepResult,
     destination: Optional[Destination] = None,
     csv_path: Optional[str] = None,
 ) -> str:
@@ -423,7 +508,7 @@ def emit_plot_script(
     if not rows:
         raise ValueError("no rows to plot")
     header = _csv_header(rows)
-    rate_labels = [label for label, _ in rows[0].rates]
+    rate_labels = [label for label, _ in rows.rates]
     if not rate_labels:
         raise ValueError("no scheme columns to plot")
     if csv_path is None:

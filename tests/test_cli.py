@@ -222,27 +222,64 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_oversized_sweep_grid_exits_one_at_once():
-    # 3*10**10 points; the child's address space is capped so that a list
-    # built anyway ends in MemoryError instead of exhausting the machine
+def _main_in_capped_child(argv):
+    """``main(argv)`` in a child whose address space is capped at 1 GiB, so
+    that memory allocated anyway ends in MemoryError instead of exhausting
+    the machine; returns the finished process, its stdout the seconds taken."""
     script = (
         "import sys, time\n"
         "from twrelay.cli import main\n"
         "t = time.perf_counter()\n"
-        "code = main(['sweep', '--gamma1-db=0:30:1e-9'])\n"
+        f"code = main({list(argv)!r})\n"
         "print(time.perf_counter() - t)\n"
         "sys.exit(code)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env,
         preexec_fn=_limit_address_space, timeout=60,
     )
+
+
+def test_oversized_sweep_grid_exits_one_at_once():
+    # 3*10**10 points
+    proc = _main_in_capped_child(["sweep", "--gamma1-db=0:30:1e-9"])
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     assert "points" in proc.stderr
     assert float(proc.stdout) < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    # 10**12 symbols; then 10**7 symbols that carry about 5*10**8 bits a packet
+    ["simulate", "--scheme", "df", "--gamma1-db", "10", "--n-symbols", "1000000000000"],
+    ["simulate", "--scheme", "jdf", "--gamma1-db", "300", "--n-symbols", "10000000"],
+])
+def test_oversized_simulation_exits_one_before_allocating(argv):
+    proc = _main_in_capped_child(argv)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and "100000000" in proc.stderr
+    assert float(proc.stdout) < 1.0
+
+
+def test_af_rate_where_gamma1_gamma2_overflows(capsys):
+    code, out, err = run(capsys, "rate", "--gamma1-db", "1550", "--schemes", "AF")
+    assert code == 0 and err == ""
+    rate = float(out.split("rate =")[1].split()[0])
+    assert math.isfinite(rate) and rate > 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--gamma1-db", "1550", "--schemes", "JDF"],
+    ["verify", "--samples", "20", "--gamma1-db-range", "1500:1600"],
+])
+def test_snrs_near_the_float_limit_exit_cleanly(capsys, argv):
+    # the JDF regime test squared gamma1 and overflowed here
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_help_exits_zero(capsys):

@@ -6,6 +6,7 @@ formulas under test.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -200,6 +201,26 @@ def test_af_effective_snrs_are_degraded(g1, g2):
     assert bd.snr_a_to_c <= bd.snr_c_to_a + 1e-15
 
 
+@given(snr, snr)
+def test_af_snrs_keep_their_bits_where_nothing_overflows(g1, g2):
+    cfg = config_from(g1, g2)
+    g1, g2 = cfg.gamma1, cfg.gamma2
+    bd = schemes.af_breakdown(cfg)
+    assert bd.snr_a_to_c == g1 * g2 / (g1 + 2.0 * g2 + 1.0)
+    assert bd.snr_c_to_a == g1 * g2 / (2.0 * g1 + g2 + 1.0)
+
+
+@pytest.mark.parametrize("g1, g2", [(1e155, 1e155), (1e160, 3e160), (2.0, 1.7e308), (1e-10, 1e308)])
+def test_af_where_gamma1_gamma2_or_its_denominator_overflows(g1, g2):
+    x, y = Fraction(g1), Fraction(g2)
+    exact = (x * y / (x + 2 * y + 1), x * y / (2 * x + y + 1))
+    best = schemes.af_rate(make_config(0.0, g1, g2))
+    bd = best.breakdown
+    for got, want in zip((bd.snr_a_to_c, bd.snr_c_to_a), exact):
+        assert abs(Fraction(got) - want) <= 1e-12 * want
+    assert best.rate == 0.5 * (capacity(bd.snr_a_to_c) + capacity(bd.snr_c_to_a))
+
+
 def test_broadcast_duration_scalars_and_arrays():
     # split: the excess of the C-bound load goes out at the stronger rate
     assert schemes._broadcast_duration(3.0, 1.0, 1.0, 4.0) == 1.0 + 1.0 + 0.5
@@ -314,6 +335,63 @@ def test_jdf_max_rate_worked_examples():
 def test_jdf_saturates_exactly_at_quadratic_boundary(g1):
     cfg = make_config(0.0, g1, g1 + g1 * g1)
     assert math.isclose(schemes.jdf_max_rate(cfg).rate, capacity(g1), rel_tol=1e-9)
+
+
+@given(st.floats(min_value=1e-300, max_value=1e150), st.integers(-3, 3))
+@settings(max_examples=300)
+def test_jdf_crossing_test_at_its_boundary(g1, steps):
+    # g2 on the float bound g1 + g1*g1, which the quadratic sweep rule
+    # builds, and on its nextafter neighbours
+    bound = g1 + g1 * g1
+    g2 = bound
+    for _ in range(abs(steps)):
+        g2 = math.nextafter(g2, math.inf if steps > 0 else 0.0)
+    crossing = schemes._jdf_has_crossing(g1, g2)
+    assert crossing == (steps <= 0)
+    if g2 >= g1 > 1e-150:  # jdf_rate forms lambda0, which needs g1*g2 > 0
+        assert schemes.jdf_rate(make_config(0.0, g1, g2), 1.0).regime == (
+            "crossing" if crossing else "saturated")
+    # exact rational evaluation agrees except for a g2 between the float
+    # bound and the exact one, which lie within one rounding of each other
+    exact_bound = Fraction(g1) * (1 + Fraction(g1))
+    assert abs(Fraction(bound) - exact_bound) <= exact_bound * 2.0 ** -52
+    if crossing != (Fraction(g2) <= exact_bound):
+        assert abs(Fraction(g2) - exact_bound) <= abs(Fraction(bound) - exact_bound)
+
+
+@given(st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=1.0, max_value=1e300))
+def test_jdf_crossing_test_agrees_with_exact_arithmetic(g1, ratio):
+    g2 = g1 * ratio
+    bound = g1 + g1 * g1
+    exact_bound = Fraction(g1) * (1 + Fraction(g1))
+    if math.isfinite(g2 + bound) and abs(Fraction(g2) - exact_bound) > abs(Fraction(bound) - exact_bound):
+        assert schemes._jdf_has_crossing(g1, g2) == (Fraction(g2) <= exact_bound)
+
+
+def test_jdf_crossing_test_cannot_overflow():
+    # g1 ** 2 raised OverflowError above about 1540 dB
+    for g1, g2, crossing in ((1e155, 1e155, True), (1e300, 1.7e308, True),
+                             (1.7e308, 1.7e308, True), (5e-324, 5e-324, True),
+                             (5e-324, 1e-323, False)):
+        assert schemes._jdf_has_crossing(g1, g2) is crossing
+    assert schemes.jdf_rate(make_config(0.0, 1e155, 1e155), 1.0).regime == "crossing"
+
+
+@pytest.mark.parametrize("g1, g2", [(1e155, 1e155), (1e100, 1e200), (1e154, 1.5e154)])
+def test_jdf_lambda0_where_gamma2_squared_overflows(g1, g2):
+    x, y = Fraction(g1), Fraction(g2)
+    low, high = x * y / (1 + x + y), (y - x + y * y) / (1 + x + y)
+    lam = math.log1p(float(high)) / (2.0 * math.log1p(float(low)))
+    assert math.isclose(schemes.jdf_lambda0(make_config(0.0, g1, g2)), lam, rel_tol=1e-12)
+
+
+@given(snr, snr)
+def test_jdf_lambda0_keeps_its_bits_where_nothing_overflows(g1, g2):
+    cfg = config_from(g1, g2)
+    g1, g2 = cfg.gamma1, cfg.gamma2
+    total = 1.0 + g1 + g2
+    lam = capacity((g2 - g1 + g2 * g2) / total) / (2.0 * capacity(g1 * g2 / total))
+    assert schemes.jdf_lambda0(cfg) in (None, min(1.0, lam))
 
 
 @given(snr, snr)

@@ -1,12 +1,15 @@
 """Sweep construction, CSV emission and plot-script emission."""
 
+import dataclasses
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twrelay import oracle, schemes, sweep
-from twrelay.channel import capacity, db_to_linear
+from twrelay.channel import capacity, db_to_linear, make_config
 from twrelay.sweep import (
     Gamma0Rule,
     Gamma2Rule,
@@ -145,15 +148,94 @@ def test_run_sweep_verification_deviations_are_tiny():
 
 
 def test_run_sweep_verification_catches_wrong_formula(monkeypatch):
-    real = schemes.df_max_rate
+    # the DF rule the sweep's DF column (and df_max_rate) applies
+    real = schemes._df_max
 
-    def corrupted(config):
-        best = real(config)
-        return schemes.SchemeRate(best.scheme, best.rate * 1.001, best.parameter, best.breakdown)
+    def corrupted(c0, c1, c2):
+        rate, theta = real(c0, c1, c2)
+        return rate * 1.001, theta
 
-    monkeypatch.setattr(sweep.schemes, "df_max_rate", corrupted)
+    monkeypatch.setattr(sweep.schemes, "_df_max", corrupted)
     with pytest.raises(VerificationError):
         run_sweep(SweepSpec(0.0, 0.0, 1.0, verify=True))
+
+
+def _closed_form_rows(spec):
+    """The sweep evaluated point by point through the public closed forms."""
+    rows = []
+    for db in spec.grid_db():
+        g1 = db_to_linear(db)
+        g2 = spec.gamma2_rule.apply(g1)
+        configs = [make_config(0.0, g1, g2)] + [
+            make_config(rule.apply(g1), g1, g2) for rule in spec.gamma0_rules
+        ]
+        rows.append(tuple(
+            (label, entry.best(configs[k]).rate)
+            for label, entry, k in sweep._columns(spec.schemes, spec.gamma0_rules)
+        ))
+    return rows
+
+
+gamma2_rules = st.one_of(
+    st.just("equal"), st.just("quad"),
+    st.floats(1.0, 20.0).map(lambda k: f"ratio:{k!r}"),
+    st.floats(45.0, 60.0).map(lambda v: f"db:{v!r}"),  # above every gamma1 drawn
+)
+gamma0_rules = st.lists(
+    st.one_of(
+        st.just("zero"),
+        st.floats(0.0, 0.99).map(lambda f: f"frac:{f!r}"),
+        st.floats(-60.0, -25.0).map(lambda v: f"db:{v!r}"),  # below every gamma1 drawn
+    ),
+    min_size=1, max_size=3, unique=True,
+)
+scheme_subsets = st.lists(st.sampled_from(sweep.SCHEME_NAMES), min_size=1, max_size=4, unique=True)
+
+
+@given(st.floats(-20.0, 40.0), st.floats(0.0, 5.0), st.floats(0.05, 2.0),
+       gamma2_rules, gamma0_rules, scheme_subsets)
+@settings(max_examples=150, deadline=None)
+def test_sweep_columns_equal_the_closed_forms(start, span, step, rule2, rules0, names):
+    spec = SweepSpec(
+        start, start + span, step,
+        gamma2_rule=Gamma2Rule.parse(rule2),
+        gamma0_rules=tuple(Gamma0Rule.parse(r) for r in rules0),
+        schemes=tuple(names),
+    )
+    result = run_sweep(spec)
+    assert [row.rates for row in result] == _closed_form_rows(spec)
+
+
+def test_sweep_result_is_a_sequence_of_rows():
+    result = run_sweep(comparison_spec("equal", verify=True))
+    rows = list(result)
+    assert len(result) == len(rows) == 31
+    assert result[-1] == rows[30] and result[3] == rows[3]
+    assert result[2:5] == rows[2:5] and type(result[2:5]) is list
+    with pytest.raises(IndexError):
+        result[31]
+    assert rows[3].gamma0_labels == ("g0=0", "g0=0.1*g1")
+    assert [label for label, _ in rows[3].oracle_rates] == ["DF[g0=0]", "DF[g0=0.1*g1]", "JDF"]
+    # a row swapped into a slice, as the benchmark's self-check builds them
+    scaled = dataclasses.replace(rows[4], rates=tuple((k, 2 * v) for k, v in rows[4].rates))
+    edited = result[:4] + [scaled] + result[5:]
+    assert len(edited) == 31 and edited[4].rate("DNF") == 2 * result[4].rate("DNF")
+
+
+def test_run_sweep_reports_the_first_failing_point():
+    # DF is undefined from -3200 dB, where C1*(C1+C2) underflows; the fixed
+    # gamma2 falls below gamma1 only later, at -3185 dB
+    spec = SweepSpec(-3200.0, -3180.0, 5.0, gamma2_rule=Gamma2Rule.parse("db:-3190"))
+    with pytest.raises(ValueError, match="rounds to 0 at gamma1 = -3200 dB") as err:
+        run_sweep(spec)
+    assert not isinstance(err.value, SweepConfigError)
+    # with DF absent the ordering error at -3185 dB is the first one
+    with pytest.raises(SweepConfigError, match="gamma1 = -3185 dB"):
+        run_sweep(dataclasses.replace(spec, schemes=("AF", "DNF")))
+    # at one point an invalid config is reported before any closed form
+    spec = SweepSpec(-3220.0, -3200.0, 5.0, gamma0_rules=(Gamma0Rule.parse("db:-3205"),))
+    with pytest.raises(SweepConfigError, match="g0=.* at gamma1 = -3220 dB"):
+        run_sweep(spec)
 
 
 # ---------------------------------------------------------------- figure sweeps
@@ -255,18 +337,8 @@ def test_emit_plot_script_needs_rows_and_columns():
     with pytest.raises(ValueError):
         emit_plot_script([], "x.gp")
     rows = run_sweep(SweepSpec(0.0, 1.0, 1.0))
-    stripped = [
-        sweep.SweepRow(
-            gamma1_db=r.gamma1_db,
-            gamma2_db=r.gamma2_db,
-            gamma0_db=r.gamma0_db,
-            gamma0_labels=r.gamma0_labels,
-            rates=(),
-        )
-        for r in rows
-    ]
     with pytest.raises(ValueError):
-        emit_plot_script(stripped, "x.gp")
+        emit_plot_script(dataclasses.replace(rows, rates=()), "x.gp")
 
 
 GOLDEN = Path(__file__).parent / "golden"
