@@ -39,6 +39,16 @@ def capacity(gamma: float) -> float:
     return math.log1p(gamma) / _LN2
 
 
+def _sum_capacity(g1: float, g2: float) -> float:
+    """``C(g1 + g2)``, also where the sum overflows but both SNRs are finite."""
+    total = g1 + g2
+    if math.isinf(total) and max(g1, g2) < math.inf:
+        # log2(1 + small + big) = log2(big) + C((1 + small) / big)
+        small, big = sorted((g1, g2))
+        return math.log2(big) + capacity((1.0 + small) / big)
+    return capacity(total)
+
+
 def db_to_linear(value_db: float) -> float:
     """Convert an SNR from dB to linear scale (-inf maps to 0)."""
     if math.isnan(value_db):
@@ -150,7 +160,7 @@ def ma_region(config: LinkConfig) -> MaRegion:
     g1, g2 = config.gamma1, config.gamma2
     cap_a = capacity(g1)
     cap_c = capacity(g2)
-    cap_sum = capacity(g1 + g2)
+    cap_sum = _sum_capacity(g1, g2)
     # decoding order C-then-A: A sees a clean channel, C is decoded first
     # against A's interference (and vice versa for the other corner)
     corner_la = RatePair(rate_a=cap_a, rate_c=capacity(g2 / (1.0 + g1)))

@@ -13,6 +13,7 @@ failure, 3 I/O error.  Relative ``--out`` paths are resolved against
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -33,6 +34,7 @@ from .sweep import (
     SweepSpec,
     VerificationError,
     _checked,
+    _checked_schemes,
     _columns,
     emit_csv,
     emit_plot_script,
@@ -75,13 +77,8 @@ def _parse_range(text: str) -> tuple[float, float, float]:
 
 
 def _parse_schemes(text: str) -> tuple[str, ...]:
-    names = tuple(s.strip().upper() for s in text.split(",") if s.strip())
-    if not names:
-        raise ValueError("empty scheme list")
-    for name in names:
-        if name not in SCHEME_NAMES:
-            raise ValueError(f"unknown scheme {name!r} (expected one of {SCHEME_NAMES})")
-    return names
+    # checked with the gamma0 rules by sweep._checked_schemes
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
 def _parse_gamma0_rules(text: str) -> tuple[Gamma0Rule, ...]:
@@ -105,7 +102,7 @@ def _cmd_rate(args) -> int:
     gamma1 = db_to_linear(args.gamma1_db)
     gamma2 = Gamma2Rule.parse(args.gamma2).apply(gamma1)
     rules = _parse_gamma0_rules(args.gamma0)
-    names = _parse_schemes(args.schemes)
+    names = _checked_schemes(_parse_schemes(args.schemes), rules)
     # validate and evaluate everything before emitting anything
     gamma0s = [0.0] + [rule.apply(gamma1) for rule in rules]
     configs = [make_config(gamma0, gamma1, gamma2) for gamma0 in gamma0s]
@@ -201,8 +198,21 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _parse_interval(text: str) -> tuple[float, float]:
+    """Parse ``LO:HI`` in dB, finite and LO <= HI; a single value is both."""
+    parts = text.split(":")
+    lo, hi = float(parts[0]), float(parts[-1])
+    if len(parts) > 2 or not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"expected LO:HI in dB with finite LO <= HI, got {text!r}")
+    return lo, hi
+
+
 def _cmd_verify(args) -> int:
-    lo, hi, _ = _parse_range(args.gamma1_db_range)
+    lo, hi = _parse_interval(args.gamma1_db_range)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be finite and nonnegative, got {args.tol!r}")
     rng = np.random.default_rng(args.seed)
     checked = {name: entry for name, entry in SCHEME_TABLE.items() if entry.oracle is not None}
     worst = dict.fromkeys(checked, 0.0)

@@ -16,12 +16,12 @@ rate from below as the block length grows, with an O(1/N) gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import schemes
-from .channel import LinkConfig, capacity, ma_rate_pair
+from .channel import LinkConfig, capacity
 
 
 class ProtocolConfigError(ValueError):
@@ -30,60 +30,6 @@ class ProtocolConfigError(ValueError):
 
 class ProtocolError(RuntimeError):
     """Internal consistency failure: a terminal decoded the wrong bits."""
-
-
-@dataclass(frozen=True, eq=False)
-class Packet:
-    """An ordered string of bits with a bookkeeping label.
-
-    Equality compares bit content only; labels are metadata.
-    """
-
-    bits: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        arr = np.asarray(self.bits, dtype=np.uint8)
-        if arr.ndim != 1:
-            raise ValueError("packet bits must form a one-dimensional array")
-        if arr.size and int(arr.max()) > 1:
-            raise ValueError("packet bits must be 0 or 1")
-        object.__setattr__(self, "bits", arr)
-
-    def __len__(self) -> int:
-        return int(self.bits.size)
-
-    def __eq__(self, other):
-        if not isinstance(other, Packet):
-            return NotImplemented
-        return bool(np.array_equal(self.bits, other.bits))
-
-
-def xor_packets(first: Packet, second: Packet, label: str = "xor") -> Packet:
-    """Bitwise XOR of two equal-length packets."""
-    if len(first) != len(second):
-        raise ValueError(
-            f"cannot XOR packets of different lengths ({len(first)} vs {len(second)})"
-        )
-    return Packet(np.bitwise_xor(first.bits, second.bits), label)
-
-
-def pad_to(packet: Packet, length: int) -> Packet:
-    """Extend a packet with zero bits up to ``length``."""
-    if length < len(packet):
-        raise ValueError(f"cannot pad packet of {len(packet)} bits down to {length}")
-    bits = np.zeros(length, dtype=np.uint8)
-    bits[: len(packet)] = packet.bits
-    return Packet(bits, packet.label)
-
-
-def split_at(packet: Packet, index: int, labels: tuple[str, str] | None = None) -> tuple[Packet, Packet]:
-    """Split a packet into its first ``index`` bits and the remainder."""
-    if not 0 <= index <= len(packet):
-        raise ValueError(f"split index {index} outside [0, {len(packet)}]")
-    if labels is None:
-        labels = (packet.label + "/1", packet.label + "/2")
-    return Packet(packet.bits[:index], labels[0]), Packet(packet.bits[index:], labels[1])
 
 
 @dataclass(frozen=True)
@@ -121,68 +67,80 @@ class Transcript:
         return "\n".join(self.to_lines())
 
 
-def _rng(seed: int) -> np.random.Generator:
-    # counter-based generator: reproducible across platforms and numpy builds
-    return np.random.Generator(np.random.Philox(seed))
-
-
-def _random_packet(rng: np.random.Generator, n_bits: int, label: str) -> Packet:
-    return Packet(rng.integers(0, 2, size=n_bits, dtype=np.uint8), label)
-
-
 _SWAP = str.maketrans("AC", "CA")
 
 
-def _deswap(scheme: str, steps: list[TranscriptStep], delivered_ac: int,
-            delivered_ca: int, total_symbols: float, realized: float,
-            analytic: float, swapped: bool) -> Transcript:
-    """Assemble the transcript, undoing terminal relabelling if needed."""
-    if swapped:
-        steps = [
-            TranscriptStep(
-                sender=s.sender.translate(_SWAP),
-                rate=s.rate,
-                symbols=s.symbols,
-                bits=s.bits,
-                label=s.label.translate(_SWAP),
-            )
-            for s in steps
-        ]
-        delivered_ac, delivered_ca = delivered_ca, delivered_ac
-    return Transcript(
-        scheme=scheme,
-        steps=tuple(steps),
-        delivered_ac=delivered_ac,
-        delivered_ca=delivered_ca,
-        total_symbols=total_symbols,
-        realized_rate=realized,
-        analytic_rate=analytic,
-        success=True,
-    )
-
-
-def _relay_broadcast(steps: list[TranscriptStep], to_c: Packet, to_a: Packet,
-                     c1: float, c2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Broadcast the XOR of the C-bound and A-bound packets at ``c1``.
+def _relay_broadcast(steps: list[TranscriptStep], to_c: np.ndarray, to_a: np.ndarray,
+                     c1: float, c2: float, tail_label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Broadcast the XOR of the C-bound and A-bound bits at ``c1``.
 
     A C-bound packet at least as long is split and its excess sent to C
-    alone at ``c2`` as ``<label>2``; a shorter one is zero-padded.  Appends
-    the relay's steps; returns the bits A and C recover from them.
+    alone at ``c2`` as ``tail_label``; a shorter one is zero-padded.
+    Appends the relay's steps; returns the bits A and C recover from them.
+    Its temporaries (the XOR, a padded copy) are freed on return, before
+    the caller's decode check.
     """
-    if len(to_c) >= len(to_a):
-        own_c, tail = split_at(to_c, len(to_a), labels=(to_c.label + "1", to_c.label + "2"))
+    n = len(to_a)
+    if len(to_c) >= n:
+        own_c, tail = to_c[:n], to_c[n:]
     else:
-        own_c, tail = pad_to(to_c, len(to_a)), None
-    d_b = xor_packets(own_c, to_a, "D_B")
-    steps.append(TranscriptStep("B", c1, len(d_b) / c1, len(d_b), "D_B"))
-    at_a = xor_packets(d_b, own_c).bits
-    at_c = xor_packets(d_b, to_a).bits
+        own_c, tail = np.zeros(n, dtype=np.uint8), None
+        own_c[: len(to_c)] = to_c
+    d_b = own_c ^ to_a
+    steps.append(TranscriptStep("B", c1, n / c1, n, "D_B"))
+    at_a = d_b ^ own_c
+    at_c = d_b ^ to_a
     if tail is None:
         at_c = at_c[: len(to_c)]
     elif len(tail):
-        steps.append(TranscriptStep("B", c2, len(tail) / c2, len(tail), tail.label))
-        at_c = np.concatenate([at_c, tail.bits])
+        steps.append(TranscriptStep("B", c2, len(tail) / c2, len(tail), tail_label))
+        at_c = np.concatenate([at_c, tail])
     return at_a, at_c
+
+
+def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[TranscriptStep],
+              side_c: int, side_a: int, analytic: float, seed: int) -> Transcript:
+    """Draw the source packets of ``steps`` (A's, then C's), relay them and
+    check both decodes.
+
+    The relay forwards each packet without the prefix the opposite terminal
+    overheard (``side_c`` bits of A's, ``side_a`` of C's).  Terminal labels
+    are undone in the transcript when ``config`` was swapped.
+    """
+    bits_ac, bits_ca = steps[0].bits, steps[1].bits
+    if max(bits_ac, bits_ca) > MAX_BLOCK_SIZE:
+        raise ValueError(
+            f"source packets of {bits_ac} and {bits_ca} bits exceed the "
+            f"{MAX_BLOCK_SIZE}-bit limit; use a shorter block"
+        )
+    # counter-based generator: reproducible across platforms and numpy builds
+    rng = np.random.Generator(np.random.Philox(seed))
+    d_ac = rng.integers(0, 2, size=bits_ac, dtype=np.uint8)
+    d_ca = rng.integers(0, 2, size=bits_ca, dtype=np.uint8)
+    to_c, to_a = d_ac[side_c:], d_ca[side_a:]
+    # DF relays D_BC, the suffix of D_AC that C did not overhear; JDF all of D_AC
+    tail_label = ("D_BC" if scheme == "DF" else "D_AC") + "2"
+    at_a, at_c = _relay_broadcast(steps, to_c, to_a, capacity(config.gamma1),
+                                  capacity(config.gamma2), tail_label)
+    if not (np.array_equal(at_c, to_c) and np.array_equal(at_a, to_a)):
+        raise ProtocolError(f"decode mismatch in {scheme} exchange")
+
+    # the source steps fill the N symbols (JDF's two overlap, counted once)
+    total_symbols = n_symbols + sum(s.symbols for s in steps[2:])
+    if config.swapped:
+        steps = [replace(s, sender=s.sender.translate(_SWAP), label=s.label.translate(_SWAP))
+                 for s in steps]
+        bits_ac, bits_ca = bits_ca, bits_ac
+    return Transcript(
+        scheme=scheme,
+        steps=tuple(steps),
+        delivered_ac=bits_ac,
+        delivered_ca=bits_ca,
+        total_symbols=total_symbols,
+        realized_rate=(bits_ac + bits_ca) / total_symbols,
+        analytic_rate=analytic,
+        success=True,
+    )
 
 
 # bounds the symbols of a block and the bits of each packet, so that the
@@ -195,14 +153,6 @@ def _check_block(n_symbols) -> None:
         raise ValueError(f"n_symbols must be an integer, got {n_symbols!r}")
     if not 1 <= n_symbols <= MAX_BLOCK_SIZE:
         raise ValueError(f"n_symbols must lie in [1, {MAX_BLOCK_SIZE}], got {n_symbols!r}")
-
-
-def _check_packets(bits_ac: int, bits_ca: int) -> None:
-    if max(bits_ac, bits_ca) > MAX_BLOCK_SIZE:
-        raise ValueError(
-            f"source packets of {bits_ac} and {bits_ca} bits exceed the "
-            f"{MAX_BLOCK_SIZE}-bit limit; use a shorter block"
-        )
 
 
 def run_df(config: LinkConfig, n_symbols: int, theta: float, seed: int = 0) -> Transcript:
@@ -241,28 +191,11 @@ def run_df(config: LinkConfig, n_symbols: int, theta: float, seed: int = 0) -> T
             f"D_BC={bits_bc}, D_BA={bits_ba})"
         )
 
-    _check_packets(bits_ac, bits_ca)
-    rng = _rng(seed)
-    d_ac = _random_packet(rng, bits_ac, "D_AC")
-    d_ca = _random_packet(rng, bits_ca, "D_CA")
     steps = [
         TranscriptStep("A", c1, n1, bits_ac, "D_AC"),
         TranscriptStep("C", c2, n2, bits_ca, "D_CA"),
     ]
-
-    # the relay forwards only what the opposite terminal has not overheard
-    d_bc = Packet(d_ac.bits[side_c:], "D_BC")
-    d_ba = Packet(d_ca.bits[side_a:], "D_BA")
-    at_a, at_c = _relay_broadcast(steps, d_bc, d_ba, c1, c2)
-    if not (np.array_equal(at_c, d_bc.bits) and np.array_equal(at_a, d_ba.bits)):
-        raise ProtocolError("decode mismatch in DF exchange")
-
-    total_symbols = n_symbols + sum(s.symbols for s in steps[2:])
-    realized = (bits_ac + bits_ca) / total_symbols
-    return _deswap(
-        "DF", steps, bits_ac, bits_ca, total_symbols, realized,
-        breakdown.rate, config.swapped,
-    )
+    return _exchange("DF", config, n_symbols, steps, side_c, side_a, breakdown.rate, seed)
 
 
 def run_jdf(config: LinkConfig, n_symbols: int, lam: float, seed: int = 0) -> Transcript:
@@ -278,9 +211,6 @@ def run_jdf(config: LinkConfig, n_symbols: int, lam: float, seed: int = 0) -> Tr
     _check_block(n_symbols)
     breakdown = schemes.jdf_rate(config, lam)  # validates lam
     pair = breakdown.rate_pair
-    c1 = capacity(config.gamma1)
-    c2 = capacity(config.gamma2)
-
     bits_ac = math.floor(n_symbols * pair.rate_a)
     bits_ca = math.floor(n_symbols * pair.rate_c)
     if min(bits_ac, bits_ca) < 1:
@@ -289,23 +219,8 @@ def run_jdf(config: LinkConfig, n_symbols: int, lam: float, seed: int = 0) -> Tr
             f"packet (sizes: D_AC={bits_ac}, D_CA={bits_ca})"
         )
 
-    _check_packets(bits_ac, bits_ca)
-    rng = _rng(seed)
-    d_ac = _random_packet(rng, bits_ac, "D_AC")
-    d_ca = _random_packet(rng, bits_ca, "D_CA")
     steps = [
         TranscriptStep("A", pair.rate_a, float(n_symbols), bits_ac, "D_AC"),
         TranscriptStep("C", pair.rate_c, float(n_symbols), bits_ca, "D_CA"),
     ]
-
-    at_a, at_c = _relay_broadcast(steps, d_ac, d_ca, c1, c2)
-    if not (np.array_equal(at_c, d_ac.bits) and np.array_equal(at_a, d_ca.bits)):
-        raise ProtocolError("decode mismatch in JDF exchange")
-
-    # the two source transmissions overlap: N symbols total, counted once
-    total_symbols = n_symbols + sum(s.symbols for s in steps[2:])
-    realized = (bits_ac + bits_ca) / total_symbols
-    return _deswap(
-        "JDF", steps, bits_ac, bits_ca, total_symbols, realized,
-        breakdown.rate, config.swapped,
-    )
+    return _exchange("JDF", config, n_symbols, steps, 0, 0, breakdown.rate, seed)

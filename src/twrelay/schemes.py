@@ -23,7 +23,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .channel import LinkConfig, MaRegion, RatePair, _check_lam, _face_point, capacity, ma_region
+from .channel import (
+    LinkConfig, MaRegion, RatePair, _check_lam, _face_point, _sum_capacity, capacity, ma_region,
+)
 
 
 @dataclass(frozen=True)
@@ -243,7 +245,9 @@ def _af_two_way(g1: float, g2: float) -> tuple[float, float, float, float, float
     if math.isinf(product) or math.isinf(g1 + 2.0 * g2 + 1.0):
         # num and den divided by g2, the larger SNR: no term overflows
         snr_a_to_c = g1 / ((g1 + 1.0) / g2 + 2.0)
-        snr_c_to_a = g1 / ((2.0 * g1 + 1.0) / g2 + 1.0)
+        # 2*g1 itself overflows above about 3079.5 dB, where the 1 is lost anyway
+        scaled = (2.0 * g1 + 1.0) / g2 if 2.0 * g1 < math.inf else 2.0 * (g1 / g2)
+        snr_c_to_a = g1 / (scaled + 1.0)
     else:
         snr_a_to_c = product / (g1 + 2.0 * g2 + 1.0)
         snr_c_to_a = product / (2.0 * g1 + g2 + 1.0)
@@ -273,8 +277,13 @@ def af_rate(config: LinkConfig) -> SchemeRate:
     """
     g1, g2 = config.gamma1, config.gamma2
     snr_a_to_c, snr_c_to_a, rate_a, rate_c, rate = _af_two_way(g1, g2)
+    if math.isinf(g1 + g2 + 1.0):
+        # the power sum divided by g2, where it overflows
+        amplification = 1.0 / (math.sqrt(g2) * math.sqrt((g1 + 1.0) / g2 + 1.0))
+    else:
+        amplification = 1.0 / math.sqrt(g1 + g2 + 1.0)
     bd = AfBreakdown(
-        amplification=1.0 / math.sqrt(g1 + g2 + 1.0),
+        amplification=amplification,
         snr_a_to_c=snr_a_to_c,
         snr_c_to_a=snr_c_to_a,
         rate_pair=RatePair(rate_a=rate_a, rate_c=rate_c),
@@ -316,7 +325,7 @@ def _jdf_balance(g1: float, g2: float) -> float:
 def _jdf_max(g1: float, g2: float, c1: float) -> tuple[float, float]:
     """``(rate, lambda*)`` of :func:`jdf_max_rate` from the link SNRs and
     ``c1 = C(g1)``."""
-    c12 = capacity(g1 + g2)
+    c12 = _sum_capacity(g1, g2)
     if _jdf_has_crossing(g1, g2):
         return c1 * 2.0 * c12 / (2.0 * c1 + c12), _jdf_balance(g1, g2)
     return c1, 1.0

@@ -228,17 +228,7 @@ class SweepSpec:
         if self.stop_db < self.start_db:
             raise ValueError("stop_db must not precede start_db")
         object.__setattr__(self, "gamma0_rules", tuple(self.gamma0_rules))
-        if not self.gamma0_rules:
-            raise ValueError("at least one gamma0 rule is required")
-        normalized = tuple(s.upper() for s in self.schemes)
-        object.__setattr__(self, "schemes", normalized)
-        if not normalized:
-            raise ValueError("at least one scheme is required")
-        for s in normalized:
-            if s not in SCHEME_NAMES:
-                raise ValueError(f"unknown scheme {s!r} (expected one of {SCHEME_NAMES})")
-        if len(set(normalized)) != len(normalized):
-            raise ValueError("duplicate scheme names")
+        object.__setattr__(self, "schemes", _checked_schemes(self.schemes, self.gamma0_rules))
         oracle._check_grid_points(self.oracle_grid_points)
         # checked before grid_db builds the list; may be inf
         if self._steps() >= oracle.MAX_GRID_POINTS:
@@ -324,6 +314,26 @@ def df_column_labels(gamma0_rules: Sequence[Gamma0Rule]) -> list[str]:
     if len(gamma0_rules) == 1:
         return ["DF"]
     return [f"DF[{rule.label}]" for rule in gamma0_rules]
+
+
+def _checked_schemes(names: Sequence[str], gamma0_rules: Sequence[Gamma0Rule]) -> tuple[str, ...]:
+    """The scheme names upper-cased, once they and the gamma0 rules are
+    checked to give one column each: both lists non-empty, every name
+    known, no name and no gamma0 rule label repeated."""
+    if not gamma0_rules:
+        raise ValueError("at least one gamma0 rule is required")
+    labels = [rule.label for rule in gamma0_rules]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate gamma0 rules (labels {', '.join(labels)})")
+    normalized = tuple(s.upper() for s in names)
+    if not normalized:
+        raise ValueError("at least one scheme is required")
+    for s in normalized:
+        if s not in SCHEME_NAMES:
+            raise ValueError(f"unknown scheme {s!r} (expected one of {SCHEME_NAMES})")
+    if len(set(normalized)) != len(normalized):
+        raise ValueError("duplicate scheme names")
+    return normalized
 
 
 def _columns(names: Sequence[str], gamma0_rules: Sequence[Gamma0Rule]) -> list[tuple]:

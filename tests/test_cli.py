@@ -2,7 +2,9 @@
 
 import math
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -268,6 +270,62 @@ def test_af_rate_where_gamma1_gamma2_overflows(capsys):
     assert code == 0 and err == ""
     rate = float(out.split("rate =")[1].split()[0])
     assert math.isfinite(rate) and rate > 0.0
+
+
+def test_rate_where_gamma1_plus_gamma2_overflows(capsys):
+    # 2*g1 and g1 + g2 overflow; C->A came out 0 and C(g1 + g2) raised
+    code, out, err = run(capsys, "rate", "--gamma1-db", "3080")
+    assert code == 0 and err == ""
+    assert "AF               rate = 1021.56889   (A->C 1021.56889, C->A 1021.56889)" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--gamma1-db", "0", "--schemes", "DF,DF"],
+    ["rate", "--gamma1-db", "0", "--gamma0", "zero,zero"],
+    ["rate", "--gamma1-db", "0", "--gamma0", "zero,db:-inf"],
+    ["sweep", "--gamma1-db", "0:2:1", "--schemes", "DF,df"],
+    ["sweep", "--gamma1-db", "0:2:1", "--gamma0", "zero,zero"],
+    ["sweep", "--gamma1-db", "0:2:1", "--gamma0", "zero,db:-inf"],
+])
+def test_duplicate_columns_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: duplicate") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argument", [
+    "--samples=-1", "--samples=0", "--tol=nan", "--tol=-1", "--tol=inf",
+    "--gamma1-db-range=30:-10", "--gamma1-db-range=0:10:1", "--gamma1-db-range=nan:0",
+])
+def test_verify_rejects_bad_arguments(capsys, argument):
+    code, out, err = run(capsys, "verify", argument)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert argument.split("=")[1] in err  # the message names the bad value
+
+
+def _readme_examples():
+    """(command, expected output lines) of each ``$ twrelay`` example in
+    README.md; an output that ends in ``...`` is a prefix of the real one."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"^```text\n(.*?)^```", text, re.MULTILINE | re.DOTALL):
+        for example in re.split(r"^\$ ", block, flags=re.MULTILINE)[1:]:
+            command, *lines = example.strip("\n").split("\n")
+            examples.append(pytest.param(command, lines, id=command.split()[1]))
+    return examples
+
+
+@pytest.mark.parametrize("command, lines", _readme_examples())
+def test_readme_example_output(capsys, command, lines):
+    program, *argv = shlex.split(command)
+    assert program == "twrelay"
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    if lines[-1] == "...":
+        lines = lines[:-1]
+        out = "".join(out.splitlines(keepends=True)[: len(lines)])
+    assert out == "".join(line + "\n" for line in lines)
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,52 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from twrelay import protocol, schemes
 from twrelay.channel import make_config
-from twrelay.protocol import Packet, pad_to, split_at, xor_packets
-
-
-# ---------------------------------------------------------------- packets
-
-
-def test_packet_basics():
-    p = Packet(np.array([1, 0, 1], dtype=np.uint8), "P")
-    assert len(p) == 3
-    assert p == Packet([1, 0, 1], "other-label")  # equality is content only
-    assert p != Packet([1, 0, 0], "P")
-    with pytest.raises(ValueError):
-        Packet([0, 2, 1], "bad")
-    with pytest.raises(ValueError):
-        Packet([[0, 1]], "bad-shape")
-
-
-def test_xor_packets():
-    a = Packet([1, 1, 0, 0], "a")
-    b = Packet([1, 0, 1, 0], "b")
-    assert xor_packets(a, b) == Packet([0, 1, 1, 0], "x")
-    assert xor_packets(xor_packets(a, b), b) == a  # involution
-    with pytest.raises(ValueError):
-        xor_packets(a, Packet([1], "short"))
-
-
-def test_pad_and_split():
-    p = Packet([1, 0, 1], "p")
-    padded = pad_to(p, 5)
-    assert padded == Packet([1, 0, 1, 0, 0], "p")
-    assert pad_to(p, 3) == p
-    with pytest.raises(ValueError):
-        pad_to(p, 2)
-
-    head, tail = split_at(padded, 3, labels=("h", "t"))
-    assert head == p and tail == Packet([0, 0], "t")
-    assert head.label == "h"
-    head, tail = split_at(p, 0)
-    assert len(head) == 0 and tail == p
-    with pytest.raises(ValueError):
-        split_at(p, 4)
+from twrelay.cli import main
 
 
 # ---------------------------------------------------------------- DF runs
@@ -218,3 +177,33 @@ def test_run_jdf_swapped_labels():
     senders = [s.sender for s in t.steps]
     assert senders == ["C", "A", "B"]
     assert t.delivered_ac == 1830 and t.delivered_ca == 491
+
+
+# ---------------------------------------------------------------- decode check
+
+
+def _flip_one_recovered_bit(monkeypatch, side):
+    relay = protocol._relay_broadcast
+
+    def corrupted(*args):
+        at_a, at_c = (bits.copy() for bits in relay(*args))
+        (at_a if side == "a" else at_c)[-1] ^= 1
+        return at_a, at_c
+
+    monkeypatch.setattr(protocol, "_relay_broadcast", corrupted)
+
+
+@pytest.mark.parametrize("side", ["a", "c"])
+@pytest.mark.parametrize("run, scheme", [(protocol.run_df, "DF"), (protocol.run_jdf, "JDF")])
+def test_decode_mismatch_raises(monkeypatch, side, run, scheme):
+    _flip_one_recovered_bit(monkeypatch, side)
+    with pytest.raises(protocol.ProtocolError, match=f"^decode mismatch in {scheme} exchange$"):
+        run(make_config(0.1, 1.0, 3.0), 1000, 0.5, seed=0)
+
+
+def test_simulate_decode_mismatch_exits_two(monkeypatch, capsys):
+    _flip_one_recovered_bit(monkeypatch, "c")
+    code = main(["simulate", "--scheme", "df", "--gamma1-db", "0", "--n-symbols", "1000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "simulation failed: decode mismatch in DF exchange\n"

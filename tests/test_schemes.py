@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twrelay import schemes
-from twrelay.channel import capacity, make_config
+from twrelay import oracle, schemes
+from twrelay.channel import capacity, ma_region, make_config
+from twrelay.sweep import VERIFY_TOLERANCE
 
 snr = st.floats(min_value=1e-3, max_value=1e4, allow_nan=False, allow_infinity=False)
 frac = st.floats(min_value=0.0, max_value=0.9)
@@ -210,7 +211,11 @@ def test_af_snrs_keep_their_bits_where_nothing_overflows(g1, g2):
     assert bd.snr_c_to_a == g1 * g2 / (2.0 * g1 + g2 + 1.0)
 
 
-@pytest.mark.parametrize("g1, g2", [(1e155, 1e155), (1e160, 3e160), (2.0, 1.7e308), (1e-10, 1e308)])
+@pytest.mark.parametrize("g1, g2", [
+    (1e155, 1e155), (1e160, 3e160), (2.0, 1.7e308), (1e-10, 1e308),
+    # 2*g1 and g1 + g2 overflow as well
+    (1e308, 1e308), (1.5e308, 1.7976931348623157e308),
+])
 def test_af_where_gamma1_gamma2_or_its_denominator_overflows(g1, g2):
     x, y = Fraction(g1), Fraction(g2)
     exact = (x * y / (x + 2 * y + 1), x * y / (2 * x + y + 1))
@@ -219,6 +224,24 @@ def test_af_where_gamma1_gamma2_or_its_denominator_overflows(g1, g2):
     for got, want in zip((bd.snr_a_to_c, bd.snr_c_to_a), exact):
         assert abs(Fraction(got) - want) <= 1e-12 * want
     assert best.rate == 0.5 * (capacity(bd.snr_a_to_c) + capacity(bd.snr_c_to_a))
+    # beta**2 * (g1 + g2 + 1) = 1
+    assert abs(Fraction(bd.amplification) ** 2 * (x + y + 1) - 1) <= 1e-12
+    if g1 == g2:
+        assert bd.snr_a_to_c == bd.snr_c_to_a
+
+
+@pytest.mark.parametrize("g1, g2", [
+    (1e300, 1e300), (1.0, 1.7976931348623157e308),  # the sum stays finite
+    (1e308, 1e308), (1e308, 1.7976931348623157e308),
+])
+def test_sum_capacity_near_the_float_limit(g1, g2):
+    total = 1 + Fraction(g1) + Fraction(g2)
+    exact = math.log2(total.numerator) - math.log2(total.denominator)
+    cfg = make_config(0.0, g1, g2)
+    assert math.isclose(ma_region(cfg).cap_sum, exact, rel_tol=1e-15)
+    best = schemes.jdf_max_rate(cfg)
+    oracle_rate = oracle.grid_max_jdf_lambda(cfg).best_rate
+    assert abs(oracle_rate - best.rate) <= VERIFY_TOLERANCE * best.rate
 
 
 def test_broadcast_duration_scalars_and_arrays():
