@@ -18,7 +18,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .sweep import (
     SweepConfigError,
     SweepSpec,
     VerificationError,
-    _checked,
     _checked_schemes,
     _columns,
     emit_csv,
@@ -76,16 +75,9 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     return float(parts[0]), float(parts[1]), float(parts[2])
 
 
-def _parse_schemes(text: str) -> tuple[str, ...]:
-    # checked with the gamma0 rules by sweep._checked_schemes
-    return tuple(s.strip() for s in text.split(",") if s.strip())
-
-
-def _parse_gamma0_rules(text: str) -> tuple[Gamma0Rule, ...]:
-    rules = tuple(Gamma0Rule.parse(t) for t in text.split(",") if t.strip())
-    if not rules:
-        raise ValueError("empty gamma0 rule list")
-    return rules
+def _parse_list(text: str, parse: Callable[[str], object] = str.strip) -> tuple:
+    # each non-blank item parsed; sweep._checked_schemes checks the lists
+    return tuple(parse(s) for s in text.split(",") if s.strip())
 
 
 def _resolve_out(out: Optional[str]) -> Optional[Path]:
@@ -101,8 +93,8 @@ def _resolve_out(out: Optional[str]) -> Optional[Path]:
 def _cmd_rate(args) -> int:
     gamma1 = db_to_linear(args.gamma1_db)
     gamma2 = Gamma2Rule.parse(args.gamma2).apply(gamma1)
-    rules = _parse_gamma0_rules(args.gamma0)
-    names = _checked_schemes(_parse_schemes(args.schemes), rules)
+    rules = _parse_list(args.gamma0, Gamma0Rule.parse)
+    names = _checked_schemes(_parse_list(args.schemes), rules)
     # validate and evaluate everything before emitting anything
     gamma0s = [0.0] + [rule.apply(gamma1) for rule in rules]
     configs = [make_config(gamma0, gamma1, gamma2) for gamma0 in gamma0s]
@@ -112,7 +104,7 @@ def _cmd_rate(args) -> int:
     ]
     for label, entry, k in _columns(names, rules):
         best = entry.best(configs[k])
-        lines.append(f"{label:<16} rate = {best.rate:<12.9g} {entry.detail(best)}")
+        lines.append(f"{label:<16} rate = {best.rate:<12.9g} {entry.detail(best, configs[k])}")
     print("\n".join(lines))
     return 0
 
@@ -170,8 +162,8 @@ def _cmd_sweep(args) -> int:
         stop_db=stop,
         step_db=step,
         gamma2_rule=Gamma2Rule.parse(pick("gamma2", "equal", str)),
-        gamma0_rules=_parse_gamma0_rules(pick("gamma0", "zero", str)),
-        schemes=_parse_schemes(pick("schemes", ",".join(SCHEME_NAMES), str)),
+        gamma0_rules=_parse_list(pick("gamma0", "zero", str), Gamma0Rule.parse),
+        schemes=_parse_list(pick("schemes", ",".join(SCHEME_NAMES), str)),
         verify=pick("verify", False, _parse_bool),
         oracle_grid_points=pick("grid_points", 1001, int),
     )
@@ -200,11 +192,11 @@ def _cmd_sweep(args) -> int:
 
 def _parse_interval(text: str) -> tuple[float, float]:
     """Parse ``LO:HI`` in dB, finite and LO <= HI; a single value is both."""
-    parts = text.split(":")
-    lo, hi = float(parts[0]), float(parts[-1])
-    if len(parts) > 2 or not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ValueError(f"expected LO:HI in dB with finite LO <= HI, got {text!r}")
-    return lo, hi
+    if text.count(":") <= 1:
+        lo, hi, _ = _parse_range(text)
+        if math.isfinite(lo) and math.isfinite(hi) and lo <= hi:
+            return lo, hi
+    raise ValueError(f"expected LO:HI in dB with finite LO <= HI, got {text!r}")
 
 
 def _cmd_verify(args) -> int:
@@ -216,15 +208,18 @@ def _cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     checked = {name: entry for name, entry in SCHEME_TABLE.items() if entry.oracle is not None}
     worst = dict.fromkeys(checked, 0.0)
+    # gamma2 is drawn up to 10 dB above gamma1, and a margin short of the float range
+    top_db = linear_to_db(sys.float_info.max) - 1e-9
     for _ in range(args.samples):
         gamma1 = db_to_linear(rng.uniform(lo, hi))
-        gamma2 = gamma1 * db_to_linear(rng.uniform(0.0, 10.0))
+        span_db = max(0.0, min(10.0, top_db - linear_to_db(gamma1)))
+        gamma2 = gamma1 * db_to_linear(rng.uniform(0.0, span_db))
         gamma0 = 0.0 if rng.integers(0, 2) == 0 else rng.uniform(0.0, 0.5) * gamma1
         cfg = make_config(gamma0, gamma1, gamma2)
         where = f"gamma0={cfg.gamma0!r}, gamma1={cfg.gamma1!r}, gamma2={cfg.gamma2!r}"
         for name, entry in checked.items():
-            grid = entry.brute(cfg, args.grid_points)
-            deviation = _checked(entry.best(cfg).rate, grid, name, where, args.tol)
+            closed = entry.best(cfg).rate
+            _, deviation = entry.check(cfg, closed, args.grid_points, name, where, args.tol)
             worst[name] = max(worst[name], deviation)
     print(f"checked {args.samples} random configurations, tolerance {args.tol:g}")
     print("max relative deviation: " + ", ".join(f"{n} {d:.3g}" for n, d in worst.items()))

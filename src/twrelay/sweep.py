@@ -20,7 +20,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import IO, Callable, Optional, Sequence, Union
+from typing import IO, Callable, NamedTuple, Optional, Sequence, Union
 
 from . import oracle, schemes
 from .channel import AssumptionViolation, LinkConfig, capacity, db_to_linear, linear_to_db, make_config
@@ -40,36 +40,54 @@ class SchemeEntry:
     closed_form: str
     oracle: Optional[str]
     uses_gamma0: bool
-    detail: Callable[[schemes.SchemeRate], str]
+    detail: Callable[[schemes.SchemeRate, LinkConfig], str]
     column: Callable[["_Links", int], list[float]]
 
     def best(self, config: LinkConfig) -> schemes.SchemeRate:
         return getattr(schemes, self.closed_form)(config)
 
-    def brute(self, config: LinkConfig, grid_points: int) -> oracle.GridResult:
-        return getattr(oracle, self.oracle)(config, grid_points)
+    def check(self, config: LinkConfig, closed: float, grid_points: int, column: str,
+              where: str, tolerance: float) -> tuple[float, float]:
+        """The oracle's rate at ``config`` and the relative deviation of the
+        closed-form rate ``closed`` from it, at most ``tolerance`` or else a
+        :class:`VerificationError` naming ``column`` and ``where``."""
+        best = getattr(oracle, self.oracle)(config, grid_points).best_rate
+        deviation = abs(best - closed) / closed
+        if deviation > tolerance:
+            raise VerificationError(
+                f"{column} closed form {closed!r} deviates from oracle {best!r} at {where} "
+                f"(relative deviation {deviation:.3g}, tolerance {tolerance:g})"
+            )
+        return best, deviation
+
+
+def _af_detail(best: schemes.SchemeRate, config: LinkConfig) -> str:
+    """AF's two directions, with the terminals as given: the breakdown uses
+    the normalized labels, which a swapped config exchanged."""
+    pair = best.breakdown.rate_pair
+    a_to_c, c_to_a = (pair.rate_c, pair.rate_a) if config.swapped else (pair.rate_a, pair.rate_c)
+    return f"(A->C {a_to_c:.9g}, C->A {c_to_a:.9g})"
 
 
 SCHEME_TABLE = {
     "DF": SchemeEntry(
         "df_max_rate", "grid_max_df_theta", True,
-        lambda best: f"theta* = {best.parameter:.9g}  [{best.breakdown.case}]",
+        lambda best, config: f"theta* = {best.parameter:.9g}  [{best.breakdown.case}]",
         lambda links, k: [rate for rate, _ in links.each(
             schemes._df_max, links.c0[k - 1], links.c1, links.c2)],
     ),
     "AF": SchemeEntry(
-        "af_rate", None, False,
-        lambda best: "(A->C {0.rate_a:.9g}, C->A {0.rate_c:.9g})".format(best.breakdown.rate_pair),
+        "af_rate", None, False, _af_detail,
         lambda links, k: [af[-1] for af in links.each(schemes._af_two_way, links.g1, links.g2)],
     ),
     "JDF": SchemeEntry(
         "jdf_max_rate", "grid_max_jdf_lambda", False,
-        lambda best: f"lambda* = {best.parameter:.9g}  [{best.breakdown.regime}]",
+        lambda best, config: f"lambda* = {best.parameter:.9g}  [{best.breakdown.regime}]",
         # lambda* is formed too, so the column raises where jdf_max_rate does
         lambda links, k: [rate for rate, _ in links.each(
             schemes._jdf_max, links.g1, links.g2, links.c1)],
     ),
-    "DNF": SchemeEntry("dnf_upper_bound", None, False, lambda best: "upper bound",
+    "DNF": SchemeEntry("dnf_upper_bound", None, False, lambda best, config: "upper bound",
                        lambda links, k: list(links.c1)),
 }
 
@@ -86,8 +104,69 @@ class VerificationError(RuntimeError):
     """A closed-form rate disagrees with the brute-force oracle."""
 
 
+class _Kind(NamedTuple):
+    """One rule kind: the spellings ``parse`` accepts (``prefix:<x>`` reads
+    a number, in dB after ``db:``), its SNR from ``(value, gamma1)``, its
+    label (formatted with the value) and, unless it takes no value, what
+    the value must be and the test of it."""
+
+    forms: tuple[str, ...]
+    formula: Callable[[Optional[float], float], float]
+    label: str
+    needs: Optional[str] = None
+    valid: Optional[Callable[[float], bool]] = None
+
+
+_POSITIVE = ("a positive finite value", lambda v: math.isfinite(v) and v > 0)
+_NONNEGATIVE = ("a nonnegative finite value", lambda v: math.isfinite(v) and v >= 0)
+_FRACTION = ("a value in [0, 1)", lambda v: 0.0 <= v < 1.0)
+
+
 @dataclass(frozen=True)
-class Gamma2Rule:
+class _Rule:
+    """A ``(kind, value)`` whose kinds are the rows of the subclass's
+    ``_KINDS`` table; ``_SNR`` names the SNR it sets."""
+
+    kind: str
+    value: Optional[float] = None
+
+    def __post_init__(self):
+        row = self._KINDS.get(self.kind)
+        if row is None:
+            raise ValueError(f"unknown {self._SNR} rule kind {self.kind!r}")
+        if row.needs is None and self.value is not None:
+            raise ValueError(f"rule {self.kind!r} takes no value")
+        if row.needs is not None and (self.value is None or not row.valid(self.value)):
+            raise ValueError(f"rule {self.kind!r} needs {row.needs}")
+
+    @classmethod
+    def parse(cls, text: str):
+        """Parse one of the forms in the kinds table, case-insensitively."""
+        t = text.strip().lower()
+        for kind, row in cls._KINDS.items():
+            for form in row.forms:
+                prefix, placeholder, _ = form.partition("<")
+                if not placeholder and t == form:
+                    return cls(kind)
+                if placeholder and t.startswith(prefix):
+                    try:
+                        value = float(t[len(prefix):])
+                    except ValueError:
+                        raise ValueError(f"bad numeric field in rule {text!r}") from None
+                    return cls(kind, db_to_linear(value) if prefix == "db:" else value)
+        *forms, last = (row.forms[0] for row in cls._KINDS.values())
+        raise ValueError(f"unrecognized {cls._SNR} rule {text!r} "
+                         f"(expected {', '.join(forms)} or {last})")
+
+    def apply(self, gamma1: float) -> float:
+        return self._KINDS[self.kind].formula(self.value, gamma1)
+
+    @property
+    def label(self) -> str:
+        return self._KINDS[self.kind].label.format(self.value)
+
+
+class Gamma2Rule(_Rule):
     """How gamma2 follows gamma1 along the sweep.
 
     Kinds: ``equal`` (gamma2 = gamma1), ``quadratic``
@@ -95,57 +174,16 @@ class Gamma2Rule:
     ``ratio`` (gamma2 = value * gamma1).
     """
 
-    kind: str
-    value: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind in ("equal", "quadratic"):
-            if self.value is not None:
-                raise ValueError(f"rule {self.kind!r} takes no value")
-        elif self.kind in ("fixed", "ratio"):
-            if self.value is None or not math.isfinite(self.value) or self.value <= 0:
-                raise ValueError(f"rule {self.kind!r} needs a positive finite value")
-        else:
-            raise ValueError(f"unknown gamma2 rule kind {self.kind!r}")
-
-    @classmethod
-    def parse(cls, text: str) -> "Gamma2Rule":
-        """Parse ``equal``, ``quad``, ``db:<value>`` or ``ratio:<factor>``."""
-        t = text.strip().lower()
-        if t == "equal":
-            return cls("equal")
-        if t in ("quad", "quadratic"):
-            return cls("quadratic")
-        if t.startswith("db:"):
-            return cls("fixed", db_to_linear(_parse_number(t[3:], text)))
-        if t.startswith("ratio:"):
-            return cls("ratio", _parse_number(t[6:], text))
-        raise ValueError(
-            f"unrecognized gamma2 rule {text!r} (expected equal, quad, db:<v> or ratio:<k>)"
-        )
-
-    def apply(self, gamma1: float) -> float:
-        if self.kind == "equal":
-            return gamma1
-        if self.kind == "quadratic":
-            return gamma1 + gamma1 * gamma1
-        if self.kind == "fixed":
-            return self.value
-        return self.value * gamma1
-
-    @property
-    def label(self) -> str:
-        if self.kind == "equal":
-            return "g2=g1"
-        if self.kind == "quadratic":
-            return "g2=g1+g1^2"
-        if self.kind == "fixed":
-            return f"g2={self.value:g}"
-        return f"g2={self.value:g}*g1"
+    _SNR = "gamma2"
+    _KINDS = {
+        "equal": _Kind(("equal",), lambda v, g: g, "g2=g1"),
+        "quadratic": _Kind(("quad", "quadratic"), lambda v, g: g + g * g, "g2=g1+g1^2"),
+        "fixed": _Kind(("db:<v>",), lambda v, g: v, "g2={:g}", *_POSITIVE),
+        "ratio": _Kind(("ratio:<k>",), lambda v, g: v * g, "g2={:g}*g1", *_POSITIVE),
+    }
 
 
-@dataclass(frozen=True)
-class Gamma0Rule:
+class Gamma0Rule(_Rule):
     """How the direct-link gamma0 follows gamma1 along the sweep.
 
     Kinds: ``zero`` (no direct link), ``fraction``
@@ -153,57 +191,12 @@ class Gamma0Rule:
     linear value).
     """
 
-    kind: str
-    value: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind == "zero":
-            if self.value is not None:
-                raise ValueError("rule 'zero' takes no value")
-        elif self.kind == "fraction":
-            if self.value is None or not 0.0 <= self.value < 1.0:
-                raise ValueError("rule 'fraction' needs a value in [0, 1)")
-        elif self.kind == "fixed":
-            if self.value is None or not math.isfinite(self.value) or self.value < 0:
-                raise ValueError("rule 'fixed' needs a nonnegative finite value")
-        else:
-            raise ValueError(f"unknown gamma0 rule kind {self.kind!r}")
-
-    @classmethod
-    def parse(cls, text: str) -> "Gamma0Rule":
-        """Parse ``zero``, ``frac:<fraction>`` or ``db:<value>``."""
-        t = text.strip().lower()
-        if t == "zero":
-            return cls("zero")
-        if t.startswith("frac:"):
-            return cls("fraction", _parse_number(t[5:], text))
-        if t.startswith("db:"):
-            return cls("fixed", db_to_linear(_parse_number(t[3:], text)))
-        raise ValueError(
-            f"unrecognized gamma0 rule {text!r} (expected zero, frac:<f> or db:<v>)"
-        )
-
-    def apply(self, gamma1: float) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "fraction":
-            return self.value * gamma1
-        return self.value
-
-    @property
-    def label(self) -> str:
-        if self.kind == "zero":
-            return "g0=0"
-        if self.kind == "fraction":
-            return f"g0={self.value:g}*g1"
-        return f"g0={self.value:g}"
-
-
-def _parse_number(text: str, whole: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"bad numeric field in rule {whole!r}") from None
+    _SNR = "gamma0"
+    _KINDS = {
+        "zero": _Kind(("zero",), lambda v, g: 0.0, "g0=0"),
+        "fraction": _Kind(("frac:<f>",), lambda v, g: v * g, "g0={:g}*g1", *_FRACTION),
+        "fixed": _Kind(("db:<v>",), lambda v, g: v, "g0={:g}", *_NONNEGATIVE),
+    }
 
 
 @dataclass(frozen=True)
@@ -309,11 +302,12 @@ class SweepResult(SequenceABC):
         )
 
 
-def df_column_labels(gamma0_rules: Sequence[Gamma0Rule]) -> list[str]:
-    """Column label for each gamma0 rule's DF curve."""
-    if len(gamma0_rules) == 1:
-        return ["DF"]
-    return [f"DF[{rule.label}]" for rule in gamma0_rules]
+def _per_rule(name: str, labels: Sequence[str]) -> list[str]:
+    """Column names for a quantity taken once per gamma0 rule: ``name``
+    alone for a single rule, else ``name[label]`` for each."""
+    if len(labels) == 1:
+        return [name]
+    return [f"{name}[{label}]" for label in labels]
 
 
 def _checked_schemes(names: Sequence[str], gamma0_rules: Sequence[Gamma0Rule]) -> tuple[str, ...]:
@@ -346,24 +340,11 @@ def _columns(names: Sequence[str], gamma0_rules: Sequence[Gamma0Rule]) -> list[t
     for name in names:
         entry = SCHEME_TABLE[name]
         if entry.uses_gamma0:
-            labels = df_column_labels(gamma0_rules)
+            labels = _per_rule(name, [rule.label for rule in gamma0_rules])
             columns += [(label, entry, k) for k, label in enumerate(labels, start=1)]
         else:
             columns.append((name, entry, 0))
     return columns
-
-
-def _checked(closed: float, grid: oracle.GridResult, column: str, where: str,
-             tolerance: float = VERIFY_TOLERANCE) -> float:
-    """Relative deviation of the oracle from the closed form, within ``tolerance``."""
-    deviation = abs(grid.best_rate - closed) / closed
-    if deviation > tolerance:
-        raise VerificationError(
-            f"{column} closed form {closed!r} deviates from oracle "
-            f"{grid.best_rate!r} at {where} "
-            f"(relative deviation {deviation:.3g}, tolerance {tolerance:g})"
-        )
-    return deviation
 
 
 class _Links:
@@ -456,9 +437,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         where = f"gamma1 = {grid[i]:g} dB"
         for (label, entry, k, rate), (_, best), (_, gap) in zip(checked, oracle_rates, deviations):
             config = make_config(g0[k - 1][i] if k else 0.0, g1[i], g2[i])
-            grid_result = entry.brute(config, spec.oracle_grid_points)
-            gap.append(_checked(rate[i], grid_result, label, where))
-            best.append(grid_result.best_rate)
+            oracle_rate, deviation = entry.check(
+                config, rate[i], spec.oracle_grid_points, label, where, VERIFY_TOLERANCE)
+            best.append(oracle_rate)
+            gap.append(deviation)
     if links.failure is not None:
         raise links.failure
     return SweepResult(
@@ -473,11 +455,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def _csv_header(result: SweepResult) -> list[str]:
-    header = ["gamma1_db", "gamma2_db"]
-    if len(result.gamma0_labels) == 1:
-        header.append("gamma0_db")
-    else:
-        header.extend(f"gamma0_db[{label}]" for label in result.gamma0_labels)
+    header = ["gamma1_db", "gamma2_db", *_per_rule("gamma0_db", result.gamma0_labels)]
     header.extend(label for label, _ in result.rates)
     header.extend(f"oracle[{label}]" for label, _ in result.oracle_rates)
     header.extend(f"deviation[{label}]" for label, _ in result.deviations)

@@ -345,3 +345,32 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert main(["sweep", "--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("gamma1_db, gamma2, directions", [
+    # A on the stronger link: make_config swaps the terminals, and A->C has
+    # SNR gA*gC/(gA + 2*gC + 1) with gA = 10, gC = 10**0.5
+    ("10", "db:5", "(A->C 1.4984119, C->A 1.2071222)"),
+    ("5", "db:10", "(A->C 1.2071222, C->A 1.4984119)"),
+])
+def test_rate_af_directions_follow_the_terminals_as_given(capsys, gamma1_db, gamma2, directions):
+    code, out, err = run(capsys, "rate", "--gamma1-db", gamma1_db, "--gamma2", gamma2,
+                         "--schemes", "AF")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == f"AF               rate = 1.35276705   {directions}"
+
+
+def test_verify_draws_gamma2_inside_the_float_range(capsys):
+    # gamma2 = gamma1 * 10^(U(0, 10)/10) overflowed above about 3072.5 dB
+    code, out, err = run(capsys, "verify", "--samples", "20", "--gamma1-db-range", "3075:3082.5")
+    assert code == 0 and err == "" and out.endswith("\nok\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--gamma1-db-range", "0:1:2:3"],
+     "expected LO:HI in dB with finite LO <= HI, got '0:1:2:3'"),
+    (["rate", "--gamma1-db", "0", "--gamma0", ","], "at least one gamma0 rule is required"),
+    (["sweep", "--gamma1-db", "0:2:1", "--gamma0", " ,"], "at least one gamma0 rule is required"),
+])
+def test_empty_list_and_long_interval_messages(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")

@@ -59,6 +59,120 @@ def test_gamma0_rule_parsing():
     assert Gamma0Rule("fraction", 0.1).label == "g0=0.1*g1"
 
 
+_G2_FORMS = " (expected equal, quad, db:<v> or ratio:<k>)"
+_G0_FORMS = " (expected zero, frac:<f> or db:<v>)"
+_DB5 = 3.1622776601683795
+_DB_MINUS3 = 0.5011872336272722
+
+
+def _bad(message):
+    return ValueError, message
+
+
+def _outcome(make):
+    """(kind, value, label, apply at 0.5, 3 and 1e200) of a rule, or the
+    type and text of the error making it raised."""
+    try:
+        rule = make()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return rule.kind, rule.value, rule.label, tuple(rule.apply(g) for g in (0.5, 3.0, 1e200))
+
+
+@pytest.mark.parametrize("cls, text, expected", [
+    (Gamma2Rule, "equal", ("equal", None, "g2=g1", (0.5, 3.0, 1e200))),
+    (Gamma2Rule, " EQUAL ", ("equal", None, "g2=g1", (0.5, 3.0, 1e200))),
+    (Gamma2Rule, "quad", ("quadratic", None, "g2=g1+g1^2", (0.75, 12.0, math.inf))),
+    (Gamma2Rule, "quadratic", ("quadratic", None, "g2=g1+g1^2", (0.75, 12.0, math.inf))),
+    (Gamma2Rule, " Quad", ("quadratic", None, "g2=g1+g1^2", (0.75, 12.0, math.inf))),
+    (Gamma2Rule, "db:10", ("fixed", 10.0, "g2=10", (10.0, 10.0, 10.0))),
+    (Gamma2Rule, "db:5", ("fixed", _DB5, "g2=3.16228", (_DB5, _DB5, _DB5))),
+    (Gamma2Rule, "DB:-3", ("fixed", _DB_MINUS3, "g2=0.501187", (_DB_MINUS3,) * 3)),
+    (Gamma2Rule, "db:-inf", _bad("rule 'fixed' needs a positive finite value")),
+    (Gamma2Rule, "db:", _bad("bad numeric field in rule 'db:'")),
+    (Gamma2Rule, "db:x", _bad("bad numeric field in rule 'db:x'")),
+    (Gamma2Rule, "db:<v>", _bad("bad numeric field in rule 'db:<v>'")),
+    (Gamma2Rule, "db:nan", _bad("SNR in dB must not be NaN")),
+    (Gamma2Rule, "db:inf", _bad("SNR in dB must be finite or -inf")),
+    (Gamma2Rule, "db:5000", _bad("SNR of 5000.0 dB exceeds the float range")),
+    (Gamma2Rule, "ratio:2.5", ("ratio", 2.5, "g2=2.5*g1", (1.25, 7.5, 2.4999999999999998e200))),
+    (Gamma2Rule, "ratio:1e-300", ("ratio", 1e-300, "g2=1e-300*g1", (5e-301, 3e-300, 1e-100))),
+    (Gamma2Rule, "ratio:-1", _bad("rule 'ratio' needs a positive finite value")),
+    (Gamma2Rule, "ratio:0", _bad("rule 'ratio' needs a positive finite value")),
+    (Gamma2Rule, "ratio:inf", _bad("rule 'ratio' needs a positive finite value")),
+    (Gamma2Rule, "ratio:nan", _bad("rule 'ratio' needs a positive finite value")),
+    (Gamma2Rule, "ratio:", _bad("bad numeric field in rule 'ratio:'")),
+    (Gamma2Rule, "fixed", _bad("unrecognized gamma2 rule 'fixed'" + _G2_FORMS)),
+    (Gamma2Rule, "ratio", _bad("unrecognized gamma2 rule 'ratio'" + _G2_FORMS)),
+    (Gamma2Rule, "triangle", _bad("unrecognized gamma2 rule 'triangle'" + _G2_FORMS)),
+    (Gamma2Rule, "", _bad("unrecognized gamma2 rule ''" + _G2_FORMS)),
+    (Gamma2Rule, "equal:1", _bad("unrecognized gamma2 rule 'equal:1'" + _G2_FORMS)),
+    (Gamma2Rule, "frac:0.1", _bad("unrecognized gamma2 rule 'frac:0.1'" + _G2_FORMS)),
+    (Gamma2Rule, "zero", _bad("unrecognized gamma2 rule 'zero'" + _G2_FORMS)),
+    (Gamma2Rule, "db :3", _bad("unrecognized gamma2 rule 'db :3'" + _G2_FORMS)),
+    (Gamma0Rule, "zero", ("zero", None, "g0=0", (0.0, 0.0, 0.0))),
+    (Gamma0Rule, " ZERO ", ("zero", None, "g0=0", (0.0, 0.0, 0.0))),
+    (Gamma0Rule, "frac:0.1", ("fraction", 0.1, "g0=0.1*g1", (0.05, 0.30000000000000004, 1e199))),
+    (Gamma0Rule, "frac:0", ("fraction", 0.0, "g0=0*g1", (0.0, 0.0, 0.0))),
+    (Gamma0Rule, "frac:0.9999999999999999", ("fraction", 0.9999999999999999, "g0=1*g1",
+                                             (0.49999999999999994, 2.9999999999999996,
+                                              9.999999999999998e199))),
+    (Gamma0Rule, "frac:1", _bad("rule 'fraction' needs a value in [0, 1)")),
+    (Gamma0Rule, "frac:-0.1", _bad("rule 'fraction' needs a value in [0, 1)")),
+    (Gamma0Rule, "frac:nan", _bad("rule 'fraction' needs a value in [0, 1)")),
+    (Gamma0Rule, "frac:x", _bad("bad numeric field in rule 'frac:x'")),
+    (Gamma0Rule, "frac:", _bad("bad numeric field in rule 'frac:'")),
+    (Gamma0Rule, "frac:<f>", _bad("bad numeric field in rule 'frac:<f>'")),
+    (Gamma0Rule, "db:-10", ("fixed", 0.1, "g0=0.1", (0.1, 0.1, 0.1))),
+    (Gamma0Rule, "db:-inf", ("fixed", 0.0, "g0=0", (0.0, 0.0, 0.0))),
+    (Gamma0Rule, "db:0", ("fixed", 1.0, "g0=1", (1.0, 1.0, 1.0))),
+    (Gamma0Rule, "db:5000", _bad("SNR of 5000.0 dB exceeds the float range")),
+    (Gamma0Rule, "db:nan", _bad("SNR in dB must not be NaN")),
+    (Gamma0Rule, "db:inf", _bad("SNR in dB must be finite or -inf")),
+    (Gamma0Rule, "db:", _bad("bad numeric field in rule 'db:'")),
+    (Gamma0Rule, "fraction", _bad("unrecognized gamma0 rule 'fraction'" + _G0_FORMS)),
+    (Gamma0Rule, "fixed", _bad("unrecognized gamma0 rule 'fixed'" + _G0_FORMS)),
+    (Gamma0Rule, "none", _bad("unrecognized gamma0 rule 'none'" + _G0_FORMS)),
+    (Gamma0Rule, "equal", _bad("unrecognized gamma0 rule 'equal'" + _G0_FORMS)),
+    (Gamma0Rule, "ratio:2", _bad("unrecognized gamma0 rule 'ratio:2'" + _G0_FORMS)),
+    (Gamma0Rule, "", _bad("unrecognized gamma0 rule ''" + _G0_FORMS)),
+])
+def test_rule_parse_pinned(cls, text, expected):
+    assert _outcome(lambda: cls.parse(text)) == expected
+
+
+@pytest.mark.parametrize("cls, kind, value, message", [
+    (Gamma2Rule, "equal", 1.0, "rule 'equal' takes no value"),
+    (Gamma2Rule, "quadratic", 0.0, "rule 'quadratic' takes no value"),
+    (Gamma2Rule, "fixed", None, "rule 'fixed' needs a positive finite value"),
+    (Gamma2Rule, "fixed", 0.0, "rule 'fixed' needs a positive finite value"),
+    (Gamma2Rule, "fixed", -1.0, "rule 'fixed' needs a positive finite value"),
+    (Gamma2Rule, "fixed", math.inf, "rule 'fixed' needs a positive finite value"),
+    (Gamma2Rule, "fixed", math.nan, "rule 'fixed' needs a positive finite value"),
+    (Gamma2Rule, "ratio", None, "rule 'ratio' needs a positive finite value"),
+    (Gamma2Rule, "ratio", -2.0, "rule 'ratio' needs a positive finite value"),
+    (Gamma2Rule, "quad", None, "unknown gamma2 rule kind 'quad'"),
+    (Gamma2Rule, "zero", None, "unknown gamma2 rule kind 'zero'"),
+    (Gamma2Rule, "fraction", 0.1, "unknown gamma2 rule kind 'fraction'"),
+    (Gamma2Rule, "", None, "unknown gamma2 rule kind ''"),
+    (Gamma0Rule, "zero", 0.0, "rule 'zero' takes no value"),
+    (Gamma0Rule, "fraction", None, "rule 'fraction' needs a value in [0, 1)"),
+    (Gamma0Rule, "fraction", 1.0, "rule 'fraction' needs a value in [0, 1)"),
+    (Gamma0Rule, "fraction", -0.1, "rule 'fraction' needs a value in [0, 1)"),
+    (Gamma0Rule, "fraction", math.nan, "rule 'fraction' needs a value in [0, 1)"),
+    (Gamma0Rule, "fraction", math.inf, "rule 'fraction' needs a value in [0, 1)"),
+    (Gamma0Rule, "fixed", None, "rule 'fixed' needs a nonnegative finite value"),
+    (Gamma0Rule, "fixed", -1.0, "rule 'fixed' needs a nonnegative finite value"),
+    (Gamma0Rule, "fixed", math.inf, "rule 'fixed' needs a nonnegative finite value"),
+    (Gamma0Rule, "fixed", math.nan, "rule 'fixed' needs a nonnegative finite value"),
+    (Gamma0Rule, "equal", None, "unknown gamma0 rule kind 'equal'"),
+    (Gamma0Rule, "ratio", 2.0, "unknown gamma0 rule kind 'ratio'"),
+    (Gamma0Rule, "frac", 0.1, "unknown gamma0 rule kind 'frac'"),
+])
+def test_rule_constructor_errors_pinned(cls, kind, value, message):
+    assert _outcome(lambda: cls(kind, value)) == _bad(message)
+
+
 # ------------------------------------------------------------ SweepSpec / run
 
 
