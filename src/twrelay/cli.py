@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import protocol, schemes
-from .channel import AssumptionViolation, db_to_linear, linear_to_db, make_config
+from .channel import AssumptionViolation, _check_lam, db_to_linear, linear_to_db, make_config
 from .sweep import (
     SCHEME_NAMES,
     SCHEME_TABLE,
@@ -33,6 +33,7 @@ from .sweep import (
     SweepConfigError,
     SweepSpec,
     VerificationError,
+    _as_given,
     _checked_schemes,
     _columns,
     emit_csv,
@@ -62,17 +63,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
+def _fields(text: str) -> list[float]:
+    """The colon-separated numbers in ``text``; none if one is not a number."""
+    try:
+        return [float(field) for field in text.split(":")]
+    except ValueError:
+        return []
+
+
 def _parse_range(text: str) -> tuple[float, float, float]:
     """Parse ``START:STOP:STEP`` in dB; step defaults to 1, stop to start."""
-    parts = text.split(":")
-    if len(parts) == 1:
-        v = float(parts[0])
-        return v, v, 1.0
-    if len(parts) == 2:
-        return float(parts[0]), float(parts[1]), 1.0
-    if len(parts) != 3:
-        raise ValueError(f"expected START:STOP:STEP, got {text!r}")
-    return float(parts[0]), float(parts[1]), float(parts[2])
+    v = _fields(text)
+    if not 1 <= len(v) <= 3:
+        raise ValueError(f"expected --gamma1-db as START:STOP:STEP in dB, got {text!r}")
+    return v[0], v[1] if len(v) > 1 else v[0], v[2] if len(v) > 2 else 1.0
 
 
 def _parse_list(text: str, parse: Callable[[str], object] = str.strip) -> tuple:
@@ -115,8 +119,10 @@ _SWEEP_KEYS = (
 )
 
 
-def _read_config(path: str) -> dict[str, str]:
-    """Read a key=value file; blank lines and # comments are ignored."""
+def _config_flags(path: str) -> list[str]:
+    """The entries of a key=value file as ``--key=value`` flags (``--verify``
+    where ``verify`` is true); blank lines and # comments are ignored, and a
+    key given twice keeps its last value."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -130,7 +136,8 @@ def _read_config(path: str) -> dict[str, str]:
             if key not in _SWEEP_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = value.strip()
-    return values
+    verify = ["--verify"] if _parse_bool(values.pop("verify", "no")) else []
+    return [f"--{key.replace('_', '-')}={value}" for key, value in values.items()] + verify
 
 
 def _parse_bool(text: str) -> bool:
@@ -143,41 +150,22 @@ def _parse_bool(text: str) -> bool:
 
 
 def _cmd_sweep(args) -> int:
-    file_cfg = _read_config(args.config) if args.config else {}
-
-    def pick(name, default, cast):
-        value = getattr(args, name)
-        if value is not None:
-            return value
-        if name in file_cfg:
-            return cast(file_cfg[name])
-        return default
-
-    range_text = pick("gamma1_db", None, str)
-    if range_text is None:
+    if args.gamma1_db is None:
         raise ValueError("sweep needs --gamma1-db START:STOP:STEP (or a config entry)")
-    start, stop, step = _parse_range(range_text)
-    spec = SweepSpec(
-        start_db=start,
-        stop_db=stop,
-        step_db=step,
-        gamma2_rule=Gamma2Rule.parse(pick("gamma2", "equal", str)),
-        gamma0_rules=_parse_list(pick("gamma0", "zero", str), Gamma0Rule.parse),
-        schemes=_parse_list(pick("schemes", ",".join(SCHEME_NAMES), str)),
-        verify=pick("verify", False, _parse_bool),
-        oracle_grid_points=pick("grid_points", 1001, int),
-    )
+    start, stop, step = _parse_range(args.gamma1_db)
+    spec = SweepSpec(start, stop, step, Gamma2Rule.parse(args.gamma2),
+                     _parse_list(args.gamma0, Gamma0Rule.parse), _parse_list(args.schemes),
+                     verify=args.verify, oracle_grid_points=args.grid_points)
     rows = run_sweep(spec)
 
-    out = _resolve_out(pick("out", None, str))
-    fmt = pick("format", "csv", str)
-    if fmt == "csv":
+    out = _resolve_out(args.out)
+    if args.format == "csv":
         if out is None:
             sys.stdout.write(emit_csv(rows))
         else:
             emit_csv(rows, out)
             print(f"wrote {out}")
-    elif fmt == "plot":
+    else:
         if out is None:
             raise ValueError("--format plot needs --out to name the files")
         csv_file = out.with_suffix(".csv")
@@ -185,17 +173,14 @@ def _cmd_sweep(args) -> int:
         emit_csv(rows, csv_file)
         emit_plot_script(rows, plot_file, csv_path=csv_file.name)
         print(f"wrote {csv_file} and {plot_file}")
-    else:
-        raise ValueError(f"unknown output format {fmt!r} (expected csv or plot)")
     return 0
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
     """Parse ``LO:HI`` in dB, finite and LO <= HI; a single value is both."""
-    if text.count(":") <= 1:
-        lo, hi, _ = _parse_range(text)
-        if math.isfinite(lo) and math.isfinite(hi) and lo <= hi:
-            return lo, hi
+    v = _fields(text)
+    if 1 <= len(v) <= 2 and all(map(math.isfinite, v)) and v[0] <= v[-1]:
+        return v[0], v[-1]
     raise ValueError(f"expected LO:HI in dB with finite LO <= HI, got {text!r}")
 
 
@@ -233,14 +218,18 @@ def _cmd_simulate(args) -> int:
     gamma0 = Gamma0Rule.parse(args.gamma0).apply(gamma1)
     cfg = make_config(gamma0, gamma1, gamma2)
     if args.scheme == "df":
-        theta = args.theta if args.theta is not None else schemes.df_max_rate(cfg).parameter
-        transcript = protocol.run_df(cfg, args.n_symbols, theta, args.seed)
-        param = f"theta = {theta:.9g}"
+        name, given, check, best, run = (
+            "theta", args.theta, schemes._check_theta, schemes.df_max_rate, protocol.run_df)
     else:
-        lam = args.lam if args.lam is not None else schemes.jdf_max_rate(cfg).parameter
-        transcript = protocol.run_jdf(cfg, args.n_symbols, lam, args.seed)
-        param = f"lam = {lam:.9g}"
-    print(f"{transcript.scheme} exchange: N = {args.n_symbols}, {param}, seed = {args.seed}")
+        name, given, check, best, run = (
+            "lam", args.lam, _check_lam, schemes.jdf_max_rate, protocol.run_jdf)
+    # the flag follows the terminals as given, the protocol the normalized labels
+    if given is not None:
+        check(given)
+    share = best(cfg).parameter if given is None else _as_given(given, cfg)
+    transcript = run(cfg, args.n_symbols, share, args.seed)
+    print(f"{transcript.scheme} exchange: N = {args.n_symbols}, "
+          f"{name} = {_as_given(share, cfg):.9g}, seed = {args.seed}")
     for line in transcript.to_lines():
         print(line)
     print(
@@ -263,29 +252,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rate = sub.add_parser("rate", help="closed-form rates at one operating point")
+    links = _Parser(add_help=False)
+    links.add_argument("--gamma2", default="equal",
+                       help="gamma2 rule: equal, quad, db:<v> or ratio:<k> (default equal)")
+    links.add_argument("--gamma0", default="zero",
+                       help="gamma0 rule: zero, frac:<f> or db:<v> (default zero); "
+                       "a comma-separated list in rate and sweep")
+    columns = _Parser(add_help=False)
+    columns.add_argument("--schemes", default=",".join(SCHEME_NAMES),
+                         help="comma-separated subset of DF,AF,JDF,DNF (default all)")
+
+    rate = sub.add_parser("rate", parents=[links, columns],
+                          help="closed-form rates at one operating point")
     rate.add_argument("--gamma1-db", type=float, required=True,
                       help="weaker terminal-relay SNR in dB")
-    rate.add_argument("--gamma2", default="equal",
-                      help="gamma2 rule: equal, quad, db:<v> or ratio:<k>")
-    rate.add_argument("--gamma0", default="zero",
-                      help="comma-separated gamma0 rules: zero, frac:<f> or db:<v>")
-    rate.add_argument("--schemes", default=",".join(SCHEME_NAMES),
-                      help="comma-separated subset of DF,AF,JDF,DNF")
     rate.set_defaults(handler=_cmd_rate)
 
-    swp = sub.add_parser("sweep", help="rate curves over a gamma1 grid")
+    swp = sub.add_parser("sweep", parents=[links, columns], help="rate curves over a gamma1 grid")
     swp.add_argument("--gamma1-db", help="gamma1 grid in dB as START:STOP:STEP")
-    swp.add_argument("--gamma2", help="gamma2 rule (default equal)")
-    swp.add_argument("--gamma0", help="comma-separated gamma0 rules (default zero)")
-    swp.add_argument("--schemes", help="comma-separated subset of DF,AF,JDF,DNF")
     swp.add_argument("--out", help=f"output path (relative paths join ${OUT_DIR_ENV})")
-    swp.add_argument("--format", choices=("csv", "plot"),
+    swp.add_argument("--format", choices=("csv", "plot"), default="csv",
                      help="csv (default) or plot (CSV plus gnuplot script)")
-    swp.add_argument("--verify", action="store_true", default=None,
+    swp.add_argument("--verify", action="store_true",
                      help="re-check closed forms against the oracle at every point")
-    swp.add_argument("--grid-points", type=int, help="oracle grid size (default 1001)")
-    swp.add_argument("--config", help="key=value file with any of the sweep options")
+    swp.add_argument("--grid-points", type=int, default=1001,
+                     help="oracle grid size (default 1001)")
+    swp.add_argument("--config", help="key=value file with any of the sweep options; "
+                     "its entries are read as flags placed before the given ones")
     swp.set_defaults(handler=_cmd_sweep)
 
     ver = sub.add_parser("verify", help="closed forms against brute force on random configs")
@@ -298,11 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="gamma1 sampling range in dB as LO:HI (default -10:30)")
     ver.set_defaults(handler=_cmd_verify)
 
-    sim = sub.add_parser("simulate", help="bit-exact protocol run")
+    sim = sub.add_parser("simulate", parents=[links], help="bit-exact protocol run")
     sim.add_argument("--scheme", choices=("df", "jdf"), required=True)
     sim.add_argument("--gamma1-db", type=float, required=True)
-    sim.add_argument("--gamma2", default="equal")
-    sim.add_argument("--gamma0", default="zero", help="single gamma0 rule")
     sim.add_argument("--n-symbols", type=int, default=100000)
     sim.add_argument("--theta", type=float, help="DF time split (default: optimal)")
     sim.add_argument("--lam", type=float, help="JDF time share (default: optimal)")
@@ -313,16 +304,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # parsed again with the file's flags first, so the given ones win
+            i = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:i] + _config_flags(args.config) + argv[i:])
+        return args.handler(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2

@@ -181,10 +181,14 @@ def grid_max_ma_region(config: LinkConfig, grid_points: int = 401) -> GridResult
     Scans a ``grid_points`` x ``grid_points`` lattice over
     ``[0, C(gamma1)] x [0, C(gamma2)]``, discarding points beyond the sum
     capacity.  Confirms that restricting attention to the dominant face
-    (as the closed forms do) loses nothing beyond grid resolution.
+    (as the closed forms do) loses nothing beyond grid resolution.  The
+    lattice holds at most ``MAX_GRID_POINTS`` points.
     """
     if grid_points < 3:
         raise ValueError(f"grid_points must be at least 3 per axis, got {grid_points!r}")
+    if grid_points**2 > MAX_GRID_POINTS:  # checked before any lattice is built
+        raise ValueError(f"a {grid_points} x {grid_points} lattice exceeds "
+                         f"{MAX_GRID_POINTS} grid points")
     region = ma_region(config)
     ras = np.linspace(0.0, region.cap_a, grid_points)
     rcs = np.linspace(0.0, region.cap_c, grid_points)

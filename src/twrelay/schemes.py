@@ -195,6 +195,20 @@ def _df_max(c0: float, c1: float, c2: float) -> tuple[float, float]:
     return c1 * (1.0 + delta * (c2 - c1)) / (1.0 + delta * (c2 - c0)), theta
 
 
+def _df_max_at(g0: float, g1: float, g2: float, c0: float, c1: float, c2: float):
+    """:func:`_df_max` at the SNRs ``g0``, ``g1``, ``g2`` with capacities
+    ``c0``, ``c1``, ``c2``.  Where C(g0) rounds to C(g1) but the
+    denominator of delta does not round to 0, theta* is formed from
+    C1 - C0 = C((g1 - g0)/(1 + g0)) and C2 - C0 = C((g2 - g0)/(1 + g0)),
+    and the rate formula gives C1."""
+    if c0 != c1 or c1 * (c1 + c2 - 2.0 * c0) == 0.0:
+        return _df_max(c0, c1, c2)
+    gap1 = capacity((g1 - g0) / (1.0 + g0))
+    theta = gap1 / (gap1 + capacity((g2 - g0) / (1.0 + g0)))
+    _check_theta(theta)
+    return c1, theta
+
+
 def df_theta_star(config: LinkConfig) -> float:
     """Optimal DF time split; equalizes the two binned packet sizes."""
     return _df_theta(capacity(config.gamma0), capacity(config.gamma1), capacity(config.gamma2))
@@ -209,13 +223,13 @@ def df_max_rate(config: LinkConfig) -> SchemeRate:
 
     which equals ``df_rate(config, df_theta_star(config)).rate``.
     ValueError where the denominator of delta rounds to 0 (it underflows
-    at subnormal SNRs, and cancels when C(g0) rounds to C(g1) = C(g2)),
-    and where theta* rounds onto an end of (0, 1) (C(g0) rounds to C(g1)).
+    at subnormal SNRs, and cancels when C(g0) rounds to C(g1) = C(g2)).
+    Where only C(g0) rounds to C(g1), theta* is formed from the SNRs (see
+    :func:`_df_max_at`).
     """
+    g0, g1, g2 = config.gamma0, config.gamma1, config.gamma2
     try:
-        rate, theta = _df_max(
-            capacity(config.gamma0), capacity(config.gamma1), capacity(config.gamma2)
-        )
+        rate, theta = _df_max_at(g0, g1, g2, capacity(g0), capacity(g1), capacity(g2))
     except ValueError as exc:
         raise ValueError(
             f"{exc} at gamma0={config.gamma0!r}, gamma1={config.gamma1!r}, gamma2={config.gamma2!r}"

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, NamedTuple, Optional, Sequence, Union
 
@@ -69,12 +68,20 @@ def _af_detail(best: schemes.SchemeRate, config: LinkConfig) -> str:
     return f"(A->C {a_to_c:.9g}, C->A {c_to_a:.9g})"
 
 
+def _as_given(share: float, config: LinkConfig) -> float:
+    """DF's theta or JDF's lam between the normalized labels and the
+    terminals as given, either way: a swapped config maps x to 1 - x."""
+    return 1.0 - share if config.swapped else share
+
+
 SCHEME_TABLE = {
     "DF": SchemeEntry(
         "df_max_rate", "grid_max_df_theta", True,
-        lambda best, config: f"theta* = {best.parameter:.9g}  [{best.breakdown.case}]",
+        lambda best, config: f"theta* = {_as_given(best.parameter, config):.9g}  "
+                             f"[{best.breakdown.case}]",
         lambda links, k: [rate for rate, _ in links.each(
-            schemes._df_max, links.c0[k - 1], links.c1, links.c2)],
+            schemes._df_max_at, links.g0[k - 1], links.g1, links.g2,
+            links.c0[k - 1], links.c1, links.c2)],
     ),
     "AF": SchemeEntry(
         "af_rate", None, False, _af_detail,
@@ -82,7 +89,8 @@ SCHEME_TABLE = {
     ),
     "JDF": SchemeEntry(
         "jdf_max_rate", "grid_max_jdf_lambda", False,
-        lambda best, config: f"lambda* = {best.parameter:.9g}  [{best.breakdown.regime}]",
+        lambda best, config: f"lambda* = {_as_given(best.parameter, config):.9g}  "
+                             f"[{best.breakdown.regime}]",
         # lambda* is formed too, so the column raises where jdf_max_rate does
         lambda links, k: [rate for rate, _ in links.each(
             schemes._jdf_max, links.g1, links.g2, links.c1)],
@@ -350,32 +358,20 @@ def _columns(names: Sequence[str], gamma0_rules: Sequence[Gamma0Rule]) -> list[t
 class _Links:
     """The link SNRs and capacities at the grid points of a sweep, one list
     each (``g1``, ``g2``, ``c1``, ``c2``; ``g0`` and ``c0`` one per gamma0
-    rule), set by :func:`run_sweep`.
-
-    A failure at point i ends the lists there: later rules run on the
-    points before i only, so ``failure`` ends up holding the error that
-    evaluating the points one by one, rule by rule, would meet first.
-    """
+    rule), set by :func:`run_sweep`."""
 
     def __init__(self, grid_db: list[float]):
         self.grid_db = grid_db
-        self.limit = len(grid_db)  # points before the first failure
-        self.failure: Optional[ValueError] = None
-
-    def fail(self, i: int, exc: ValueError) -> None:
-        self.limit, self.failure = i, exc
 
     def each(self, rule: Callable, *columns: list) -> list:
-        """``rule`` at each point before the first failure; a ValueError
-        it raises is recorded, naming its point, and ends the list."""
+        """``rule`` at each grid point; a ValueError it raises is raised
+        again naming the first point where it failed."""
         values = []
         try:
-            for args in islice(zip(*columns), self.limit):
+            for args in zip(*columns):
                 values.append(rule(*args))
         except ValueError as exc:
-            error = ValueError(f"{exc} at gamma1 = {self.grid_db[len(values)]:g} dB")
-            error.__cause__ = exc
-            self.fail(len(values), error)
+            raise ValueError(f"{exc} at gamma1 = {self.grid_db[len(values)]:g} dB") from exc
         return values
 
 
@@ -403,11 +399,13 @@ def _check_point(spec: SweepSpec, db: float, gamma1: float, gamma2: float) -> No
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate all requested schemes over the gamma1 grid.
 
-    Raises :class:`SweepConfigError` naming the offending grid point when
-    a rule produces an invalid configuration, ValueError naming the grid
-    point where a closed form is undefined, and
-    :class:`VerificationError` if verification is on and a closed form
-    strays from its oracle by more than ``VERIFY_TOLERANCE``.
+    The stages run in turn, and each raises at its first failing grid
+    point: the gamma1 conversion (ValueError where it overflows), the
+    config screen (:class:`SweepConfigError` where a rule gives an invalid
+    configuration), each scheme column in output order (ValueError where
+    its closed form is undefined), then, with verification on, the oracle
+    checks (:class:`VerificationError` where a closed form strays from its
+    oracle by more than ``VERIFY_TOLERANCE``).
     """
     grid = spec.grid_db()
     links = _Links(grid)
@@ -419,13 +417,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for column in g0:
         suspect.update(i for i, (z, a) in enumerate(zip(column, g1)) if not 0.0 <= z < a)
     for i in sorted(suspect):
-        try:
-            _check_point(spec, grid[i], g1[i], g2[i])
-        except SweepConfigError as exc:
-            links.fail(i, exc)
-            break
-    links.c1, links.c2 = links.each(capacity, g1), links.each(capacity, g2)
-    links.c0 = [links.each(capacity, column) for column in g0]
+        _check_point(spec, grid[i], g1[i], g2[i])
+    links.c1, links.c2 = list(map(capacity, g1)), list(map(capacity, g2))
+    links.c0 = [list(map(capacity, column)) for column in g0]
 
     columns = _columns(spec.schemes, spec.gamma0_rules)
     rates = tuple((label, entry.column(links, k)) for label, entry, k in columns)
@@ -433,16 +427,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                if spec.verify and entry.oracle is not None]
     oracle_rates = tuple((label, []) for label, *_ in checked)
     deviations = tuple((label, []) for label, *_ in checked)
-    for i in range(links.limit):
-        where = f"gamma1 = {grid[i]:g} dB"
+    for i, db in enumerate(grid):
         for (label, entry, k, rate), (_, best), (_, gap) in zip(checked, oracle_rates, deviations):
             config = make_config(g0[k - 1][i] if k else 0.0, g1[i], g2[i])
-            oracle_rate, deviation = entry.check(
-                config, rate[i], spec.oracle_grid_points, label, where, VERIFY_TOLERANCE)
+            oracle_rate, deviation = entry.check(config, rate[i], spec.oracle_grid_points, label,
+                                                 f"gamma1 = {db:g} dB", VERIFY_TOLERANCE)
             best.append(oracle_rate)
             gap.append(deviation)
-    if links.failure is not None:
-        raise links.failure
     return SweepResult(
         gamma1_db=grid,
         gamma2_db=[linear_to_db(g) for g in g2],

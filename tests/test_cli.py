@@ -374,3 +374,121 @@ def test_verify_draws_gamma2_inside_the_float_range(capsys):
 ])
 def test_empty_list_and_long_interval_messages(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+_PINNED_GRID = ("gamma1_db=0:2:1", ["--gamma1-db", "0:2:1"])
+
+
+@pytest.mark.parametrize("entries, flags", [
+    (["verify=yes"], ["--verify"]),
+    (["verify=no"], []),
+    (["format=csv"], ["--format", "csv"]),
+    (["verify=yes", "grid_points=301"], ["--verify", "--grid-points", "301"]),
+    (["out=curves.csv"], ["--out", "curves.csv"]),
+    (["gamma1_db=-3:-1:1"], ["--gamma1-db", "-3:-1:1"]),
+])
+def test_config_entries_act_like_their_flags(tmp_path, capsys, monkeypatch, entries, flags):
+    monkeypatch.setenv("TWRELAY_OUT_DIR", str(tmp_path))
+    entry, flag = _PINNED_GRID
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("".join(f"{line}\n" for line in [entry, *entries]))
+    outputs = []
+    for argv in (["sweep", *flag, *flags], ["sweep", "--config", str(cfg)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        written = tmp_path / "curves.csv"
+        outputs.append((out, written.read_bytes() if written.exists() else None))
+        written.unlink(missing_ok=True)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("entry, bad", [
+    ("verify=maybe", "maybe"),
+    ("gamma2 quad", "gamma2 quad"),
+    ("format=pdf", "pdf"),
+    ("grid_points=abc", "abc"),
+])
+def test_bad_config_entry_exits_one(tmp_path, capsys, entry, bad):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"{_PINNED_GRID[0]}\n{entry}\n")
+    code, out, err = run(capsys, "sweep", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert bad in err
+
+
+def test_df_where_c_gamma0_rounds_to_c_gamma1(capsys):
+    # C(g0) == C(g1) in floats: theta* = (C1 - C0)/(C1 + C2 - 2*C0) cancelled to 0
+    argv = ["--gamma1-db", "30", "--gamma2", "ratio:2", "--gamma0", "frac:0.9999999999999999"]
+    code, out, err = run(capsys, "rate", *argv)
+    assert code == 0 and err == ""
+    assert "DF               rate = 9.96722626   theta* = 1.63969776e-16" in out
+    code, out, err = run(capsys, "sweep", "--gamma1-db", "29:31:1", *argv[2:], "--verify")
+    assert code == 0 and err == "" and len(out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("scheme, flag, pattern", [
+    ("df", "--theta", r"theta\* = (\S+)"),
+    ("jdf", "--lam", r"lambda\* = (\S+)"),
+])
+def test_simulate_takes_the_rate_optimum_as_printed(capsys, scheme, flag, pattern):
+    # A is on the stronger link, so make_config swaps the terminals
+    snrs = ["--gamma1-db", "10", "--gamma2", "db:5"]
+    code, out, _ = run(capsys, "rate", *snrs, "--schemes", scheme.upper())
+    assert code == 0
+    best = re.search(pattern, out).group(1)
+    rate = re.search(r"rate = (\S+)", out).group(1)
+    code, out, _ = run(capsys, "simulate", "--scheme", scheme, *snrs, flag, best,
+                       "--n-symbols", "1000")
+    assert code == 0
+    assert f", {flag[2:]} = {best}, " in out.splitlines()[0]
+    assert re.search(r"analytic (\S+) bit/s", out).group(1) == rate
+
+
+def test_simulate_theta_follows_the_terminals_as_given(capsys):
+    # A sends for (1 - theta)*N symbols, also when A is on the stronger link
+    code, out, _ = run(capsys, "simulate", "--scheme", "df", "--gamma1-db", "10",
+                       "--gamma2", "db:5", "--theta", "0.3", "--n-symbols", "1000")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "DF exchange: N = 1000, theta = 0.3, seed = 0"
+    assert "A 3.45943162 700 2421 D_AC" in lines and "C 2.05737321 300 617 D_CA" in lines
+    # an out-of-range value is named as given
+    code, out, err = run(capsys, "simulate", "--scheme", "df", "--gamma1-db", "10",
+                         "--gamma2", "db:5", "--theta", "1.5")
+    assert (code, out) == (1, "") and err == "error: theta must lie strictly inside (0, 1), got 1.5\n"
+
+
+def test_unswapped_theta_and_lambda_unchanged(capsys):
+    code, out, _ = run(capsys, "simulate", "--scheme", "df", "--gamma1-db", "5",
+                       "--gamma2", "db:10", "--theta", "0.3", "--n-symbols", "1000")
+    assert code == 0 and out.splitlines()[:3] == [
+        "DF exchange: N = 1000, theta = 0.3, seed = 0",
+        "A 2.05737321 700 1440 D_AC",
+        "C 3.45943162 300 1037 D_CA",
+    ]
+    code, out, _ = run(capsys, "rate", "--gamma1-db", "5", "--gamma2", "db:10")
+    assert code == 0
+    assert "DF               rate = 1.58581873   theta* = 0.372928402  [pad-and-xor]" in out
+    assert "JDF              rate = 1.98201955   lambda* = 0.914118327  [crossing]" in out
+    code, out, _ = run(capsys, "simulate", "--scheme", "jdf", "--gamma1-db", "5",
+                       "--gamma2", "db:10", "--n-symbols", "1000")
+    assert code == 0 and out.startswith("JDF exchange: N = 1000, lam = 0.914118327, seed = 0\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--gamma1-db", "x:1:1"],
+     "expected --gamma1-db as START:STOP:STEP in dB, got 'x:1:1'"),
+    (["verify", "--gamma1-db-range", "x:1"],
+     "expected LO:HI in dB with finite LO <= HI, got 'x:1'"),
+])
+def test_non_numeric_range_field_names_the_form(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_single_value_ranges(capsys):
+    code, out, err = run(capsys, "sweep", "--gamma1-db", "5")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:] == ["5,5,-inf,1.37158214,0.966117928,1.69168121,2.05737321"]
+    code, out, err = run(capsys, "verify", "--gamma1-db-range", "5", "--samples", "3")
+    assert code == 0 and err == "" and out.endswith("\nok\n")

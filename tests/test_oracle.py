@@ -373,3 +373,10 @@ def test_denoiser_search_deterministic():
     second = oracle.search_min_denoiser(3, 3, lambda a, c: a + c)
     assert first.mapping == second.mapping
     assert first.codebook_size == second.codebook_size
+
+
+def test_ma_region_lattice_is_bounded():
+    # 1001**2 points: rejected before any lattice array is built
+    cfg = make_config(0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=f"1001 x 1001 lattice exceeds {oracle.MAX_GRID_POINTS}"):
+        oracle.grid_max_ma_region(cfg, grid_points=1001)

@@ -491,3 +491,15 @@ def test_af_overtakes_jdf_at_high_snr_for_equal_links():
         signs.append(schemes.af_rate(cfg).rate > schemes.jdf_max_rate(cfg).rate)
     flips = sum(1 for a, b in zip(signs[:-1], signs[1:]) if a != b)
     assert flips == 1
+
+
+def test_df_max_rate_where_c_gamma0_rounds_to_c_gamma1():
+    # C(g0) == C(g1) in floats, so (C1 - C0)/(C1 + C2 - 2*C0) cancels to 0
+    cfg = make_config(0.9999999999999999 * 1000.0, 1000.0, 2000.0)
+    assert capacity(cfg.gamma0) == capacity(cfg.gamma1)
+    best = schemes.df_max_rate(cfg)
+    assert 0.0 < best.parameter < 1e-15
+    assert best.rate == capacity(1000.0)
+    brute = oracle.grid_max_df_theta(cfg).best_rate
+    assert abs(best.rate - brute) / brute <= VERIFY_TOLERANCE
+    assert best.breakdown.rate == pytest.approx(best.rate, rel=1e-15)

@@ -337,19 +337,32 @@ def test_sweep_result_is_a_sequence_of_rows():
 
 
 def test_run_sweep_reports_the_first_failing_point():
-    # DF is undefined from -3200 dB, where C1*(C1+C2) underflows; the fixed
-    # gamma2 falls below gamma1 only later, at -3185 dB
+    # the stages run in turn, each raising at its first failing point:
+    # gamma1 conversion, config screen, each column in output order, oracle.
+    # DF is undefined from -3200 dB, where C1*(C1+C2) underflows, and the
+    # fixed gamma2 falls below gamma1 at -3185 dB: the config screen runs first
     spec = SweepSpec(-3200.0, -3180.0, 5.0, gamma2_rule=Gamma2Rule.parse("db:-3190"))
-    with pytest.raises(ValueError, match="rounds to 0 at gamma1 = -3200 dB") as err:
+    with pytest.raises(SweepConfigError, match="gamma1 = -3185 dB"):
         run_sweep(spec)
-    assert not isinstance(err.value, SweepConfigError)
-    # with DF absent the ordering error at -3185 dB is the first one
     with pytest.raises(SweepConfigError, match="gamma1 = -3185 dB"):
         run_sweep(dataclasses.replace(spec, schemes=("AF", "DNF")))
+    # gamma1 overflows from 3085 dB; gamma2 = 10**300 falls below it earlier,
+    # from 3005 dB, but the gamma1 conversion runs first
+    spec = SweepSpec(2995.0, 3090.0, 5.0, gamma2_rule=Gamma2Rule.parse("db:3000"))
+    with pytest.raises(ValueError, match="at gamma1 = 3085 dB") as err:
+        run_sweep(spec)
+    assert not isinstance(err.value, SweepConfigError)
     # at one point an invalid config is reported before any closed form
     spec = SweepSpec(-3220.0, -3200.0, 5.0, gamma0_rules=(Gamma0Rule.parse("db:-3205"),))
     with pytest.raises(SweepConfigError, match="g0=.* at gamma1 = -3220 dB"):
         run_sweep(spec)
+    # gamma2 = 10**-162.5: DF fails at both points, JDF's balance point
+    # underflows at the second only; the first column in output order wins
+    spec = SweepSpec(-1630.0, -1625.0, 5.0, gamma2_rule=Gamma2Rule.parse("db:-1625"))
+    with pytest.raises(ValueError, match="DF optimum .* at gamma1 = -1630 dB"):
+        run_sweep(spec)
+    with pytest.raises(ValueError, match="JDF balance point .* at gamma1 = -1625 dB"):
+        run_sweep(dataclasses.replace(spec, schemes=("JDF", "DF")))
 
 
 # ---------------------------------------------------------------- figure sweeps
