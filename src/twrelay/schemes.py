@@ -195,7 +195,9 @@ def _df_max(c0: float, c1: float, c2: float) -> tuple[float, float]:
     return c1 * (1.0 + delta * (c2 - c1)) / (1.0 + delta * (c2 - c0)), theta
 
 
-def _df_max_at(g0: float, g1: float, g2: float, c0: float, c1: float, c2: float):
+def _df_max_at(
+    g0: float, g1: float, g2: float, c0: float, c1: float, c2: float
+) -> tuple[float, float]:
     """:func:`_df_max` at the SNRs ``g0``, ``g1``, ``g2`` with capacities
     ``c0``, ``c1``, ``c2``.  Where C(g0) rounds to C(g1) but the
     denominator of delta does not round to 0, theta* is formed from

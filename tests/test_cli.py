@@ -456,7 +456,8 @@ def test_simulate_theta_follows_the_terminals_as_given(capsys):
     # an out-of-range value is named as given
     code, out, err = run(capsys, "simulate", "--scheme", "df", "--gamma1-db", "10",
                          "--gamma2", "db:5", "--theta", "1.5")
-    assert (code, out) == (1, "") and err == "error: theta must lie strictly inside (0, 1), got 1.5\n"
+    assert (code, out) == (1, "")
+    assert err == "error: theta must lie strictly inside (0, 1), got 1.5\n"
 
 
 def test_unswapped_theta_and_lambda_unchanged(capsys):
