@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 _LN2 = math.log(2.0)
+_MA_SLACK = 1e-12  # rate tolerance of ma_contains
 
 
 class AssumptionViolation(ValueError):
@@ -202,17 +203,16 @@ def _face_point(region: MaRegion, lam):
     )
 
 
-def ma_contains(config: LinkConfig, pair: RatePair, slack: float = 1e-12) -> bool:
-    """Whether a rate pair lies in the multiple-access region.
-
-    ``slack`` absorbs floating-point noise on the boundary, so face and
-    corner points test as contained.
+def ma_contains(config: LinkConfig, pair: RatePair) -> bool:
+    """Whether a rate pair lies in the multiple-access region, up to
+    ``_MA_SLACK``, which absorbs floating-point noise on the boundary so
+    that face and corner points test as contained.
     """
-    if pair.rate_a < -slack or pair.rate_c < -slack:
+    if pair.rate_a < -_MA_SLACK or pair.rate_c < -_MA_SLACK:
         return False
     region = ma_region(config)
     return (
-        pair.rate_a <= region.cap_a + slack
-        and pair.rate_c <= region.cap_c + slack
-        and pair.rate_a + pair.rate_c <= region.cap_sum + slack
+        pair.rate_a <= region.cap_a + _MA_SLACK
+        and pair.rate_c <= region.cap_c + _MA_SLACK
+        and pair.rate_a + pair.rate_c <= region.cap_sum + _MA_SLACK
     )

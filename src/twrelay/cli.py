@@ -162,17 +162,17 @@ def _cmd_sweep(args) -> int:
     if args.format == "csv":
         if out is None:
             sys.stdout.write(emit_csv(rows))
-        else:
-            emit_csv(rows, out)
-            print(f"wrote {out}")
+            return 0
+        files = {out: emit_csv(rows)}
     else:
         if out is None:
             raise ValueError("--format plot needs --out to name the files")
         csv_file = out.with_suffix(".csv")
-        plot_file = out.with_suffix(".gp")
-        emit_csv(rows, csv_file)
-        emit_plot_script(rows, plot_file, csv_path=csv_file.name)
-        print(f"wrote {csv_file} and {plot_file}")
+        files = {csv_file: emit_csv(rows),
+                 out.with_suffix(".gp"): emit_plot_script(rows, csv_file.name)}
+    for path, text in files.items():
+        path.write_text(text, encoding="utf-8", newline="\n")
+    print("wrote " + " and ".join(map(str, files)))
     return 0
 
 

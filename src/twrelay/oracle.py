@@ -1,10 +1,10 @@
 """Brute-force oracles for the closed-form results.
 
 Everything here deliberately avoids the closed-form optima: maxima are
-located by dense grid scans (optionally sharpened by golden-section
-refinement), the multiple-access search walks the whole rate region, and
-the denoiser search enumerates relay codebooks exhaustively.  Tests compare
-these independent answers against the formulas.
+located by dense grid scans sharpened by golden-section refinement, the
+multiple-access search walks the whole rate region, and the denoiser
+search enumerates relay codebooks exhaustively.  Tests compare these
+independent answers against the formulas.
 
 The 1-D scans evaluate the per-parameter rate rules of :mod:`schemes`
 (``_df_two_way``, ``_jdf_two_way``) on the whole grid in one numpy pass,
@@ -26,6 +26,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
 MAX_GRID_POINTS = 1_000_000  # largest grid a scan or sweep may allocate
+_REFINE_TOL = 1e-10  # golden-section refinement stops below this bracket width
 
 
 @dataclass(frozen=True)
@@ -78,31 +79,22 @@ def _check_grid_points(grid_points: int) -> None:
         raise ValueError(f"grid_points must be at most {MAX_GRID_POINTS}, got {grid_points!r}")
 
 
-def _grid_refine(
-    f: Callable,
-    grid: np.ndarray,
-    method: str,
-    tol: float,
-    lo_bound: float,
-    hi_bound: float,
-) -> GridResult:
-    """Maximize ``f`` over ``grid`` in one call on the whole array, then
-    (``method="golden"``) refine around the best cell with scalar calls;
-    ``f`` maps a float to a float and an array to an array."""
+def _grid_refine(f: Callable, grid: np.ndarray) -> GridResult:
+    """Maximize ``f`` over ``grid`` (inside [0, 1]) in one call on the
+    whole array, then refine around the best cell by golden-section search
+    with scalar calls; ``f`` maps a float to a float and an array to an
+    array.  A best cell at either end of the grid is bracketed by that end
+    of [0, 1]."""
     values = f(grid)
     i = int(np.argmax(values))  # first maximum: smallest parameter wins ties
     best_x = float(grid[i])
     best_v = float(values[i])
-    iterations = 0
-    if method == "golden":
-        lo = float(grid[i - 1]) if i > 0 else lo_bound
-        hi = float(grid[i + 1]) if i < len(grid) - 1 else hi_bound
-        x, iterations = _golden_max(f, lo, hi, tol)
-        v = f(x)
-        if v >= best_v:
-            best_x, best_v = x, v
-    elif method != "grid":
-        raise ValueError(f"unknown refinement method {method!r} (expected 'golden' or 'grid')")
+    lo = float(grid[i - 1]) if i > 0 else 0.0
+    hi = float(grid[i + 1]) if i < len(grid) - 1 else 1.0
+    x, iterations = _golden_max(f, lo, hi, _REFINE_TOL)
+    v = f(x)
+    if v >= best_v:
+        best_x, best_v = x, v
     return GridResult(
         best_param=best_x,
         best_rate=best_v,
@@ -111,18 +103,12 @@ def _grid_refine(
     )
 
 
-def grid_max_df_theta(
-    config: LinkConfig,
-    grid_points: int = 1001,
-    method: str = "golden",
-    tol: float = 1e-10,
-) -> GridResult:
+def grid_max_df_theta(config: LinkConfig, grid_points: int = 1001) -> GridResult:
     """Maximize the DF rate over the time split theta by brute force.
 
-    Scans ``grid_points`` interior points of (0, 1); with
-    ``method="golden"`` the winning grid cell is then refined by
-    golden-section search (the rate is unimodal in theta), while
-    ``method="grid"`` reports the raw grid maximum.
+    Scans ``grid_points`` interior points of (0, 1), then refines the
+    winning grid cell by golden-section search (the rate is unimodal in
+    theta).
     """
     _check_grid_points(grid_points)
     grid = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]  # keep theta in (0, 1)
@@ -136,15 +122,10 @@ def grid_max_df_theta(
     # golden-section probes stay strictly interior, so the bracket may
     # extend to the open-interval endpoints even though f(0)/f(1) are
     # never evaluated; a maximizer below the first grid point stays reachable
-    return _grid_refine(f, grid, method, tol, lo_bound=0.0, hi_bound=1.0)
+    return _grid_refine(f, grid)
 
 
-def grid_max_jdf_lambda(
-    config: LinkConfig,
-    grid_points: int = 1001,
-    method: str = "golden",
-    tol: float = 1e-10,
-) -> GridResult:
+def grid_max_jdf_lambda(config: LinkConfig, grid_points: int = 1001) -> GridResult:
     """Maximize the JDF rate over the time-share weight lam by brute force."""
     _check_grid_points(grid_points)
     grid = np.linspace(0.0, 1.0, grid_points)
@@ -153,7 +134,7 @@ def grid_max_jdf_lambda(
     def f(lam):
         return schemes._jdf_two_way(region, lam)[3]
 
-    return _grid_refine(f, grid, method, tol, lo_bound=0.0, hi_bound=1.0)
+    return _grid_refine(f, grid)
 
 
 def ma_pair_two_way_rate(config: LinkConfig, rate_a: float, rate_c: float) -> float:

@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import oracle, schemes
 from .channel import AssumptionViolation, LinkConfig, capacity, db_to_linear, linear_to_db, make_config
@@ -453,11 +452,8 @@ def _csv_header(result: SweepResult) -> list[str]:
     return header
 
 
-Destination = Union[str, Path, IO[str]]
-
-
-def emit_csv(rows: SweepResult, destination: Optional[Destination] = None) -> str:
-    """Render a sweep as CSV and optionally write it out.
+def emit_csv(rows: SweepResult) -> str:
+    """Render a sweep as CSV.
 
     Floats are printed with nine significant digits; a zero gamma0 prints
     as ``-inf`` dB.  The byte content is a pure function of the columns.
@@ -468,21 +464,13 @@ def emit_csv(rows: SweepResult, destination: Optional[Destination] = None) -> st
     for group in (rows.rates, rows.oracle_rates, rows.deviations):
         columns.extend(column for _, column in group)
     line = ",".join(["{:.9g}"] * len(columns)).format
-    text = ",".join(_csv_header(rows)) + "\n" + "\n".join(map(line, *columns)) + "\n"
-    _write(destination, text)
-    return text
+    return ",".join(_csv_header(rows)) + "\n" + "\n".join(map(line, *columns)) + "\n"
 
 
-def emit_plot_script(
-    rows: SweepResult,
-    destination: Optional[Destination] = None,
-    csv_path: Optional[str] = None,
-) -> str:
-    """Render a gnuplot script plotting every scheme column of a sweep.
-
-    ``csv_path`` is the data file the script will read; by default it is
-    the destination path with a ``.csv`` suffix.  The DNF curve is titled
-    as an upper bound.
+def emit_plot_script(rows: SweepResult, csv_path: str) -> str:
+    """Render a gnuplot script plotting every scheme column of a sweep
+    from the data file ``csv_path``.  The DNF curve is titled as an upper
+    bound.
     """
     if not rows:
         raise ValueError("no rows to plot")
@@ -490,10 +478,6 @@ def emit_plot_script(
     rate_labels = [label for label, _ in rows.rates]
     if not rate_labels:
         raise ValueError("no scheme columns to plot")
-    if csv_path is None:
-        if destination is None or not isinstance(destination, (str, Path)):
-            raise ValueError("csv_path is required when destination is not a path")
-        csv_path = Path(destination).with_suffix(".csv").name
     curves = []
     for label in rate_labels:
         column = header.index(label) + 1  # gnuplot columns are 1-based
@@ -511,19 +495,7 @@ def emit_plot_script(
         "plot \\",
         ", \\\n".join(curves),
     ]
-    text = "\n".join(lines) + "\n"
-    _write(destination, text)
-    return text
-
-
-def _write(destination: Optional[Destination], text: str) -> None:
-    if destination is None:
-        return
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        destination.write(text)
+    return "\n".join(lines) + "\n"
 
 
 def comparison_spec(gamma2_kind: str = "equal", verify: bool = False) -> SweepSpec:

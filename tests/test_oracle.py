@@ -35,15 +35,12 @@ def test_grid_df_rediscovers_theta_star():
     assert math.isclose(result.best_rate, 0.8, rel_tol=1e-9)
 
 
-def test_grid_df_plain_grid_fallback():
+def test_grid_df_fine_and_too_coarse_grids():
     cfg = make_config(0.1, 1.0, 1.0)
-    result = oracle.grid_max_df_theta(cfg, grid_points=100001, method="grid")
-    assert result.refinement_iterations == 0
+    result = oracle.grid_max_df_theta(cfg, grid_points=100001)
+    assert result.refinement_iterations > 0
     assert result.grid_points == 100001
-    # coarse agreement only: no refinement happened
-    assert math.isclose(result.best_rate, 0.6986908164233079, rel_tol=1e-7)
-    with pytest.raises(ValueError):
-        oracle.grid_max_df_theta(cfg, method="newton")
+    assert math.isclose(result.best_rate, 0.6986908164233079, rel_tol=1e-9)
     with pytest.raises(ValueError):
         oracle.grid_max_df_theta(cfg, grid_points=2)
 
@@ -114,36 +111,30 @@ def test_array_rate_rules_equal_the_per_point_rates(g1_db, r_db, frac):
     assert jdf.tolist() == [schemes.jdf_rate(cfg, lam).rate for lam in grid.tolist()]
 
 
-def _scalar_grid_refine(f, grid, method, tol, lo_bound, hi_bound):
+def _scalar_grid_refine(f, grid):
     # the scan as one call per grid point, kept here as the reference the
     # array pass must reproduce exactly
     values = np.array([f(x) for x in grid.tolist()])
     i = int(np.argmax(values))
     best_x = float(grid[i])
     best_v = float(values[i])
-    iterations = 0
-    if method == "golden":
-        lo = float(grid[i - 1]) if i > 0 else lo_bound
-        hi = float(grid[i + 1]) if i < len(grid) - 1 else hi_bound
-        x, iterations = oracle._golden_max(f, lo, hi, tol)
-        v = f(x)
-        if v >= best_v:
-            best_x, best_v = x, v
+    lo = float(grid[i - 1]) if i > 0 else 0.0
+    hi = float(grid[i + 1]) if i < len(grid) - 1 else 1.0
+    x, iterations = oracle._golden_max(f, lo, hi, 1e-10)
+    v = f(x)
+    if v >= best_v:
+        best_x, best_v = x, v
     return oracle.GridResult(best_x, best_v, len(grid), iterations)
 
 
-@given(db, ratio_db, g0_frac, st.sampled_from(["golden", "grid"]), st.sampled_from([3, 301, 1001]))
+@given(db, ratio_db, g0_frac, st.sampled_from([3, 301, 1001]))
 @settings(max_examples=40, deadline=None)
-def test_array_scans_equal_the_per_point_scans(g1_db, r_db, frac, method, n):
+def test_array_scans_equal_the_per_point_scans(g1_db, r_db, frac, n):
     cfg = _config(g1_db, r_db, frac)
-    expected = _scalar_grid_refine(
-        lambda t: schemes.df_rate(cfg, t).rate, _df_grid(n), method, 1e-10, 0.0, 1.0
-    )
-    assert oracle.grid_max_df_theta(cfg, n, method) == expected
-    expected = _scalar_grid_refine(
-        lambda lam: schemes.jdf_rate(cfg, lam).rate, _jdf_grid(n), method, 1e-10, 0.0, 1.0
-    )
-    assert oracle.grid_max_jdf_lambda(cfg, n, method) == expected
+    expected = _scalar_grid_refine(lambda t: schemes.df_rate(cfg, t).rate, _df_grid(n))
+    assert oracle.grid_max_df_theta(cfg, n) == expected
+    expected = _scalar_grid_refine(lambda lam: schemes.jdf_rate(cfg, lam).rate, _jdf_grid(n))
+    assert oracle.grid_max_jdf_lambda(cfg, n) == expected
 
 
 def test_scans_use_no_closed_form_optimum(monkeypatch):

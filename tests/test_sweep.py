@@ -409,7 +409,7 @@ def test_cross_rule_comparisons():
 # ---------------------------------------------------------------- CSV / plot
 
 
-def test_emit_csv_layout_and_determinism(tmp_path):
+def test_emit_csv_layout_and_determinism():
     spec = SweepSpec(0.0, 2.0, 1.0, gamma0_rules=(Gamma0Rule("zero"), Gamma0Rule("fraction", 0.1)))
     rows = run_sweep(spec)
     text = emit_csv(rows)
@@ -423,10 +423,7 @@ def test_emit_csv_layout_and_determinism(tmp_path):
     assert first[0] == "0" and first[2] == "-inf" and first[3] == "-10"
     assert first[4] == "0.666666667"  # nine significant digits
 
-    out = tmp_path / "sweep.csv"
-    again = emit_csv(rows, out)
-    assert again == text
-    assert out.read_bytes() == text.encode()
+    assert emit_csv(rows) == text
 
     with pytest.raises(ValueError):
         emit_csv([])
@@ -444,20 +441,14 @@ def test_emit_csv_includes_verification_columns():
     assert "oracle[DF]" in header and "deviation[JDF]" in header
 
 
-def test_emit_plot_script(tmp_path):
+def test_emit_plot_script():
     spec = comparison_spec("equal")
     rows = run_sweep(spec)
-    path = tmp_path / "curves.gp"
-    text = emit_plot_script(rows, path, csv_path="curves.csv")
-    assert path.read_text() == text
+    text = emit_plot_script(rows, "curves.csv")
     assert text.count("with lines") == 5  # two DF curves + AF + JDF + DNF
     assert "'curves.csv'" in text
     assert "DNF (upper bound)" in text
     assert "using 1:5" in text  # first rate column right after the SNR columns
-
-    # default csv path derives from the destination
-    text = emit_plot_script(rows, tmp_path / "other.gp")
-    assert "'other.csv'" in text
 
 
 def test_emit_plot_script_needs_rows_and_columns():
