@@ -213,6 +213,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    flag, scheme = ("lam", "jdf") if args.scheme == "df" else ("theta", "df")
+    if getattr(args, flag) is not None:
+        raise ValueError(f"--{flag} applies only to --scheme {scheme}")
     gamma1 = db_to_linear(args.gamma1_db)
     gamma2 = Gamma2Rule.parse(args.gamma2).apply(gamma1)
     gamma0 = Gamma0Rule.parse(args.gamma0).apply(gamma1)

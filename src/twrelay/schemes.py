@@ -180,17 +180,13 @@ def df_rate(config: LinkConfig, theta: float) -> DfBreakdown:
     )
 
 
-def _df_theta(c0: float, c1: float, c2: float) -> float:
-    return (c1 - c0) / (c1 + c2 - 2.0 * c0)
-
-
 def _df_max(c0: float, c1: float, c2: float) -> tuple[float, float]:
     """``(rate, theta*)`` of :func:`df_max_rate` from the link capacities."""
     denominator = c1 * (c1 + c2 - 2.0 * c0)
     if denominator == 0.0:
         raise ValueError("DF optimum is undefined: C1*(C1+C2-2*C0) rounds to 0")
     delta = (c1 - c0) / denominator
-    theta = _df_theta(c0, c1, c2)
+    theta = (c1 - c0) / (c1 + c2 - 2.0 * c0)
     _check_theta(theta)
     return c1 * (1.0 + delta * (c2 - c1)) / (1.0 + delta * (c2 - c0)), theta
 
@@ -199,11 +195,10 @@ def _df_max_at(
     g0: float, g1: float, g2: float, c0: float, c1: float, c2: float
 ) -> tuple[float, float]:
     """:func:`_df_max` at the SNRs ``g0``, ``g1``, ``g2`` with capacities
-    ``c0``, ``c1``, ``c2``.  Where C(g0) rounds to C(g1) but the
-    denominator of delta does not round to 0, theta* is formed from
-    C1 - C0 = C((g1 - g0)/(1 + g0)) and C2 - C0 = C((g2 - g0)/(1 + g0)),
+    ``c0``, ``c1``, ``c2``.  Where C(g0) rounds to C(g1), theta* is formed
+    from C1 - C0 = C((g1 - g0)/(1 + g0)) and C2 - C0 = C((g2 - g0)/(1 + g0)),
     and the rate formula gives C1."""
-    if c0 != c1 or c1 * (c1 + c2 - 2.0 * c0) == 0.0:
+    if c0 != c1:
         return _df_max(c0, c1, c2)
     gap1 = capacity((g1 - g0) / (1.0 + g0))
     theta = gap1 / (gap1 + capacity((g2 - g0) / (1.0 + g0)))
@@ -212,8 +207,9 @@ def _df_max_at(
 
 
 def df_theta_star(config: LinkConfig) -> float:
-    """Optimal DF time split; equalizes the two binned packet sizes."""
-    return _df_theta(capacity(config.gamma0), capacity(config.gamma1), capacity(config.gamma2))
+    """Optimal DF time split; equalizes the two binned packet sizes.  It is
+    the parameter of :func:`df_max_rate`, and raises where that does."""
+    return df_max_rate(config).parameter
 
 
 def df_max_rate(config: LinkConfig) -> SchemeRate:
@@ -224,10 +220,9 @@ def df_max_rate(config: LinkConfig) -> SchemeRate:
         rate = C(g1) * (1 + delta*(C(g2) - C(g1))) / (1 + delta*(C(g2) - C(g0)))
 
     which equals ``df_rate(config, df_theta_star(config)).rate``.
-    ValueError where the denominator of delta rounds to 0 (it underflows
-    at subnormal SNRs, and cancels when C(g0) rounds to C(g1) = C(g2)).
-    Where only C(g0) rounds to C(g1), theta* is formed from the SNRs (see
-    :func:`_df_max_at`).
+    ValueError where the denominator of delta underflows to 0 (at
+    subnormal SNRs).  Where C(g0) rounds to C(g1), theta* is formed from
+    the SNRs (see :func:`_df_max_at`).
     """
     g0, g1, g2 = config.gamma0, config.gamma1, config.gamma2
     try:

@@ -99,11 +99,14 @@ def test_make_config_rejects_strong_direct_link():
         (-0.1, 1.0, 1.0),
         (0.0, math.nan, 1.0),
         (0.0, 1.0, math.inf),
+        (0.0, math.inf, math.inf),
     ],
 )
 def test_make_config_rejects_bad_numbers(args):
     with pytest.raises(ValueError):
         make_config(*args)
+    with pytest.raises(ValueError):
+        LinkConfig(*args)
 
 
 @given(snr, snr, st.floats(min_value=0.0, max_value=0.9))

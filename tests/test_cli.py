@@ -54,6 +54,9 @@ def test_sweep_writes_deterministic_csv(tmp_path, capsys):
     code, _, _ = run(capsys, "sweep", "--gamma1-db", "0:5:1", "--out", str(target))
     assert code == 0
     assert target.read_bytes() == first
+    # the file holds exactly what the same sweep prints
+    code, out, _ = run(capsys, "sweep", "--gamma1-db", "0:5:1")
+    assert code == 0 and first == out.encode()
 
 
 def test_sweep_plot_format(tmp_path, capsys):
@@ -174,6 +177,12 @@ def test_simulate_jdf_explicit_lambda(capsys):
     )
     assert code == 0
     assert "decode check: ok" in out
+
+
+@pytest.mark.parametrize("scheme, flag, owner", [("jdf", "--theta", "df"), ("df", "--lam", "jdf")])
+def test_simulate_rejects_the_other_schemes_parameter(capsys, scheme, flag, owner):
+    argv = ["simulate", "--scheme", scheme, "--gamma1-db", "0", flag, "0.3"]
+    assert run(capsys, *argv) == (1, "", f"error: {flag} applies only to --scheme {owner}\n")
 
 
 def test_simulate_degenerate_block_exits_one(capsys):
@@ -482,6 +491,7 @@ def test_unswapped_theta_and_lambda_unchanged(capsys):
      "expected --gamma1-db as START:STOP:STEP in dB, got 'x:1:1'"),
     (["verify", "--gamma1-db-range", "x:1"],
      "expected LO:HI in dB with finite LO <= HI, got 'x:1'"),
+    (["sweep", "--gamma1-db", "nan:1:1"], "start_db must be finite"),
 ])
 def test_non_numeric_range_field_names_the_form(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")

@@ -292,6 +292,8 @@ def test_denoiser_feasibility_probe():
     assert oracle.denoiser_feasible(2, 4, add, 4) is not None
     assert oracle.denoiser_feasible(2, 4, add, 3) is None
     assert oracle.denoiser_feasible(2, 2, lambda a, c: a | c, 4) is None
+    with pytest.raises(ValueError, match="codebook_size"):
+        oracle.denoiser_feasible(2, 2, add, 0)
 
 
 def test_denoiser_mapping_lets_both_sides_decode():

@@ -41,6 +41,9 @@ def test_df_packet_sizes_worked_examples():
     assert math.isclose(sizes[0], 500.0, rel_tol=1e-12)
     assert math.isclose(sizes[1], 1000.0, rel_tol=1e-12)
 
+    with pytest.raises(ValueError, match="n_symbols"):
+        schemes.df_packet_sizes(make_config(0.0, 1.0, 1.0), 0.5, 0)
+
 
 @pytest.mark.parametrize("theta", [0.0, 1.0, -0.25, 1.25, math.nan])
 def test_df_theta_domain(theta):
@@ -71,6 +74,12 @@ def test_df_theta_star_values():
     assert math.isclose(
         schemes.df_theta_star(make_config(0.0, 1.0, 3.0)), 1.0 / 3.0, rel_tol=1e-15
     )
+    # C(gamma0) rounds to C(gamma1): theta* is df_max_rate's, inside (0, 1)
+    assert schemes.df_theta_star(make_config(math.nextafter(1.0, 0.0), 1.0, 1.0)) == 0.5
+    cfg = make_config(0.9999999999999999 * 1000.0, 1000.0, 2000.0)
+    theta = schemes.df_theta_star(cfg)
+    assert theta == schemes.df_max_rate(cfg).parameter and 0.0 < theta < 1e-15
+    assert schemes.df_rate(cfg, theta).rate == schemes.df_max_rate(cfg).rate
 
 
 def test_df_theta_star_equalizes_packets():
@@ -287,9 +296,13 @@ def test_df_max_rate_where_its_denominator_rounds_to_zero():
     # c1 * (c1 + c2) underflows to 0.0 at -3200 dB
     with pytest.raises(ValueError, match="gamma1=1e-320"):
         schemes.df_max_rate(make_config(0.0, 1e-320, 1e-320))
-    # C(gamma0) rounds to C(1.0) = 1, so c1 + c2 - 2*c0 cancels to 0.0
-    with pytest.raises(ValueError, match="rounds to 0"):
-        schemes.df_max_rate(make_config(math.nextafter(1.0, 0.0), 1.0, 1.0))
+    # C(gamma0) rounds to C(1.0) = 1, so c1 + c2 - 2*c0 cancels to 0.0;
+    # theta* is then formed from the SNRs
+    cfg = make_config(math.nextafter(1.0, 0.0), 1.0, 1.0)
+    best = schemes.df_max_rate(cfg)
+    assert best.parameter == 0.5
+    oracle_rate = oracle.grid_max_df_theta(cfg).best_rate
+    assert abs(best.rate - oracle_rate) <= VERIFY_TOLERANCE * oracle_rate
 
 
 @given(snr, st.floats(min_value=0.0, max_value=1.0))

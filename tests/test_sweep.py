@@ -199,6 +199,11 @@ def test_spec_validation():
         SweepSpec(0.0, 1.0, 1.0, schemes=("DF", "df"))
     with pytest.raises(ValueError):
         SweepSpec(0.0, 1.0, 1.0, gamma0_rules=())
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("start_db", "stop_db", "step_db"):
+            bounds = {"start_db": 0.0, "stop_db": 1.0, "step_db": 1.0, name: bad}
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SweepSpec(**bounds)
 
 
 def test_spec_grid_sizes_are_bounded():
