@@ -88,6 +88,8 @@ def _resolve_out(out: Optional[str]) -> Optional[Path]:
     if out is None:
         return None
     path = Path(out)
+    if not path.name:
+        raise ValueError(f"--out must name a file, got {out!r}")
     base = os.environ.get(OUT_DIR_ENV)
     if base and not path.is_absolute():
         path = Path(base) / path

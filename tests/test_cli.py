@@ -80,6 +80,15 @@ def test_sweep_plot_needs_out(capsys):
     assert "--out" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "plot"])
+def test_sweep_rejects_an_empty_out(tmp_path, capsys, monkeypatch, fmt):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "sweep", "--gamma1-db", "0:1:1", "--format", fmt, "--out", "")
+    assert code == 1 and out == ""
+    assert err == "error: --out must name a file, got ''\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_out_dir_environment_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TWRELAY_OUT_DIR", str(tmp_path))
     code, _, _ = run(capsys, "sweep", "--gamma1-db", "0:1:1", "--out", "sub.csv")

@@ -1,8 +1,13 @@
 """Bit-exact protocol simulator tests."""
 
+import inspect
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twrelay import protocol, schemes
 from twrelay.channel import make_config
@@ -207,3 +212,90 @@ def test_simulate_decode_mismatch_exits_two(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "simulation failed: decode mismatch in DF exchange\n"
+
+
+def _flip_drawn_bit(monkeypatch, side, where):
+    """Flip one payload bit, chosen by bit index, of what A or C recovers."""
+    relay = protocol._relay_broadcast
+
+    def corrupted(*args):
+        bound = inspect.signature(relay).bind(*args).arguments
+        at_a, at_c = (bits.copy() for bits in relay(*args))
+        bits, count = (at_a, bound["n"]) if side == "a" else (at_c, bound["bits_c"])
+        i = {"first": 0, "middle": count // 2, "xor end": min(count, bound["n"]) - 1,
+             "last": count - 1}[where]
+        bits[i // 8] ^= 0x80 >> (i % 8)
+        return at_a, at_c
+
+    monkeypatch.setattr(protocol, "_relay_broadcast", corrupted)
+
+
+# block lengths where the split point and the packet ends fall inside a byte
+_CORRUPTION_CASES = {
+    "DF split": (protocol.run_df, make_config(0.1, 1.0, 3.0), 3003, 0.2, ["D_B", "D_BC2"]),
+    "DF pad": (protocol.run_df, make_config(0.1, 1.0, 3.0), 3003, 0.8, ["D_B"]),
+    "JDF split": (protocol.run_jdf, make_config(0.0, 1.0, 1.5), 5004, 0.99, ["D_B", "D_AC2"]),
+    "JDF pad": (protocol.run_jdf, make_config(0.0, 1.0, 3.0), 1003, 0.25, ["D_B"]),
+}
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "xor end", "last"])
+@pytest.mark.parametrize("side", ["a", "c"])
+@pytest.mark.parametrize("case", list(_CORRUPTION_CASES))
+def test_one_corrupted_payload_bit_fails_the_decode_check(monkeypatch, case, side, where):
+    run, cfg, n_symbols, param, relay_labels = _CORRUPTION_CASES[case]
+    t = run(cfg, n_symbols, param, seed=5)
+    assert [s.label for s in t.steps[2:]] == relay_labels
+    assert t.steps[2].bits % 8  # the XOR part ends inside a byte
+    _flip_drawn_bit(monkeypatch, side, where)
+    with pytest.raises(protocol.ProtocolError, match=f"^decode mismatch in {case.split()[0]} exchange$"):
+        run(cfg, n_symbols, param, seed=5)
+
+
+# ---------------------------------------------------------------- packed bits
+
+
+@st.composite
+def _bit_ranges(draw):
+    """A packed array of 0-80 bits, arbitrary pad bits, and a range in it."""
+    n = draw(st.integers(0, 80))
+    packed = np.array(draw(st.lists(st.integers(0, 255), min_size=-(-n // 8),
+                                    max_size=-(-n // 8))), dtype=np.uint8)
+    residue = draw(st.integers(0, 7))
+    start = draw(st.sampled_from([s for s in range(n + 1) if s % 8 == residue] or [0]))
+    stop = draw(st.one_of(st.just(start), st.just(n), st.integers(start, n)))
+    return packed, n, start, stop
+
+
+@given(_bit_ranges())
+@settings(max_examples=400, deadline=None)
+@example((np.zeros(0, dtype=np.uint8), 0, 0, 0))
+@example((np.full(10, 255, dtype=np.uint8), 80, 80, 80))
+@example((np.full(10, 255, dtype=np.uint8), 77, 3, 77))
+@example((np.full(10, 255, dtype=np.uint8), 77, 77, 77))
+def test_bit_range_matches_unpacked_slicing(case):
+    packed, n, start, stop = case
+    got = protocol._bit_range(packed, start, stop)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, np.packbits(np.unpackbits(packed, count=n)[start:stop]))
+    # pad bits are zero: unpacking every byte adds only zeros past stop - start
+    assert not np.unpackbits(got)[stop - start:].any()
+
+
+# ---------------------------------------------------------------- memory
+
+
+@pytest.mark.parametrize("run, cfg, param", [
+    (protocol.run_df, make_config(0.1, 1.0, 3.0), 0.2),  # split
+    (protocol.run_df, make_config(0.1, 1.0, 3.0), 0.8),  # pad
+    (protocol.run_jdf, make_config(0.0, 1.0, 1.5), 0.99),  # split
+    (protocol.run_jdf, make_config(0.0, 1.0, 3.0), 0.25),  # pad
+])
+def test_exchange_peaks_below_one_byte_per_delivered_bit(run, cfg, param):
+    tracemalloc.start()
+    try:
+        t = run(cfg, 1_000_000, param, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * (t.delivered_ac + t.delivered_ca)
