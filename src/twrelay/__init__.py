@@ -27,10 +27,8 @@ from .schemes import (
     af_rate,
     df_max_rate,
     df_max_rate_no_direct,
-    df_packet_sizes,
     df_rate,
     df_theta_star,
-    dnf_codebook_cardinality,
     dnf_rate_at,
     dnf_upper_bound,
     jdf_lambda0,
@@ -60,10 +58,8 @@ __all__ = [
     "af_rate",
     "df_max_rate",
     "df_max_rate_no_direct",
-    "df_packet_sizes",
     "df_rate",
     "df_theta_star",
-    "dnf_codebook_cardinality",
     "dnf_rate_at",
     "dnf_upper_bound",
     "jdf_lambda0",

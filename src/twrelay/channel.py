@@ -19,6 +19,8 @@ from dataclasses import dataclass
 _LN2 = math.log(2.0)
 _MA_SLACK = 1e-12  # rate tolerance of ma_contains
 
+MAX_GRID_POINTS = 1_000_000  # largest grid an oracle scan or a sweep may allocate
+
 
 class AssumptionViolation(ValueError):
     """A link configuration breaks the relaying assumptions.
@@ -27,6 +29,21 @@ class AssumptionViolation(ValueError):
     terminal-relay links; otherwise relaying is pointless and several
     closed-form expressions lose their meaning.
     """
+
+
+class ProtocolError(RuntimeError):
+    """Internal consistency failure: a terminal decoded the wrong bits.
+
+    Raised by the simulator in :mod:`protocol`; it lives here, free of
+    numpy, so that the CLI can catch it without loading the simulator.
+    """
+
+
+def _check_grid_points(grid_points: int) -> None:
+    if grid_points < 3:
+        raise ValueError(f"grid_points must be at least 3, got {grid_points!r}")
+    if grid_points > MAX_GRID_POINTS:
+        raise ValueError(f"grid_points must be at most {MAX_GRID_POINTS}, got {grid_points!r}")
 
 
 def capacity(gamma: float) -> float:

@@ -20,10 +20,10 @@ import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
-from . import protocol, schemes
-from .channel import AssumptionViolation, _check_lam, db_to_linear, linear_to_db, make_config
+from . import schemes
+from .channel import (
+    AssumptionViolation, ProtocolError, _check_lam, db_to_linear, linear_to_db, make_config,
+)
 from .sweep import (
     SCHEME_NAMES,
     SCHEME_TABLE,
@@ -192,6 +192,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValueError(f"--tol must be finite and nonnegative, got {args.tol!r}")
+    import numpy as np  # its generator draws the configs; rate and sweep start without numpy
+
     rng = np.random.default_rng(args.seed)
     checked = {name: entry for name, entry in SCHEME_TABLE.items() if entry.oracle is not None}
     worst = dict.fromkeys(checked, 0.0)
@@ -215,6 +217,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import protocol  # the simulator needs numpy, which rate and sweep do without
+
     flag, scheme = ("lam", "jdf") if args.scheme == "df" else ("theta", "df")
     if getattr(args, flag) is not None:
         raise ValueError(f"--{flag} applies only to --scheme {scheme}")
@@ -326,7 +330,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
-    except protocol.ProtocolError as exc:
+    except ProtocolError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

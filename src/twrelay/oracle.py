@@ -20,12 +20,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import schemes
-from .channel import LinkConfig, capacity, ma_contains, ma_region, RatePair
+from .channel import (
+    MAX_GRID_POINTS, LinkConfig, RatePair, _check_grid_points, capacity, ma_contains, ma_region,
+)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
-MAX_GRID_POINTS = 1_000_000  # largest grid a scan or sweep may allocate
 _REFINE_TOL = 1e-10  # golden-section refinement stops below this bracket width
 
 
@@ -70,13 +71,6 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
             fd = f(d)
     x = 0.5 * (a + d) if fc > fd else 0.5 * (c + b)
     return x, steps
-
-
-def _check_grid_points(grid_points: int) -> None:
-    if grid_points < 3:
-        raise ValueError(f"grid_points must be at least 3, got {grid_points!r}")
-    if grid_points > MAX_GRID_POINTS:
-        raise ValueError(f"grid_points must be at most {MAX_GRID_POINTS}, got {grid_points!r}")
 
 
 def _grid_refine(f: Callable, grid: np.ndarray) -> GridResult:

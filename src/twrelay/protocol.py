@@ -21,15 +21,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import schemes
-from .channel import LinkConfig, capacity
+from .channel import LinkConfig, ProtocolError, capacity
 
 
 class ProtocolConfigError(ValueError):
     """The block is too short: some protocol packet would be empty."""
-
-
-class ProtocolError(RuntimeError):
-    """Internal consistency failure: a terminal decoded the wrong bits."""
 
 
 @dataclass(frozen=True)

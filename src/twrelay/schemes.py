@@ -27,14 +27,20 @@ from .channel import (
     LinkConfig, MaRegion, RatePair, _check_lam, _face_point, _sum_capacity, capacity, ma_region,
 )
 
+# C1 - C0 below this share of C1 has lost 10 of its 53 bits to cancellation
+_DF_GAP_SHARE = 2.0 ** -10
+_NORMAL_MIN = 2.0 ** -1022  # smallest normal float, sys.float_info.min
+
 
 @dataclass(frozen=True)
 class DfBreakdown:
     """Intermediate quantities of the three-step DF scheme.
 
     Packet sizes are normalized to a unit-length source phase (N = 1);
-    the two-way rate does not depend on N.  ``size_dbc`` is the binned
-    relay-to-C packet, ``size_dba`` the binned relay-to-A packet, both in
+    the two-way rate does not depend on N.  The relay re-bins each decoded
+    packet against what the other terminal overheard on the direct link,
+    leaving the relay-to-C packet ``size_dbc = (1-theta)*(C(g1) - C(g0))``
+    and the relay-to-A packet ``size_dba = theta*(C(g2) - C(g0))``, both in
     bits.  ``case`` records how the relay equalized the two packets:
     ``"split-and-xor"`` when the C-bound packet is at least as long
     (its excess is sent separately at the stronger-link rate), otherwise
@@ -138,26 +144,6 @@ def _jdf_two_way(region: MaRegion, lam):
     return rate_a, rate_c, duration, region.cap_sum / duration
 
 
-def df_packet_sizes(config: LinkConfig, theta: float, n_symbols: float) -> tuple[float, float]:
-    """Binned packet sizes (|D_BC|, |D_BA|) of the DF relay, in bits.
-
-    During the first ``(1-theta)*N`` symbols A transmits at the A-relay
-    capacity, during the next ``theta*N`` symbols C does likewise.  The
-    relay re-bins each decoded packet against what the opposite terminal
-    already overheard on the direct link, leaving
-
-        |D_BC| = N*(1-theta)*(C(gamma1) - C(gamma0))
-        |D_BA| = N*theta*(C(gamma2) - C(gamma0))
-    """
-    _check_theta(theta)
-    if n_symbols <= 0:
-        raise ValueError(f"n_symbols must be positive, got {n_symbols!r}")
-    c0 = capacity(config.gamma0)
-    size_dbc = n_symbols * (1.0 - theta) * (capacity(config.gamma1) - c0)
-    size_dba = n_symbols * theta * (capacity(config.gamma2) - c0)
-    return size_dbc, size_dba
-
-
 def df_rate(config: LinkConfig, theta: float) -> DfBreakdown:
     """Two-way rate of the three-step DF scheme at a given time split.
 
@@ -181,13 +167,17 @@ def df_rate(config: LinkConfig, theta: float) -> DfBreakdown:
 
 
 def _df_max(c0: float, c1: float, c2: float) -> tuple[float, float]:
-    """``(rate, theta*)`` of :func:`df_max_rate` from the link capacities."""
-    denominator = c1 * (c1 + c2 - 2.0 * c0)
-    if denominator == 0.0:
-        raise ValueError("DF optimum is undefined: C1*(C1+C2-2*C0) rounds to 0")
-    delta = (c1 - c0) / denominator
+    """``(rate, theta*)`` of :func:`df_max_rate` from the link capacities
+    ``c0 < c1 <= c2``."""
     theta = (c1 - c0) / (c1 + c2 - 2.0 * c0)
     _check_theta(theta)
+    denominator = c1 * (c1 + c2 - 2.0 * c0)
+    if denominator < _NORMAL_MIN:
+        # below about -1540 dB the product is subnormal or 0: the formula
+        # on C0/C1 and C2/C1, where delta*C1 = theta, scaled by C1
+        r0, r2 = c0 / c1, c2 / c1
+        return c1 * ((1.0 + theta * (r2 - 1.0)) / (1.0 + theta * (r2 - r0))), theta
+    delta = (c1 - c0) / denominator
     return c1 * (1.0 + delta * (c2 - c1)) / (1.0 + delta * (c2 - c0)), theta
 
 
@@ -195,15 +185,16 @@ def _df_max_at(
     g0: float, g1: float, g2: float, c0: float, c1: float, c2: float
 ) -> tuple[float, float]:
     """:func:`_df_max` at the SNRs ``g0``, ``g1``, ``g2`` with capacities
-    ``c0``, ``c1``, ``c2``.  Where C(g0) rounds to C(g1), theta* is formed
-    from C1 - C0 = C((g1 - g0)/(1 + g0)) and C2 - C0 = C((g2 - g0)/(1 + g0)),
-    and the rate formula gives C1."""
-    if c0 != c1:
+    ``c0``, ``c1``, ``c2``.  Where C1 - C0 cancels (below ``_DF_GAP_SHARE``
+    of C1), theta* is formed from C1 - C0 = C((g1 - g0)/(1 + g0)) and
+    C2 - C0 = C((g2 - g0)/(1 + g0)); where C(g0) rounds to C(g1) the rate
+    formula gives C1."""
+    if c1 - c0 >= _DF_GAP_SHARE * c1:
         return _df_max(c0, c1, c2)
     gap1 = capacity((g1 - g0) / (1.0 + g0))
     theta = gap1 / (gap1 + capacity((g2 - g0) / (1.0 + g0)))
     _check_theta(theta)
-    return c1, theta
+    return (c1 if c0 == c1 else _df_max(c0, c1, c2)[0]), theta
 
 
 def df_theta_star(config: LinkConfig) -> float:
@@ -220,9 +211,10 @@ def df_max_rate(config: LinkConfig) -> SchemeRate:
         rate = C(g1) * (1 + delta*(C(g2) - C(g1))) / (1 + delta*(C(g2) - C(g0)))
 
     which equals ``df_rate(config, df_theta_star(config)).rate``.
-    ValueError where the denominator of delta underflows to 0 (at
-    subnormal SNRs).  Where C(g0) rounds to C(g1), theta* is formed from
-    the SNRs (see :func:`_df_max_at`).
+    Where the denominator of delta leaves the normal float range (below
+    about -1540 dB), the formula runs on C(g0)/C(g1) and C(g2)/C(g1) and
+    is scaled by C(g1).  Where C(g0) is close to C(g1), theta* is formed
+    from the SNRs (see :func:`_df_max_at`).
     """
     g0, g1, g2 = config.gamma0, config.gamma1, config.gamma2
     try:
@@ -430,17 +422,3 @@ def dnf_rate_at(config: LinkConfig, rate_c: float) -> float:
             f"rate_c must lie in [C(gamma1), C(gamma2)] = [{c1!r}, {c2!r}], got {rate_c!r}"
         )
     return (c1 + rate_c) / (1.0 + rate_c / c1)
-
-
-def dnf_codebook_cardinality(config: LinkConfig, n_symbols: float) -> float:
-    """Conjectured relay codebook size for DNF, as a bit exponent.
-
-    The relay is believed to need ``max(2**(N*R_A), 2**(N*R_C))`` denoised
-    codewords when the directions carry R_A and R_C; this returns the
-    exponent ``N * max(R_A, R_C)`` in bits to keep the number
-    representable.  Both directions at their individual capacities gives
-    ``N * C(gamma2)``.
-    """
-    if n_symbols <= 0:
-        raise ValueError(f"n_symbols must be positive, got {n_symbols!r}")
-    return n_symbols * max(capacity(config.gamma1), capacity(config.gamma2))

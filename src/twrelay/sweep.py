@@ -20,8 +20,11 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from . import oracle, schemes
-from .channel import AssumptionViolation, LinkConfig, capacity, db_to_linear, linear_to_db, make_config
+from . import schemes
+from .channel import (
+    MAX_GRID_POINTS, AssumptionViolation, LinkConfig, _check_grid_points, capacity, db_to_linear,
+    linear_to_db, make_config,
+)
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,8 @@ class SchemeEntry:
         """The oracle's rate at ``config`` and the relative deviation of the
         closed-form rate ``closed`` from it, at most ``tolerance`` or else a
         :class:`VerificationError` naming ``column`` and ``where``."""
+        from . import oracle  # numpy, which only verification needs
+
         best = getattr(oracle, self.oracle)(config, grid_points).best_rate
         deviation = abs(best - closed) / closed
         if deviation > tolerance:
@@ -229,12 +234,12 @@ class SweepSpec:
             raise ValueError("stop_db must not precede start_db")
         object.__setattr__(self, "gamma0_rules", tuple(self.gamma0_rules))
         object.__setattr__(self, "schemes", _checked_schemes(self.schemes, self.gamma0_rules))
-        oracle._check_grid_points(self.oracle_grid_points)
+        _check_grid_points(self.oracle_grid_points)
         # checked before grid_db builds the list; may be inf
-        if self._steps() >= oracle.MAX_GRID_POINTS:
+        if self._steps() >= MAX_GRID_POINTS:
             raise ValueError(
                 f"the gamma1 grid {self.start_db:g}:{self.stop_db:g}:{self.step_db:g} "
-                f"has more than {oracle.MAX_GRID_POINTS} points"
+                f"has more than {MAX_GRID_POINTS} points"
             )
 
     def _steps(self) -> float:

@@ -1,5 +1,6 @@
 """Command-line interface tests (exit codes, file output, config files)."""
 
+import io
 import math
 import os
 import re
@@ -7,9 +8,14 @@ import resource
 import shlex
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twrelay.cli import main
 
@@ -225,7 +231,7 @@ def test_jdf_at_very_low_snr(capsys):
 
 @pytest.mark.parametrize("db", ["4000", "-3200"])
 def test_extreme_snr_exits_one(capsys, db):
-    # 10**400 overflows; at -3200 dB the DF optimum's denominator underflows
+    # 10**400 overflows; at -3200 dB the JDF balance point underflows
     code, out, err = run(capsys, "rate", "--gamma1-db", db)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
@@ -238,8 +244,31 @@ def test_rate_prints_nothing_before_an_error(capsys):
     assert "underflows" in err
 
 
+def test_df_below_minus_1600_db_matches_its_oracle(capsys):
+    # C1*(C1+C2) is subnormal there; DF read 1.1466819e-162 and --verify exited 2
+    code, out, err = run(capsys, "rate", "--gamma1-db", "-1620", "--gamma2", "ratio:2.5",
+                         "--schemes", "DF")
+    assert code == 0 and err == ""
+    assert "DF               rate = 1.20224587e-162" in out
+    code, out, err = run(capsys, "sweep", "--gamma1-db=-1620:-1610:5", "--gamma2", "ratio:2.5",
+                         "--verify")
+    assert code == 0 and err == "" and len(out.splitlines()) == 4
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _child(script, **kwargs):
+    """``script`` in a fresh interpreter that imports this checkout's
+    twrelay; returns the finished process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60,
+        **kwargs,
+    )
 
 
 def _main_in_capped_child(argv):
@@ -254,13 +283,49 @@ def _main_in_capped_child(argv):
         "print(time.perf_counter() - t)\n"
         "sys.exit(code)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
-        preexec_fn=_limit_address_space, timeout=60,
+    return _child(script, preexec_fn=_limit_address_space)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["rate", "--gamma1-db", "10", "--gamma0", "zero,frac:0.1"], 0),
+    (["sweep", "--gamma1-db=-10:20:1", "--gamma2", "quad", "--gamma0", "zero,frac:0.1"], 0),
+    (["sweep", "--help"], 0),
+    (["rate", "--gamma1-db", "x"], 1),
+])
+def test_rate_and_sweep_leave_numpy_unimported(argv, code):
+    # numpy's import is most of a cold start; only verify and simulate need it
+    proc = _child(
+        "import sys\n"
+        "from twrelay.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print('numpy imported:', 'numpy' in sys.modules)\n"
+        "sys.exit(code)\n"
     )
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+    assert proc.stdout.endswith("numpy imported: False\n")
+
+
+def test_simulate_and_verify_import_numpy_when_they_run():
+    simulate = ["simulate", "--scheme", "df", "--gamma1-db", "0", "--n-symbols", "1000"]
+    proc = _child(
+        "import sys\n"
+        "from twrelay.cli import main\n"
+        f"codes = [main({simulate!r}), main(['verify', '--samples', '3'])]\n"
+        "from twrelay import protocol\n"
+        "relay = protocol._relay_broadcast\n"
+        "def corrupted(*args):\n"
+        "    at_a, at_c = (bits.copy() for bits in relay(*args))\n"
+        "    at_c[-1] ^= 1\n"
+        "    return at_a, at_c\n"
+        "protocol._relay_broadcast = corrupted\n"
+        f"codes.append(main({simulate!r}))\n"
+        "print(codes)\n"
+    )
+    assert proc.returncode == 0
+    assert "decode check: ok\n" in proc.stdout and "\nok\n" in proc.stdout
+    assert proc.stdout.endswith("[0, 0, 2]\n")
+    # the simulator's ProtocolError is caught although cli never imports it at module level
+    assert proc.stderr == "simulation failed: decode mismatch in DF exchange\n"
 
 
 def test_oversized_sweep_grid_exits_one_at_once():
@@ -512,3 +577,90 @@ def test_single_value_ranges(capsys):
     assert out.splitlines()[1:] == ["5,5,-inf,1.37158214,0.966117928,1.69168121,2.05737321"]
     code, out, err = run(capsys, "verify", "--gamma1-db-range", "5", "--samples", "3")
     assert code == 0 and err == "" and out.endswith("\nok\n")
+
+
+# ---------------------------------------------------------------- argv fuzz
+
+_NUMBER = st.one_of(
+    st.integers(-20, 40).map(str),
+    st.integers(-4000, 4000).map(str),
+    st.floats(-4000.0, 4000.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "", "x", "0x10", "1_0", " 1"]),
+)
+# at most 81 grid points, so a sweep stays small even with --verify
+_RANGE = st.one_of(
+    st.builds("{}:{}:{}".format, st.floats(-4000.0, 4000.0), st.floats(0.0, 40.0),
+              st.sampled_from(["0.5", "1", "5", "0", "-1", "nan", "inf", ""])),
+    st.sampled_from([":", "1:", ":1", "1:2:3:4", "a:b", "5:1", "-10:0", "1e308:inf:1"]),
+)
+_RULE = st.one_of(
+    st.sampled_from(["equal", "quad", "zero", "ratio:2.5", "db:30", "frac:0.1"]),
+    st.sampled_from(["ratio:0.5", "ratio:-1", "ratio:", "db:-3200", "db:nan", "db:", "frac:1",
+                     "frac:-1", "frac:", "bogus", ""]),
+)
+_VALUES = {
+    "--gamma1-db": st.one_of(_NUMBER, _RANGE),
+    "--gamma2": _RULE,
+    "--gamma0": st.lists(_RULE, max_size=3).map(",".join),
+    "--schemes": st.lists(st.sampled_from(["DF", "AF", "JDF", "DNF", "df", "XX", ""]),
+                          max_size=5).map(",".join),
+    # relative, so written under TWRELAY_OUT_DIR; the rest name no file or no directory
+    "--out": st.sampled_from(["out.csv", "plot", "", ".", "/", "no-such-dir/x.csv"]),
+    "--format": st.sampled_from(["csv", "plot", "svg", ""]),
+    "--grid-points": st.one_of(st.integers(-5, 3000).map(str), _NUMBER),
+    "--config": st.just("no-such-file.cfg"),
+    "--samples": st.integers(-2, 3).map(str),
+    "--seed": st.one_of(st.integers(-5, 10**6).map(str), st.just("x")),
+    "--tol": _NUMBER,
+    "--gamma1-db-range": st.one_of(_NUMBER, _RANGE),
+    "--scheme": st.sampled_from(["df", "jdf", "df", "jdf", "af", ""]),
+    "--n-symbols": st.one_of(st.integers(-5, 10**4).map(str), st.just("1e3")),
+    "--theta": st.one_of(st.floats(-1.0, 2.0).map(repr), _NUMBER),
+    "--lam": st.one_of(st.floats(-1.0, 2.0).map(repr), _NUMBER),
+}
+# each subcommand's required flags, then its other flags
+_COMMANDS = {
+    "rate": (["--gamma1-db"], ["--gamma2", "--gamma0", "--schemes"]),
+    "sweep": (["--gamma1-db"], ["--gamma2", "--gamma0", "--schemes", "--out", "--format",
+                                "--grid-points", "--config"]),
+    "verify": ([], ["--samples", "--seed", "--tol", "--grid-points", "--gamma1-db-range"]),
+    "simulate": (["--scheme", "--gamma1-db"], ["--gamma2", "--gamma0", "--n-symbols", "--theta",
+                                              "--lam", "--seed"]),
+}
+_BARE = st.sampled_from(["--verify", "--verify", "--help", "--gamma1-db", "--bogus", "-x", "extra"])
+
+
+def _flag(flag):
+    # the = form, or the value as its own token (where argparse may read a
+    # leading - as an option)
+    return _VALUES[flag].flatmap(lambda v: st.sampled_from([[f"{flag}={v}"], [flag, v]]))
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from([*_COMMANDS, *_COMMANDS, "bogus", ""]))
+    required, other = _COMMANDS.get(command, ([], sorted(_VALUES)))
+    argv = [command]
+    for flag in required:
+        if draw(st.integers(0, 9)):  # left out one time in ten
+            argv += draw(_flag(flag))
+    own = st.sampled_from(other).flatmap(_flag)
+    anyflag = st.sampled_from(sorted(_VALUES)).flatmap(_flag)
+    for tokens in draw(st.lists(st.one_of(own, own, own, anyflag, _BARE.map(lambda t: [t])),
+                                max_size=3)):
+        argv += tokens
+    return argv
+
+
+@given(_argvs())
+@settings(max_examples=300, deadline=None)
+def test_any_argv_exits_with_a_contract_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"TWRELAY_OUT_DIR": tmp}), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code:  # one error line, and no output before it
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv

@@ -6,6 +6,7 @@ formulas under test.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twrelay import oracle, schemes
-from twrelay.channel import capacity, ma_region, make_config
+from twrelay.channel import capacity, db_to_linear, ma_region, make_config
 from twrelay.sweep import VERIFY_TOLERANCE
 
 snr = st.floats(min_value=1e-3, max_value=1e4, allow_nan=False, allow_infinity=False)
@@ -27,22 +28,6 @@ def config_from(g1, g2, g0_frac=0.0):
 
 
 # ---------------------------------------------------------------- DF
-
-
-def test_df_packet_sizes_worked_examples():
-    sizes = schemes.df_packet_sizes(make_config(0.0, 1.0, 1.0), 0.5, 1000.0)
-    assert sizes == (500.0, 500.0)
-
-    sizes = schemes.df_packet_sizes(make_config(0.1, 1.0, 1.0), 0.5, 1000.0)
-    assert math.isclose(sizes[0], 431.2482381250326, rel_tol=1e-12)
-    assert math.isclose(sizes[1], 431.2482381250326, rel_tol=1e-12)
-
-    sizes = schemes.df_packet_sizes(make_config(0.0, 1.0, 3.0), 0.5, 1000.0)
-    assert math.isclose(sizes[0], 500.0, rel_tol=1e-12)
-    assert math.isclose(sizes[1], 1000.0, rel_tol=1e-12)
-
-    with pytest.raises(ValueError, match="n_symbols"):
-        schemes.df_packet_sizes(make_config(0.0, 1.0, 1.0), 0.5, 0)
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0, -0.25, 1.25, math.nan])
@@ -67,6 +52,16 @@ def test_df_rate_worked_examples():
     mid = schemes.df_rate(make_config(0.0, 1.0, 1.0), 0.5)
     assert math.isclose(mid.rate, 2.0 / 3.0, rel_tol=1e-15)
 
+    # packet sizes per unit source phase: the direct link shrinks both,
+    # a stronger C link lengthens the A-bound one
+    assert (mid.size_dbc, mid.size_dba) == (0.5, 0.5)
+    direct = schemes.df_rate(cfg, 0.5)
+    assert math.isclose(direct.size_dbc, 0.4312482381250326, rel_tol=1e-12)
+    assert math.isclose(direct.size_dba, 0.4312482381250326, rel_tol=1e-12)
+    strong = schemes.df_rate(make_config(0.0, 1.0, 3.0), 0.5)
+    assert math.isclose(strong.size_dbc, 0.5, rel_tol=1e-12)
+    assert math.isclose(strong.size_dba, 1.0, rel_tol=1e-12)
+
 
 def test_df_theta_star_values():
     assert schemes.df_theta_star(make_config(0.0, 1.0, 1.0)) == 0.5
@@ -85,8 +80,8 @@ def test_df_theta_star_values():
 def test_df_theta_star_equalizes_packets():
     for cfg in [make_config(0.1, 1.0, 3.0), make_config(0.0, 0.5, 7.0)]:
         theta = schemes.df_theta_star(cfg)
-        dbc, dba = schemes.df_packet_sizes(cfg, theta, 1.0)
-        assert math.isclose(dbc, dba, rel_tol=1e-12)
+        best = schemes.df_rate(cfg, theta)
+        assert math.isclose(best.size_dbc, best.size_dba, rel_tol=1e-12)
 
 
 def test_df_max_rate_worked_examples():
@@ -293,9 +288,12 @@ def test_jdf_lambda0_at_very_low_snr():
 
 
 def test_df_max_rate_where_its_denominator_rounds_to_zero():
-    # c1 * (c1 + c2) underflows to 0.0 at -3200 dB
-    with pytest.raises(ValueError, match="gamma1=1e-320"):
-        schemes.df_max_rate(make_config(0.0, 1e-320, 1e-320))
+    # c1 * (c1 + c2) underflows to 0.0 at -3200 dB; the ratio form gives
+    # the no-direct-link value 2*C(g)/3 for equal links, to a subnormal ulp
+    g = 1e-320
+    best = schemes.df_max_rate(make_config(0.0, g, g))
+    assert best.parameter == 0.5
+    assert best.rate == pytest.approx(2.0 * capacity(g) / 3.0, rel=0.0, abs=5e-324)
     # C(gamma0) rounds to C(1.0) = 1, so c1 + c2 - 2*c0 cancels to 0.0;
     # theta* is then formed from the SNRs
     cfg = make_config(math.nextafter(1.0, 0.0), 1.0, 1.0)
@@ -303,6 +301,46 @@ def test_df_max_rate_where_its_denominator_rounds_to_zero():
     assert best.parameter == 0.5
     oracle_rate = oracle.grid_max_df_theta(cfg).best_rate
     assert abs(best.rate - oracle_rate) <= VERIFY_TOLERANCE * oracle_rate
+
+
+@pytest.mark.parametrize("gamma1_db, ratio", [(-1620.0, 2.5), (-1599.0, 2.5), (-3000.0, 1.0)])
+def test_df_max_rate_where_its_denominator_is_subnormal(gamma1_db, ratio):
+    # below about -1540 dB c1 * (c1 + c2 - 2*c0) is subnormal and loses
+    # digits; at -1620 dB the plain formula read 4.85% below the oracle
+    g1 = db_to_linear(gamma1_db)
+    cfg = make_config(0.0, g1, ratio * g1)
+    best = schemes.df_max_rate(cfg)
+    brute = oracle.grid_max_df_theta(cfg).best_rate
+    assert abs(best.rate - brute) <= VERIFY_TOLERANCE * brute
+
+
+def _decimal_df_theta(g0, g1, g2):
+    """DF's theta* = (C1 - C0)/(C1 + C2 - 2*C0) at 60 digits from the float
+    SNRs (ln 2 cancels), for SNRs whose 1 + g is exact at that precision."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        c0, c1, c2 = ((1 + Decimal(g)).ln() for g in (g0, g1, g2))
+        return float((c1 - c0) / (c1 + c2 - 2 * c0))
+
+
+def test_df_theta_star_where_c_gamma0_nearly_cancels_c_gamma1():
+    # at 250 dB C1 - C0 is a few ulps of C1; the plain difference gave 1.075e-14
+    g1 = db_to_linear(250.0)
+    cfg = make_config(0.9999999999999976 * g1, g1, 2.5 * g1)
+    theta = schemes.df_max_rate(cfg).parameter
+    want = _decimal_df_theta(cfg.gamma0, cfg.gamma1, cfg.gamma2)
+    assert want == pytest.approx(2.578037658384199e-15, rel=1e-15, abs=0.0)
+    assert abs(theta - want) <= 1e-12 * want
+
+
+@given(st.floats(min_value=1e-3, max_value=1e300), st.integers(1, 52),
+       st.floats(min_value=1.0, max_value=10.0))
+@settings(max_examples=200)
+def test_df_theta_star_matches_high_precision(g1, k, ratio):
+    # gamma0 = (1 - 2**-k) * gamma1 runs C0 from well below C1 up to equal to it
+    cfg = make_config((1.0 - 2.0**-k) * g1, g1, ratio * g1)
+    want = _decimal_df_theta(cfg.gamma0, cfg.gamma1, cfg.gamma2)
+    assert abs(schemes.df_max_rate(cfg).parameter - want) <= 1e-12 * want
 
 
 @given(snr, st.floats(min_value=0.0, max_value=1.0))
@@ -460,21 +498,6 @@ def test_dnf_rate_constant_over_loading_choices():
         schemes.dnf_rate_at(cfg, c2 + 0.1)
     with pytest.raises(ValueError):
         schemes.dnf_rate_at(cfg, c1 - 0.1)
-
-
-def test_dnf_codebook_cardinality():
-    cfg = make_config(0.0, 1.0, 3.0)
-    # at capacity loading the C-bound direction dominates: N * C(gamma2) bits
-    assert math.isclose(
-        schemes.dnf_codebook_cardinality(cfg, 1000.0), 2000.0, rel_tol=1e-12
-    )
-    assert math.isclose(
-        schemes.dnf_codebook_cardinality(make_config(0.0, 1.0, 1.0), 8.0),
-        8.0,
-        rel_tol=1e-12,
-    )
-    with pytest.raises(ValueError):
-        schemes.dnf_codebook_cardinality(cfg, 0.0)
 
 
 # ---------------------------------------------------------------- cross-scheme

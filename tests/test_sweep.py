@@ -344,8 +344,9 @@ def test_sweep_result_is_a_sequence_of_rows():
 def test_run_sweep_reports_the_first_failing_point():
     # the stages run in turn, each raising at its first failing point:
     # gamma1 conversion, config screen, each column in output order, oracle.
-    # DF is undefined from -3200 dB, where C1*(C1+C2) underflows, and the
-    # fixed gamma2 falls below gamma1 at -3185 dB: the config screen runs first
+    # JDF's balance point underflows at -3190 dB, where gamma1 meets the
+    # fixed gamma2, which falls below gamma1 at -3185 dB: the config screen
+    # runs first
     spec = SweepSpec(-3200.0, -3180.0, 5.0, gamma2_rule=Gamma2Rule.parse("db:-3190"))
     with pytest.raises(SweepConfigError, match="gamma1 = -3185 dB"):
         run_sweep(spec)
@@ -361,13 +362,13 @@ def test_run_sweep_reports_the_first_failing_point():
     spec = SweepSpec(-3220.0, -3200.0, 5.0, gamma0_rules=(Gamma0Rule.parse("db:-3205"),))
     with pytest.raises(SweepConfigError, match="g0=.* at gamma1 = -3220 dB"):
         run_sweep(spec)
-    # gamma2 = 10**-162.5: DF fails at both points, JDF's balance point
-    # underflows at the second only; the first column in output order wins
+    # gamma2 = 10**-162.5: JDF's balance point underflows at the second
+    # point, in either column order; DF, AF and DNF evaluate at both
     spec = SweepSpec(-1630.0, -1625.0, 5.0, gamma2_rule=Gamma2Rule.parse("db:-1625"))
-    with pytest.raises(ValueError, match="DF optimum .* at gamma1 = -1630 dB"):
-        run_sweep(spec)
-    with pytest.raises(ValueError, match="JDF balance point .* at gamma1 = -1625 dB"):
-        run_sweep(dataclasses.replace(spec, schemes=("JDF", "DF")))
+    for order in (sweep.SCHEME_NAMES, ("JDF", "DF")):
+        with pytest.raises(ValueError, match="JDF balance point .* at gamma1 = -1625 dB"):
+            run_sweep(dataclasses.replace(spec, schemes=order))
+    assert len(run_sweep(dataclasses.replace(spec, schemes=("DF", "AF", "DNF")))) == 2
 
 
 # ---------------------------------------------------------------- figure sweeps
