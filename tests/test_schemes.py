@@ -52,12 +52,17 @@ def test_df_rate_worked_examples():
     mid = schemes.df_rate(make_config(0.0, 1.0, 1.0), 0.5)
     assert math.isclose(mid.rate, 2.0 / 3.0, rel_tol=1e-15)
 
-    # packet sizes per unit source phase: the direct link shrinks both,
-    # a stronger C link lengthens the A-bound one
+
+def test_df_packet_sizes_worked_examples():
+    # packet sizes per unit source phase at theta = 0.5: the direct link
+    # shrinks both, a stronger C link lengthens the A-bound one
+    mid = schemes.df_rate(make_config(0.0, 1.0, 1.0), 0.5)
     assert (mid.size_dbc, mid.size_dba) == (0.5, 0.5)
-    direct = schemes.df_rate(cfg, 0.5)
+
+    direct = schemes.df_rate(make_config(0.1, 1.0, 1.0), 0.5)
     assert math.isclose(direct.size_dbc, 0.4312482381250326, rel_tol=1e-12)
     assert math.isclose(direct.size_dba, 0.4312482381250326, rel_tol=1e-12)
+
     strong = schemes.df_rate(make_config(0.0, 1.0, 3.0), 0.5)
     assert math.isclose(strong.size_dbc, 0.5, rel_tol=1e-12)
     assert math.isclose(strong.size_dba, 1.0, rel_tol=1e-12)
