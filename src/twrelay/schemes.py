@@ -174,9 +174,11 @@ def _df_max(c0: float, c1: float, c2: float) -> tuple[float, float]:
     denominator = c1 * (c1 + c2 - 2.0 * c0)
     if denominator < _NORMAL_MIN:
         # below about -1540 dB the product is subnormal or 0: the formula
-        # on C0/C1 and C2/C1, where delta*C1 = theta, scaled by C1
-        r0, r2 = c0 / c1, c2 / c1
-        return c1 * ((1.0 + theta * (r2 - 1.0)) / (1.0 + theta * (r2 - r0))), theta
+        # on C0/C1 and C2/C1, scaled by C1.  delta*(C2 - C1) = theta*(C2/C1 - 1)
+        # is formed as (1 - C0/C1)*(C2 - C1)/s, which stays below 1 where
+        # C2/C1 itself overflows; likewise delta*(C2 - C0)
+        share, s = (c1 - c0) / c1, c1 + c2 - 2.0 * c0
+        return c1 * ((1.0 + share * ((c2 - c1) / s)) / (1.0 + share * ((c2 - c0) / s))), theta
     delta = (c1 - c0) / denominator
     return c1 * (1.0 + delta * (c2 - c1)) / (1.0 + delta * (c2 - c0)), theta
 

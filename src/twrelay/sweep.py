@@ -56,7 +56,7 @@ class SchemeEntry:
 
         best = getattr(oracle, self.oracle)(config, grid_points).best_rate
         deviation = abs(best - closed) / closed
-        if deviation > tolerance:
+        if not deviation <= tolerance:  # a NaN rate fails too
             raise VerificationError(
                 f"{column} closed form {closed!r} deviates from oracle {best!r} at {where} "
                 f"(relative deviation {deviation:.3g}, tolerance {tolerance:g})"

@@ -311,6 +311,7 @@ def test_simulate_and_verify_import_numpy_when_they_run():
         "import sys\n"
         "from twrelay.cli import main\n"
         f"codes = [main({simulate!r}), main(['verify', '--samples', '3'])]\n"
+        "print('numpy' in sys.modules, 'twrelay.protocol' in sys.modules)\n"
         "from twrelay import protocol\n"
         "relay = protocol._relay_broadcast\n"
         "def corrupted(*args):\n"
@@ -323,7 +324,7 @@ def test_simulate_and_verify_import_numpy_when_they_run():
     )
     assert proc.returncode == 0
     assert "decode check: ok\n" in proc.stdout and "\nok\n" in proc.stdout
-    assert proc.stdout.endswith("[0, 0, 2]\n")
+    assert proc.stdout.endswith("\nTrue True\n[0, 0, 2]\n")
     # the simulator's ProtocolError is caught although cli never imports it at module level
     assert proc.stderr == "simulation failed: decode mismatch in DF exchange\n"
 

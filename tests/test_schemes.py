@@ -319,6 +319,18 @@ def test_df_max_rate_where_its_denominator_is_subnormal(gamma1_db, ratio):
     assert abs(best.rate - brute) <= VERIFY_TOLERANCE * brute
 
 
+@pytest.mark.parametrize("gamma1_db", [-3100.0, -3080.0])
+def test_df_max_rate_where_c2_over_c1_overflows(gamma1_db):
+    # C1 is subnormal and C2 = C(1000): C2/C1 is inf while theta* is a
+    # nonzero subnormal, so a formula on C2/C1 gave inf/inf = NaN
+    cfg = make_config(0.0, db_to_linear(gamma1_db), db_to_linear(30.0))
+    best = schemes.df_max_rate(cfg)
+    assert math.isfinite(best.rate) and 0.0 < best.parameter < 1e-300
+    with np.errstate(over="ignore"):  # grid points whose duration overflows
+        brute = oracle.grid_max_df_theta(cfg).best_rate
+    assert abs(best.rate - brute) <= VERIFY_TOLERANCE * brute
+
+
 def _decimal_df_theta(g0, g1, g2):
     """DF's theta* = (C1 - C0)/(C1 + C2 - 2*C0) at 60 digits from the float
     SNRs (ln 2 cancels), for SNRs whose 1 + g is exact at that precision."""

@@ -279,6 +279,15 @@ def test_run_sweep_verification_catches_wrong_formula(monkeypatch):
         run_sweep(SweepSpec(0.0, 0.0, 1.0, verify=True))
 
 
+def test_run_sweep_verification_rejects_a_nan_rate(monkeypatch):
+    # a NaN deviation is not above the tolerance, yet it must fail
+    real = schemes._df_max
+    monkeypatch.setattr(sweep.schemes, "_df_max",
+                        lambda c0, c1, c2: (math.nan, real(c0, c1, c2)[1]))
+    with pytest.raises(VerificationError, match="relative deviation nan"):
+        run_sweep(SweepSpec(0.0, 0.0, 1.0, verify=True))
+
+
 def _closed_form_rows(spec):
     """The sweep evaluated point by point through the public closed forms."""
     rows = []
@@ -341,7 +350,7 @@ def test_sweep_result_is_a_sequence_of_rows():
     assert len(edited) == 31 and edited[4].rate("DNF") == 2 * result[4].rate("DNF")
 
 
-def test_run_sweep_reports_the_first_failing_point():
+def test_run_sweep_reports_the_first_failing_point(monkeypatch):
     # the stages run in turn, each raising at its first failing point:
     # gamma1 conversion, config screen, each column in output order, oracle.
     # JDF's balance point underflows at -3190 dB, where gamma1 meets the
@@ -369,6 +378,20 @@ def test_run_sweep_reports_the_first_failing_point():
         with pytest.raises(ValueError, match="JDF balance point .* at gamma1 = -1625 dB"):
             run_sweep(dataclasses.replace(spec, schemes=order))
     assert len(run_sweep(dataclasses.replace(spec, schemes=("DF", "AF", "DNF")))) == 2
+    # with DF failing at the same point, the first column in output order wins
+    def df_fails_at_the_second_point(links, k):
+        def rule(g1):
+            if g1 > links.g1[0]:
+                raise ValueError("DF forced failure")
+            return 0.0
+        return links.each(rule, links.g1)
+
+    monkeypatch.setitem(sweep.SCHEME_TABLE, "DF", dataclasses.replace(
+        sweep.SCHEME_TABLE["DF"], column=df_fails_at_the_second_point))
+    with pytest.raises(ValueError, match="DF forced failure at gamma1 = -1625 dB"):
+        run_sweep(dataclasses.replace(spec, schemes=("DF", "JDF")))
+    with pytest.raises(ValueError, match="JDF balance point .* at gamma1 = -1625 dB"):
+        run_sweep(dataclasses.replace(spec, schemes=("JDF", "DF")))
 
 
 # ---------------------------------------------------------------- figure sweeps
