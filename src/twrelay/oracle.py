@@ -79,7 +79,9 @@ def _grid_refine(f: Callable, grid: np.ndarray) -> GridResult:
     with scalar calls; ``f`` maps a float to a float and an array to an
     array.  A best cell at either end of the grid is bracketed by that end
     of [0, 1]."""
-    values = f(grid)
+    # where a duration overflows to inf the rate is 0, which is right
+    with np.errstate(over="ignore"):
+        values = f(grid)
     i = int(np.argmax(values))  # first maximum: smallest parameter wins ties
     best_x = float(grid[i])
     best_v = float(values[i])

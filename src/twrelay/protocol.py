@@ -79,9 +79,22 @@ def _bit_range(bits: np.ndarray, start: int, stop: int) -> np.ndarray:
     out = src[:size] << r
     if r:
         out[: len(src) - 1] |= src[1:] >> (8 - r)
+    return _clear_pad(out, count)
+
+
+def _clear_pad(bits: np.ndarray, count: int) -> np.ndarray:
+    """Zero, in place, the bits of ``bits`` past its first ``count``; returns it."""
     if count % 8:
-        out[-1] &= 0xFF << (8 - count % 8) & 0xFF
-    return out
+        bits[-1] &= 0xFF << (8 - count % 8) & 0xFF
+    return bits
+
+
+def _draw_bits(bitgen: np.random.Philox, count: int) -> np.ndarray:
+    """``count`` random bits, packed, from the bit generator's next raw
+    64-bit words read as little-endian bytes; the pad bits are zero."""
+    size = -(-count // 8)
+    words = bitgen.random_raw(-(-size // 8)).astype("<u8", copy=False)
+    return _clear_pad(words.view(np.uint8)[:size], count)
 
 
 def _relay_broadcast(steps: list[TranscriptStep], to_c: np.ndarray, to_a: np.ndarray,
@@ -133,10 +146,11 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[Trans
             f"source packets of {bits_ac} and {bits_ca} bits exceed the "
             f"{MAX_BLOCK_SIZE}-bit limit; use a shorter block"
         )
-    # counter-based generator: reproducible across platforms and numpy builds
-    rng = np.random.Generator(np.random.Philox(seed))
-    # whole bytes are drawn; the unknown suffix is kept, its pad bits zeroed
-    to_c, to_a = (_bit_range(rng.integers(0, 256, size=-(-bits // 8), dtype=np.uint8), side, bits)
+    # only the suffix the relay forwards is drawn: the overheard prefix is never
+    # read.  Raw words of the counter-based Philox are reproducible across
+    # platforms and numpy releases
+    bitgen = np.random.Philox(seed)
+    to_c, to_a = (_draw_bits(bitgen, bits - side)
                   for bits, side in ((bits_ac, side_c), (bits_ca, side_a)))
     # DF relays D_BC, the suffix of D_AC that C did not overhear; JDF all of D_AC
     tail_label = ("D_BC" if scheme == "DF" else "D_AC") + "2"
@@ -164,8 +178,8 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[Trans
 
 
 # bounds the symbols of a block and the bits of each packet; packed 8 bits per
-# byte, an exchange of two packets near the cap (0.95e8 and 1e8 bits) peaked at
-# 87 MB of arrays and 117 MB RSS, measured on a 2-core Linux VM
+# byte, an exchange whose larger packet sits at the cap peaked at 68-107 MB of
+# arrays and 91-136 MB RSS (DF split-and-xor the most), on a 2-core Linux VM
 MAX_BLOCK_SIZE = 100_000_000
 
 

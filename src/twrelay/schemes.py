@@ -318,10 +318,13 @@ def _jdf_balance(g1: float, g2: float) -> float:
     else:
         total = 1.0 + g1 + g2
         low, high = g1 * g2 / total, (g2 - g1 + g2 * g2) / total
-    denominator = 2.0 * capacity(low)
-    if denominator == 0.0:
-        raise ValueError(f"JDF balance point underflows at gamma1={g1!r}, gamma2={g2!r}")
-    lam = capacity(high) / denominator
+    if low < _NORMAL_MIN:
+        # below about -1540 dB g1*g2 is subnormal or 0.  The crossing test
+        # leaves g2 - g1 <= g1*g1 there, so high is as small and C(x) = x/ln2
+        # for both: high/(2*low), num and den divided by g1*g2
+        lam = ((g2 - g1) / g2 + g2) / (2.0 * g1)
+    else:
+        lam = capacity(high) / (2.0 * capacity(low))
     # lam lies in [0, 1] whenever the crossing test passes; rounding can
     # push it an ulp past an endpoint, which downstream domain checks reject
     return min(1.0, max(0.0, lam))
@@ -331,9 +334,17 @@ def _jdf_max(g1: float, g2: float, c1: float) -> tuple[float, float]:
     """``(rate, lambda*)`` of :func:`jdf_max_rate` from the link SNRs and
     ``c1 = C(g1)``."""
     c12 = _sum_capacity(g1, g2)
-    if _jdf_has_crossing(g1, g2):
-        return c1 * 2.0 * c12 / (2.0 * c1 + c12), _jdf_balance(g1, g2)
-    return c1, 1.0
+    if not _jdf_has_crossing(g1, g2):
+        return c1, 1.0
+    numerator = c1 * 2.0 * c12
+    if numerator < _NORMAL_MIN:
+        # below about -1545 dB the product is subnormal or 0: the formula on
+        # C12/C1, scaled by C1
+        share = c12 / c1
+        rate = c1 * (2.0 * share / (2.0 + share))
+    else:
+        rate = numerator / (2.0 * c1 + c12)
+    return rate, _jdf_balance(g1, g2)
 
 
 def jdf_lambda0(config: LinkConfig) -> Optional[float]:
@@ -347,7 +358,8 @@ def jdf_lambda0(config: LinkConfig) -> Optional[float]:
 
     ``(2*C2 - C12) / (2*(C1+C2-C12))`` is evaluated as
     ``C((g2-g1+g2**2)/(1+g1+g2)) / (2*C(g1*g2/(1+g1+g2)))``, whose terms do
-    not cancel at low SNR; ValueError if even that denominator underflows.
+    not cancel at low SNR; where ``g1*g2`` leaves the normal float range,
+    as the ratio of those two SNRs.
     """
     if not _jdf_has_crossing(config.gamma1, config.gamma2):
         return None
@@ -384,6 +396,8 @@ def jdf_max_rate(config: LinkConfig) -> SchemeRate:
         rate = C(g1) * 2*C(g1+g2) / (2*C(g1) + C(g1+g2))
 
     Otherwise the rate saturates at C(gamma1), reached at ``lam = 1``.
+    Where the numerator leaves the normal float range (below about
+    -1545 dB), the formula runs on C(g1+g2)/C(g1) and is scaled by C(g1).
     """
     rate, lam = _jdf_max(config.gamma1, config.gamma2, capacity(config.gamma1))
     return SchemeRate("JDF", rate=rate, parameter=lam, breakdown=jdf_rate(config, lam))

@@ -17,7 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twrelay import oracle, schemes
+from twrelay.channel import db_to_linear, make_config
 from twrelay.cli import main
+from twrelay.sweep import VERIFY_TOLERANCE
 
 
 def run(capsys, *argv):
@@ -229,19 +232,55 @@ def test_jdf_at_very_low_snr(capsys):
     assert "empty packet" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("db", ["4000", "-3200"])
+@pytest.mark.parametrize("db", ["4000", "-3300"])
 def test_extreme_snr_exits_one(capsys, db):
-    # 10**400 overflows; at -3200 dB the JDF balance point underflows
+    # 10**400 overflows; 10**-330 underflows to an SNR of 0
     code, out, err = run(capsys, "rate", "--gamma1-db", db)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_rate_prints_nothing_before_an_error(capsys):
-    # DF and AF evaluate at -1620 dB, the JDF balance point underflows
-    code, out, err = run(capsys, "rate", "--gamma1-db", "-1620")
+def test_rate_prints_nothing_before_an_error(capsys, monkeypatch):
+    # DF and AF evaluate, then JDF fails
+    def fails(config):
+        raise ValueError("JDF forced failure")
+
+    monkeypatch.setattr(schemes, "jdf_max_rate", fails)
+    code, out, err = run(capsys, "rate", "--gamma1-db", "0")
     assert code == 1 and out == ""
-    assert "underflows" in err
+    assert err == "error: JDF forced failure\n"
+
+
+@pytest.mark.parametrize("db, rate", [
+    ("-1610", "1.44269504e-161"), ("-1620", "1.44269504e-162"), ("-3200", "1.44267169e-320"),
+])
+def test_jdf_where_its_products_are_subnormal_matches_its_oracle(capsys, db, rate):
+    # C1*2*C12 is subnormal below about -1545 dB and g1*g2 below about
+    # -1540 dB: JDF read 1.44689438e-161 at -1610 dB, and from -1620 dB on
+    # its balance point raised "underflows"; for equal links the rate is C1
+    code, out, err = run(capsys, "rate", f"--gamma1-db={db}", "--schemes", "JDF")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == f"JDF              rate = {rate} lambda* = 0.5  [crossing]"
+    g = db_to_linear(float(db))
+    oracle_rate = oracle.grid_max_jdf_lambda(make_config(0.0, g, g)).best_rate
+    assert abs(float(rate) - oracle_rate) <= VERIFY_TOLERANCE * oracle_rate
+
+
+def test_sweep_verify_where_oracle_durations_overflow_warns_nothing(capsys):
+    # C1 is subnormal and C2 = C(1000): on most of the oracle's theta grid
+    # the broadcast duration overflows to inf (rate 0); the suite turns
+    # numpy's overflow warning into an error
+    code, out, err = run(capsys, "sweep", "--gamma1-db=-3100:-3090:5", "--gamma2", "db:30",
+                         "--schemes", "DF", "--verify")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "-3100,30,-inf,1.44269504e-310,1.44269504e-310,0"
+
+
+def test_jdf_sweep_where_its_product_is_subnormal_verifies(capsys):
+    # exited 2 with relative deviation 0.00877
+    code, out, err = run(capsys, "sweep", "--gamma1-db=-1615:-1605:5", "--schemes", "JDF",
+                         "--verify")
+    assert code == 0 and err == "" and len(out.splitlines()) == 4
 
 
 def test_df_below_minus_1600_db_matches_its_oracle(capsys):

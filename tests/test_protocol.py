@@ -184,6 +184,40 @@ def test_run_jdf_swapped_labels():
     assert t.delivered_ac == 1830 and t.delivered_ca == 491
 
 
+# ---------------------------------------------------------------- payload draw
+
+
+def test_draw_bits_reads_raw_philox_words_as_little_endian_bytes():
+    # Philox(2024)'s first raw words are 0x4546e3b4b70d6550, 0x9e75b4220ad13bab;
+    # 77 bits take 10 bytes, and the last byte keeps its 5 high bits
+    got = protocol._draw_bits(np.random.Philox(2024), 77)
+    assert got.dtype == np.uint8
+    assert got.tolist() == [0x50, 0x65, 0x0D, 0xB7, 0xB4, 0xE3, 0x46, 0x45, 0xAB, 0x38]
+
+
+def test_df_with_direct_link_forwards_only_the_drawn_suffixes(monkeypatch):
+    # gamma0 > 0: each terminal draws just the bits the other did not overhear
+    cfg = make_config(0.3, 1.0, 3.0)
+    n_symbols, theta, seed = 3003, 0.4, 11
+    seen = {}
+    relay = protocol._relay_broadcast
+
+    def spy(steps, to_c, to_a, bits_c, n, *rest):
+        seen.update(to_c=to_c.copy(), to_a=to_a.copy(), bits_c=bits_c, n=n)
+        return relay(steps, to_c, to_a, bits_c, n, *rest)
+
+    monkeypatch.setattr(protocol, "_relay_broadcast", spy)
+    t = protocol.run_df(cfg, n_symbols, theta, seed=seed)
+    c0 = math.log1p(0.3) / math.log(2.0)
+    side_c = math.floor(n_symbols * (1.0 - theta) * c0)
+    side_a = math.floor(n_symbols * theta * c0)
+    assert side_c > 0 and side_a > 0
+    assert seen["bits_c"] == t.delivered_ac - side_c and seen["n"] == t.delivered_ca - side_a
+    bitgen = np.random.Philox(seed)  # A's suffix first, then C's
+    assert np.array_equal(seen["to_c"], protocol._draw_bits(bitgen, seen["bits_c"]))
+    assert np.array_equal(seen["to_a"], protocol._draw_bits(bitgen, seen["n"]))
+
+
 # ---------------------------------------------------------------- decode check
 
 

@@ -352,10 +352,21 @@ def test_sweep_result_is_a_sequence_of_rows():
 
 def test_run_sweep_reports_the_first_failing_point(monkeypatch):
     # the stages run in turn, each raising at its first failing point:
-    # gamma1 conversion, config screen, each column in output order, oracle.
-    # JDF's balance point underflows at -3190 dB, where gamma1 meets the
-    # fixed gamma2, which falls below gamma1 at -3185 dB: the config screen
-    # runs first
+    # gamma1 conversion, config screen, each column in output order, oracle
+    def fails_after_the_first_point(name):
+        def column(links, k):
+            def rule(g1):
+                if g1 > links.g1[0]:
+                    raise ValueError(f"{name} forced failure")
+                return 0.0
+            return links.each(rule, links.g1)
+
+        monkeypatch.setitem(sweep.SCHEME_TABLE, name, dataclasses.replace(
+            sweep.SCHEME_TABLE[name], column=column))
+
+    # JDF fails from -3195 dB on, the fixed gamma2 falls below gamma1 at
+    # -3185 dB: the config screen runs first
+    fails_after_the_first_point("JDF")
     spec = SweepSpec(-3200.0, -3180.0, 5.0, gamma2_rule=Gamma2Rule.parse("db:-3190"))
     with pytest.raises(SweepConfigError, match="gamma1 = -3185 dB"):
         run_sweep(spec)
@@ -371,26 +382,18 @@ def test_run_sweep_reports_the_first_failing_point(monkeypatch):
     spec = SweepSpec(-3220.0, -3200.0, 5.0, gamma0_rules=(Gamma0Rule.parse("db:-3205"),))
     with pytest.raises(SweepConfigError, match="g0=.* at gamma1 = -3220 dB"):
         run_sweep(spec)
-    # gamma2 = 10**-162.5: JDF's balance point underflows at the second
-    # point, in either column order; DF, AF and DNF evaluate at both
-    spec = SweepSpec(-1630.0, -1625.0, 5.0, gamma2_rule=Gamma2Rule.parse("db:-1625"))
+    # JDF fails at the second point, in either column order; DF, AF and DNF
+    # evaluate at both
+    spec = SweepSpec(-1630.0, -1625.0, 5.0)
     for order in (sweep.SCHEME_NAMES, ("JDF", "DF")):
-        with pytest.raises(ValueError, match="JDF balance point .* at gamma1 = -1625 dB"):
+        with pytest.raises(ValueError, match="JDF forced failure at gamma1 = -1625 dB"):
             run_sweep(dataclasses.replace(spec, schemes=order))
     assert len(run_sweep(dataclasses.replace(spec, schemes=("DF", "AF", "DNF")))) == 2
     # with DF failing at the same point, the first column in output order wins
-    def df_fails_at_the_second_point(links, k):
-        def rule(g1):
-            if g1 > links.g1[0]:
-                raise ValueError("DF forced failure")
-            return 0.0
-        return links.each(rule, links.g1)
-
-    monkeypatch.setitem(sweep.SCHEME_TABLE, "DF", dataclasses.replace(
-        sweep.SCHEME_TABLE["DF"], column=df_fails_at_the_second_point))
+    fails_after_the_first_point("DF")
     with pytest.raises(ValueError, match="DF forced failure at gamma1 = -1625 dB"):
         run_sweep(dataclasses.replace(spec, schemes=("DF", "JDF")))
-    with pytest.raises(ValueError, match="JDF balance point .* at gamma1 = -1625 dB"):
+    with pytest.raises(ValueError, match="JDF forced failure at gamma1 = -1625 dB"):
         run_sweep(dataclasses.replace(spec, schemes=("JDF", "DF")))
 
 
