@@ -199,6 +199,9 @@ def test_spec_validation():
         SweepSpec(0.0, 1.0, 1.0, schemes=("DF", "df"))
     with pytest.raises(ValueError):
         SweepSpec(0.0, 1.0, 1.0, gamma0_rules=())
+    with pytest.raises(ValueError, match="duplicate gamma0 rules"):
+        SweepSpec(0.0, 1.0, 1.0, gamma0_rules=tuple(
+            Gamma0Rule.parse(r) for r in ("frac:0.99", "frac:0.9899999999999999")))
     for bad in (math.nan, math.inf, -math.inf):
         for name in ("start_db", "stop_db", "step_db"):
             bounds = {"start_db": 0.0, "stop_db": 1.0, "step_db": 1.0, name: bad}
@@ -315,7 +318,9 @@ gamma0_rules = st.lists(
         st.floats(0.0, 0.99).map(lambda f: f"frac:{f!r}"),
         st.floats(-60.0, -25.0).map(lambda v: f"db:{v!r}"),  # below every gamma1 drawn
     ),
-    min_size=1, max_size=3, unique=True,
+    # distinct values can share a column label (0.99 and 0.9899999999999999
+    # both read "g0=0.99*g1"), which SweepSpec rejects
+    min_size=1, max_size=3, unique_by=lambda rule: Gamma0Rule.parse(rule).label,
 )
 scheme_subsets = st.lists(st.sampled_from(sweep.SCHEME_NAMES), min_size=1, max_size=4, unique=True)
 
