@@ -9,10 +9,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from twrelay import oracle, schemes
+from twrelay import oracle, protocol, schemes
 from twrelay.channel import capacity, ma_region, make_config
 from twrelay.sweep import VERIFY_TOLERANCE
 
@@ -157,21 +157,37 @@ def test_scans_use_no_closed_form_optimum(monkeypatch):
 
 
 # Over the whole +-300 dB range, on the regime boundaries g2 = g1 (equal
-# links) and g2 = g1 + g1^2 (JDF crossing/saturated) and off them.
+# links) and g2 = g1 + g1^2 (JDF crossing/saturated) and off them.  The
+# simulated block aims at 1 to 10^6 bits of the weaker link, within the cap.
 wide_db = st.floats(min_value=-300.0, max_value=300.0)
 gamma2_kind = st.sampled_from(["equal", "quad", "ratio"])
+block_bits_log10 = st.floats(min_value=0.0, max_value=6.0)
 
 
-@given(wide_db, gamma2_kind, ratio_db, g0_frac)
+@given(wide_db, gamma2_kind, ratio_db, g0_frac, block_bits_log10)
 @settings(max_examples=300, deadline=None)
-def test_closed_forms_match_oracles_over_wide_snr_range(g1_db, kind, r_db, frac):
+def test_closed_forms_match_oracles_over_wide_snr_range(g1_db, kind, r_db, frac, bits_log10):
     g1 = 10.0 ** (g1_db / 10.0)
     g2 = {"equal": g1, "quad": g1 + g1 * g1, "ratio": g1 * 10.0 ** (r_db / 10.0)}[kind]
     cfg = make_config(frac * g1, g1, g2)
-    for closed, brute in ((schemes.df_max_rate, oracle.grid_max_df_theta),
-                          (schemes.jdf_max_rate, oracle.grid_max_jdf_lambda)):
-        rate = closed(cfg).rate
+    n = min(protocol.MAX_BLOCK_SIZE, max(1, round(10.0 ** bits_log10 / capacity(g1))))
+    runs = []
+    for closed, brute, simulate in ((schemes.df_max_rate, oracle.grid_max_df_theta, protocol.run_df),
+                                    (schemes.jdf_max_rate, oracle.grid_max_jdf_lambda,
+                                     protocol.run_jdf)):
+        best = closed(cfg)
+        rate = best.rate
         assert abs(brute(cfg).best_rate - rate) <= VERIFY_TOLERANCE * rate
+        runs.append((simulate, best))
+    # the simulator at each optimum, after the oracles so that they check every
+    # draw: whole bits per packet keep the realized rate just below the closed form
+    for simulate, best in runs:
+        try:
+            t = simulate(cfg, n, best.parameter, seed=0)
+        except protocol.ProtocolConfigError:
+            reject()  # some packet of this block would be empty
+        assert t.success
+        assert -1e-12 * best.rate <= best.rate - t.realized_rate <= 8.0 / n
 
 
 # ---------------------------------------------------------------- region search

@@ -187,12 +187,12 @@ def test_run_jdf_swapped_labels():
 # ---------------------------------------------------------------- payload draw
 
 
-def test_draw_bits_reads_raw_philox_words_as_little_endian_bytes():
-    # Philox(2024)'s first raw words are 0x4546e3b4b70d6550, 0x9e75b4220ad13bab;
+def test_draw_bits_reads_raw_sfc64_words_as_little_endian_bytes():
+    # SFC64(2024)'s first raw words are 0xaab370cbd524bf6e, 0x72a64b267fb96888;
     # 77 bits take 10 bytes, and the last byte keeps its 5 high bits
-    got = protocol._draw_bits(np.random.Philox(2024), 77)
+    got = protocol._draw_bits(np.random.SFC64(2024), 77)
     assert got.dtype == np.uint8
-    assert got.tolist() == [0x50, 0x65, 0x0D, 0xB7, 0xB4, 0xE3, 0x46, 0x45, 0xAB, 0x38]
+    assert got.tolist() == [0x6E, 0xBF, 0x24, 0xD5, 0xCB, 0x70, 0xB3, 0xAA, 0x88, 0x68]
 
 
 def test_df_with_direct_link_forwards_only_the_drawn_suffixes(monkeypatch):
@@ -213,7 +213,7 @@ def test_df_with_direct_link_forwards_only_the_drawn_suffixes(monkeypatch):
     side_a = math.floor(n_symbols * theta * c0)
     assert side_c > 0 and side_a > 0
     assert seen["bits_c"] == t.delivered_ac - side_c and seen["n"] == t.delivered_ca - side_a
-    bitgen = np.random.Philox(seed)  # A's suffix first, then C's
+    bitgen = np.random.SFC64(seed)  # A's suffix first, then C's
     assert np.array_equal(seen["to_c"], protocol._draw_bits(bitgen, seen["bits_c"]))
     assert np.array_equal(seen["to_a"], protocol._draw_bits(bitgen, seen["n"]))
 
@@ -316,6 +316,54 @@ def test_bit_range_matches_unpacked_slicing(case):
     assert not np.unpackbits(got)[stop - start:].any()
 
 
+def _relay_reference(to_c, to_a, bits_c, n):
+    """What A and C recover from the relay, on unpacked bits: the C-bound
+    packet cut or zero-padded to ``n`` bits and XORed with the A-bound one,
+    each side XORing its own bits back out, and C's split excess re-joined."""
+    c, a = np.unpackbits(to_c, count=bits_c), np.unpackbits(to_a, count=n)
+    own_c = np.zeros(n, dtype=np.uint8)
+    own_c[: min(bits_c, n)] = c[:n]
+    d_b = own_c ^ a
+    at_c = np.concatenate([(d_b ^ a)[:bits_c], c[n:]])
+    return np.packbits(d_b ^ own_c), np.packbits(at_c)
+
+
+@st.composite
+def _relay_packets(draw):
+    """Packed C- and A-bound packets of ``bits_c`` and ``n`` bits (1-80),
+    drawn with zero pad bits as ``_draw_bits`` gives them."""
+    residue = draw(st.integers(0, 7))
+    n = draw(st.sampled_from([k for k in range(1, 81) if k % 8 == residue]))
+    bits_c = draw(st.one_of(st.sampled_from([b for b in (n - 1, n, n + 1) if b]),
+                            st.integers(1, 80)))
+    to_c, to_a = (np.packbits(np.array(draw(st.lists(st.integers(0, 1), min_size=k,
+                                                     max_size=k)), dtype=np.uint8))
+                  for k in (bits_c, n))
+    return to_c, to_a, bits_c, n
+
+
+@given(_relay_packets())
+@settings(max_examples=400, deadline=None)
+@example((np.full(10, 255, dtype=np.uint8), np.full(10, 255, dtype=np.uint8), 80, 80))
+@example((np.full(10, 255, dtype=np.uint8), np.full(1, 0x80, dtype=np.uint8), 80, 1))
+@example((np.full(1, 0x80, dtype=np.uint8), np.full(10, 255, dtype=np.uint8), 1, 80))
+def test_relay_broadcast_matches_unpacked_xor_pad_and_split(case):
+    to_c, to_a, bits_c, n = case
+    sent_c, sent_a = to_c.copy(), to_a.copy()
+    steps = []
+    at_a, at_c = protocol._relay_broadcast(steps, to_c, to_a, bits_c, n, 1.0, 2.0, "T")
+    assert [(s.label, s.bits) for s in steps] == (
+        [("D_B", n)] + ([("T", bits_c - n)] if bits_c > n else []))
+    ref_a, ref_c = _relay_reference(sent_c, sent_a, bits_c, n)
+    # equal arrays of packbits' length: the pad bits are zero
+    assert np.array_equal(at_a, ref_a) and np.array_equal(at_c, ref_c)
+    assert np.array_equal(at_a, sent_a) and np.array_equal(at_c, sent_c)
+    # recovering in place into the drawn packets would leave the decode check
+    # comparing a buffer with itself
+    assert np.array_equal(to_c, sent_c) and np.array_equal(to_a, sent_a)
+    assert not (np.shares_memory(at_a, to_a) or np.shares_memory(at_c, to_c))
+
+
 # ---------------------------------------------------------------- memory
 
 
@@ -324,6 +372,7 @@ def test_bit_range_matches_unpacked_slicing(case):
     (protocol.run_df, make_config(0.1, 1.0, 3.0), 0.8),  # pad
     (protocol.run_jdf, make_config(0.0, 1.0, 1.5), 0.99),  # split
     (protocol.run_jdf, make_config(0.0, 1.0, 3.0), 0.25),  # pad
+    (protocol.run_df, make_config(0.0, 3.0, 3.5), 0.45),  # split, short tail: the largest at the cap
 ])
 def test_exchange_peaks_below_one_byte_per_delivered_bit(run, cfg, param):
     tracemalloc.start()
@@ -332,4 +381,4 @@ def test_exchange_peaks_below_one_byte_per_delivered_bit(run, cfg, param):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.0 * (t.delivered_ac + t.delivered_ca)
+    assert peak <= 0.5 * (t.delivered_ac + t.delivered_ca)
