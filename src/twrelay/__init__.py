@@ -23,12 +23,10 @@ from .schemes import (
     DfBreakdown,
     JdfBreakdown,
     SchemeRate,
-    af_breakdown,
     af_rate,
     df_max_rate,
     df_max_rate_no_direct,
     df_rate,
-    df_theta_star,
     dnf_rate_at,
     dnf_upper_bound,
     jdf_lambda0,
@@ -54,12 +52,10 @@ __all__ = [
     "DfBreakdown",
     "JdfBreakdown",
     "SchemeRate",
-    "af_breakdown",
     "af_rate",
     "df_max_rate",
     "df_max_rate_no_direct",
     "df_rate",
-    "df_theta_star",
     "dnf_rate_at",
     "dnf_upper_bound",
     "jdf_lambda0",

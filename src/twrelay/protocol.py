@@ -66,26 +66,6 @@ class Transcript:
 _SWAP = str.maketrans("AC", "CA")
 
 
-def _bit_range(bits: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Bits ``[start, stop)`` of the packed ``bits`` as a new packed array.
-
-    Reads the bytes from ``start // 8`` on, shifted left by ``start % 8``
-    with the next byte's high bits ORed in; the pad bits come out zero.
-    """
-    q, r = divmod(start, 8)
-    count = stop - start
-    size = -(-count // 8)
-    src = bits[q : q + size + 1]
-    if r:
-        # numpy 2.4's uint8 `<<` is about 10x slower than this array product,
-        # which wraps the same way
-        out = src[:size] * (1 << r)
-        out[: len(src) - 1] |= src[1:] >> (8 - r)
-    else:
-        out = src[:size].copy()
-    return _clear_pad(out, count)
-
-
 def _clear_pad(bits: np.ndarray, count: int) -> np.ndarray:
     """Zero, in place, the bits of ``bits`` past its first ``count``; returns it."""
     if count % 8:
@@ -109,14 +89,17 @@ def _relay_broadcast(steps: list[TranscriptStep], to_c: np.ndarray, to_a: np.nda
 
     A C-bound packet at least as long is split at bit ``n`` and its excess
     sent to C alone at ``c2`` as ``tail_label``; a shorter one is
-    zero-padded.  Appends the relay's steps; returns the bits A and C
-    recover from them.  ``to_c`` and ``to_a`` are left as they are; the
-    recovered bits are written over the relay's own temporaries.
+    zero-padded.  Both packets start at bit 0, so the XOR lines up byte for
+    byte, and C takes the excess from ``to_c`` at its own byte offsets.
+    Appends the relay's steps; returns the bits A and C recover from them.
+    ``to_c`` and ``to_a`` are left as they are; the recovered bits are
+    written over the relay's own temporaries.
     """
+    size = len(to_a)
     if bits_c >= n:
-        own_c, tail = _bit_range(to_c, 0, n), _bit_range(to_c, n, bits_c)
+        own_c = _clear_pad(to_c[:size].copy(), n)
     else:
-        own_c, tail = np.zeros(len(to_a), dtype=np.uint8), None
+        own_c = np.zeros(size, dtype=np.uint8)
         own_c[: len(to_c)] = to_c
     d_b = own_c ^ to_a
     steps.append(TranscriptStep("B", c1, n / c1, n, "D_B"))
@@ -124,21 +107,18 @@ def _relay_broadcast(steps: list[TranscriptStep], to_c: np.ndarray, to_a: np.nda
     at_a = np.bitwise_xor(d_b, own_c, out=own_c)
     at_c = np.bitwise_xor(d_b, to_a, out=d_b)
     del own_c, d_b  # a re-join below then frees C's XOR-recovered bits
-    if tail is None:
+    if bits_c < n:
         at_c = _clear_pad(at_c[: len(to_c)], bits_c)
     elif bits_c > n:
         steps.append(TranscriptStep("B", c2, (bits_c - n) / c2, bits_c - n, tail_label))
-        # C's recovered bits, then the tail ORed in from bit n on
-        joined = np.zeros(len(to_c), dtype=np.uint8)
-        joined[: len(at_c)] = at_c
+        # C's recovered bits, then the tail from bit n on, which may share
+        # the last recovered byte
+        joined = np.empty_like(to_c)
+        joined[:size] = at_c
+        joined[size:] = to_c[size:]
+        if n % 8:
+            joined[size - 1] |= to_c[size - 1] & 0xFF >> n % 8
         at_c = joined
-        q, r = divmod(n, 8)
-        if r:
-            at_c[q : q + len(tail)] |= tail >> r
-            # the tail's low bits go to the next byte (see _bit_range on `<<`)
-            at_c[q + 1 :] |= tail[: len(at_c) - q - 1] * (1 << (8 - r))
-        else:
-            at_c[q:] = tail
     return at_a, at_c
 
 

@@ -153,6 +153,12 @@ def df_rate(config: LinkConfig, theta: float) -> DfBreakdown:
     packet goes out separately at the stronger-link rate.
     """
     _check_theta(theta)
+    return _df_breakdown(config, theta)
+
+
+def _df_breakdown(config: LinkConfig, theta: float) -> DfBreakdown:
+    """:func:`df_rate` without its check on ``theta``, for the optima, whose
+    theta* rounds to 0 where it is below the smallest subnormal."""
     size_dbc, size_dba, duration, rate = _df_two_way(
         capacity(config.gamma0), capacity(config.gamma1), capacity(config.gamma2), theta
     )
@@ -170,7 +176,6 @@ def _df_max(c0: float, c1: float, c2: float) -> tuple[float, float]:
     """``(rate, theta*)`` of :func:`df_max_rate` from the link capacities
     ``c0 < c1 <= c2``."""
     theta = (c1 - c0) / (c1 + c2 - 2.0 * c0)
-    _check_theta(theta)
     denominator = c1 * (c1 + c2 - 2.0 * c0)
     if denominator < _NORMAL_MIN:
         # below about -1540 dB the product is subnormal or 0: the formula
@@ -195,14 +200,7 @@ def _df_max_at(
         return _df_max(c0, c1, c2)
     gap1 = capacity((g1 - g0) / (1.0 + g0))
     theta = gap1 / (gap1 + capacity((g2 - g0) / (1.0 + g0)))
-    _check_theta(theta)
     return (c1 if c0 == c1 else _df_max(c0, c1, c2)[0]), theta
-
-
-def df_theta_star(config: LinkConfig) -> float:
-    """Optimal DF time split; equalizes the two binned packet sizes.  It is
-    the parameter of :func:`df_max_rate`, and raises where that does."""
-    return df_max_rate(config).parameter
 
 
 def df_max_rate(config: LinkConfig) -> SchemeRate:
@@ -212,20 +210,17 @@ def df_max_rate(config: LinkConfig) -> SchemeRate:
 
         rate = C(g1) * (1 + delta*(C(g2) - C(g1))) / (1 + delta*(C(g2) - C(g0)))
 
-    which equals ``df_rate(config, df_theta_star(config)).rate``.
+    which equals ``df_rate(config, theta*).rate``.  Its parameter theta*
+    equalizes the two binned packet sizes; below the smallest subnormal it
+    rounds to 0, which :func:`df_rate` rejects as an input.
     Where the denominator of delta leaves the normal float range (below
     about -1540 dB), the formula runs on C(g0)/C(g1) and C(g2)/C(g1) and
     is scaled by C(g1).  Where C(g0) is close to C(g1), theta* is formed
     from the SNRs (see :func:`_df_max_at`).
     """
     g0, g1, g2 = config.gamma0, config.gamma1, config.gamma2
-    try:
-        rate, theta = _df_max_at(g0, g1, g2, capacity(g0), capacity(g1), capacity(g2))
-    except ValueError as exc:
-        raise ValueError(
-            f"{exc} at gamma0={config.gamma0!r}, gamma1={config.gamma1!r}, gamma2={config.gamma2!r}"
-        ) from None
-    return SchemeRate("DF", rate=rate, parameter=theta, breakdown=df_rate(config, theta))
+    rate, theta = _df_max_at(g0, g1, g2, capacity(g0), capacity(g1), capacity(g2))
+    return SchemeRate("DF", rate=rate, parameter=theta, breakdown=_df_breakdown(config, theta))
 
 
 def df_max_rate_no_direct(config: LinkConfig) -> SchemeRate:
@@ -240,12 +235,12 @@ def df_max_rate_no_direct(config: LinkConfig) -> SchemeRate:
     rate = 2.0 * c1 * c2 / (c1 + 2.0 * c2)
     theta = c1 / (c1 + c2)  # theta_star at gamma0 = 0
     zeroed = replace(config, gamma0=0.0)
-    return SchemeRate("DF", rate=rate, parameter=theta, breakdown=df_rate(zeroed, theta))
+    return SchemeRate("DF", rate=rate, parameter=theta, breakdown=_df_breakdown(zeroed, theta))
 
 
 def _af_two_way(g1: float, g2: float) -> tuple[float, float, float, float, float]:
-    """``(snr_a_to_c, snr_c_to_a, rate_a, rate_c, rate)`` of
-    :func:`af_breakdown` and :func:`af_rate` from the link SNRs ``g1 <= g2``."""
+    """``(snr_a_to_c, snr_c_to_a, rate_a, rate_c, rate)`` of :func:`af_rate`
+    from the link SNRs ``g1 <= g2``."""
     product = g1 * g2
     if math.isinf(product) or math.isinf(g1 + 2.0 * g2 + 1.0):
         # num and den divided by g2, the larger SNR: no term overflows
@@ -260,22 +255,16 @@ def _af_two_way(g1: float, g2: float) -> tuple[float, float, float, float, float
     return snr_a_to_c, snr_c_to_a, rate_a, rate_c, 0.5 * (rate_a + rate_c)
 
 
-def af_breakdown(config: LinkConfig) -> AfBreakdown:
-    """Effective SNRs of amplify-and-forward relaying.
+def af_rate(config: LinkConfig) -> SchemeRate:
+    """Maximal two-way AF rate: both directions complete in two steps.
 
     The relay scales its received sum signal to unit average power with
-    ``beta = 1/sqrt(gamma1 + gamma2 + 1)`` (unit noise power).
-    After each terminal subtracts its own (known) contribution the
-    end-to-end SNRs collapse to
+    ``beta = 1/sqrt(gamma1 + gamma2 + 1)`` (unit noise power).  After each
+    terminal subtracts its own (known) contribution, the end-to-end SNRs in
+    the :class:`AfBreakdown` collapse to
 
         snr_a_to_c = g1*g2 / (g1 + 2*g2 + 1)
         snr_c_to_a = g1*g2 / (2*g1 + g2 + 1)
-    """
-    return af_rate(config).breakdown
-
-
-def af_rate(config: LinkConfig) -> SchemeRate:
-    """Maximal two-way AF rate: both directions complete in two steps.
 
     Each direction delivers N*C(snr) bits over the 2N symbols of the two
     steps, so the two-way rate is the plain average of the two capacities.

@@ -550,6 +550,27 @@ def test_df_where_c_gamma0_rounds_to_c_gamma1(capsys):
     assert code == 0 and err == "" and len(out.splitlines()) == 4
 
 
+@pytest.mark.parametrize("argv, rate", [
+    (["--gamma1-db=-3230", "--gamma2", "db:30"], "1.48219694e-323"),
+    (["--gamma1-db=-3075", "--gamma2", "db:30", "--gamma0", "frac:0.9999999999999998"],
+     "4.5622023e-308"),
+])
+def test_df_where_theta_star_rounds_to_zero(capsys, argv, rate):
+    # theta* lies below the smallest subnormal; DF exited 1 naming theta
+    code, out, err = run(capsys, "rate", *argv, "--schemes", "DF,DNF")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:] == [f"DF               rate = {rate} theta* = 0  [split-and-xor]",
+                                    f"DNF              rate = {rate} upper bound"]
+
+
+def test_simulate_rejects_a_theta_star_of_zero(capsys):
+    # the simulator cannot give C an empty source phase
+    code, out, err = run(capsys, "simulate", "--scheme", "df", "--gamma1-db=-3230",
+                         "--gamma2", "db:30")
+    assert code == 1 and out == ""
+    assert err == "error: theta must lie strictly inside (0, 1), got 0.0\n"
+
+
 @pytest.mark.parametrize("scheme, flag, pattern", [
     ("df", "--theta", r"theta\* = (\S+)"),
     ("jdf", "--lam", r"lambda\* = (\S+)"),

@@ -149,8 +149,8 @@ def test_scans_use_no_closed_form_optimum(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an oracle called a closed-form optimum")
 
-    for name in ("df_theta_star", "df_max_rate", "df_max_rate_no_direct",
-                 "jdf_lambda0", "jdf_max_rate"):
+    for name in ("_df_max", "_df_max_at", "df_max_rate", "df_max_rate_no_direct",
+                 "_jdf_max", "_jdf_balance", "jdf_lambda0", "jdf_max_rate"):
         monkeypatch.setattr(schemes, name, forbidden)
     got = [(oracle.grid_max_df_theta(c), oracle.grid_max_jdf_lambda(c)) for c in configs]
     assert got == expected

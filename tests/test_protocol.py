@@ -289,33 +289,6 @@ def test_one_corrupted_payload_bit_fails_the_decode_check(monkeypatch, case, sid
 # ---------------------------------------------------------------- packed bits
 
 
-@st.composite
-def _bit_ranges(draw):
-    """A packed array of 0-80 bits, arbitrary pad bits, and a range in it."""
-    n = draw(st.integers(0, 80))
-    packed = np.array(draw(st.lists(st.integers(0, 255), min_size=-(-n // 8),
-                                    max_size=-(-n // 8))), dtype=np.uint8)
-    residue = draw(st.integers(0, 7))
-    start = draw(st.sampled_from([s for s in range(n + 1) if s % 8 == residue] or [0]))
-    stop = draw(st.one_of(st.just(start), st.just(n), st.integers(start, n)))
-    return packed, n, start, stop
-
-
-@given(_bit_ranges())
-@settings(max_examples=400, deadline=None)
-@example((np.zeros(0, dtype=np.uint8), 0, 0, 0))
-@example((np.full(10, 255, dtype=np.uint8), 80, 80, 80))
-@example((np.full(10, 255, dtype=np.uint8), 77, 3, 77))
-@example((np.full(10, 255, dtype=np.uint8), 77, 77, 77))
-def test_bit_range_matches_unpacked_slicing(case):
-    packed, n, start, stop = case
-    got = protocol._bit_range(packed, start, stop)
-    assert got.dtype == np.uint8
-    assert np.array_equal(got, np.packbits(np.unpackbits(packed, count=n)[start:stop]))
-    # pad bits are zero: unpacking every byte adds only zeros past stop - start
-    assert not np.unpackbits(got)[stop - start:].any()
-
-
 def _relay_reference(to_c, to_a, bits_c, n):
     """What A and C recover from the relay, on unpacked bits: the C-bound
     packet cut or zero-padded to ``n`` bits and XORed with the A-bound one,
@@ -347,6 +320,12 @@ def _relay_packets(draw):
 @example((np.full(10, 255, dtype=np.uint8), np.full(10, 255, dtype=np.uint8), 80, 80))
 @example((np.full(10, 255, dtype=np.uint8), np.full(1, 0x80, dtype=np.uint8), 80, 1))
 @example((np.full(1, 0x80, dtype=np.uint8), np.full(10, 255, dtype=np.uint8), 1, 80))
+# a tail that starts and ends inside the byte it shares with the XOR part
+@example((np.array([0b10110100], dtype=np.uint8), np.array([0b01100000], dtype=np.uint8), 6, 3))
+# a byte-aligned split with a tail
+@example((np.full(3, 0xA5, dtype=np.uint8), np.full(2, 0x3C, dtype=np.uint8), 24, 16))
+# a split 7 bits into a byte, with a one-bit tail
+@example((np.array([0x5A, 0xFF], dtype=np.uint8), np.array([0xC3, 0xFE], dtype=np.uint8), 16, 15))
 def test_relay_broadcast_matches_unpacked_xor_pad_and_split(case):
     to_c, to_a, bits_c, n = case
     sent_c, sent_a = to_c.copy(), to_a.copy()

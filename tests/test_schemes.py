@@ -69,22 +69,23 @@ def test_df_packet_sizes_worked_examples():
 
 
 def test_df_theta_star_values():
-    assert schemes.df_theta_star(make_config(0.0, 1.0, 1.0)) == 0.5
-    assert schemes.df_theta_star(make_config(0.1, 1.0, 1.0)) == 0.5
+    assert schemes.df_max_rate(make_config(0.0, 1.0, 1.0)).parameter == 0.5
+    assert schemes.df_max_rate(make_config(0.1, 1.0, 1.0)).parameter == 0.5
     assert math.isclose(
-        schemes.df_theta_star(make_config(0.0, 1.0, 3.0)), 1.0 / 3.0, rel_tol=1e-15
+        schemes.df_max_rate(make_config(0.0, 1.0, 3.0)).parameter, 1.0 / 3.0, rel_tol=1e-15
     )
     # C(gamma0) rounds to C(gamma1): theta* is df_max_rate's, inside (0, 1)
-    assert schemes.df_theta_star(make_config(math.nextafter(1.0, 0.0), 1.0, 1.0)) == 0.5
+    assert schemes.df_max_rate(make_config(math.nextafter(1.0, 0.0), 1.0, 1.0)).parameter == 0.5
     cfg = make_config(0.9999999999999999 * 1000.0, 1000.0, 2000.0)
-    theta = schemes.df_theta_star(cfg)
-    assert theta == schemes.df_max_rate(cfg).parameter and 0.0 < theta < 1e-15
-    assert schemes.df_rate(cfg, theta).rate == schemes.df_max_rate(cfg).rate
+    best = schemes.df_max_rate(cfg)
+    theta = best.parameter
+    assert theta == best.breakdown.theta and 0.0 < theta < 1e-15
+    assert schemes.df_rate(cfg, theta).rate == best.rate
 
 
 def test_df_theta_star_equalizes_packets():
     for cfg in [make_config(0.1, 1.0, 3.0), make_config(0.0, 0.5, 7.0)]:
-        theta = schemes.df_theta_star(cfg)
+        theta = schemes.df_max_rate(cfg).parameter
         best = schemes.df_rate(cfg, theta)
         assert math.isclose(best.size_dbc, best.size_dba, rel_tol=1e-12)
 
@@ -125,7 +126,7 @@ def test_df_stays_below_weaker_capacity(g1, g2, g0_frac):
 
 def test_df_rate_unimodal_with_peak_at_theta_star():
     cfg = make_config(0.1, 1.0, 3.0)
-    star = schemes.df_theta_star(cfg)
+    star = schemes.df_max_rate(cfg).parameter
     thetas = np.linspace(0.0, 1.0, 1002)[1:-1]
     rates = np.array([schemes.df_rate(cfg, float(t)).rate for t in thetas])
     rising = thetas <= star
@@ -180,7 +181,7 @@ def test_df_ignores_direct_link_for_no_direct_variant():
 
 
 def test_af_worked_examples():
-    bd = schemes.af_breakdown(make_config(0.0, 1.0, 1.0))
+    bd = schemes.af_rate(make_config(0.0, 1.0, 1.0)).breakdown
     assert math.isclose(bd.amplification, 0.5773502691896258, rel_tol=1e-15)
     assert bd.snr_a_to_c == 0.25
     assert bd.snr_c_to_a == 0.25
@@ -190,7 +191,7 @@ def test_af_worked_examples():
         rel_tol=1e-15,
     )
 
-    bd = schemes.af_breakdown(make_config(0.0, 1.0, 3.0))
+    bd = schemes.af_rate(make_config(0.0, 1.0, 3.0)).breakdown
     assert bd.snr_a_to_c == 0.375
     assert bd.snr_c_to_a == 0.5
     assert math.isclose(
@@ -203,7 +204,7 @@ def test_af_worked_examples():
 @given(snr, snr)
 def test_af_effective_snrs_are_degraded(g1, g2):
     cfg = config_from(g1, g2)
-    bd = schemes.af_breakdown(cfg)
+    bd = schemes.af_rate(cfg).breakdown
     # noise amplification: both end-to-end SNRs fall below the weaker link
     assert 0.0 < bd.snr_a_to_c < cfg.gamma1
     assert 0.0 < bd.snr_c_to_a < cfg.gamma1
@@ -215,7 +216,7 @@ def test_af_effective_snrs_are_degraded(g1, g2):
 def test_af_snrs_keep_their_bits_where_nothing_overflows(g1, g2):
     cfg = config_from(g1, g2)
     g1, g2 = cfg.gamma1, cfg.gamma2
-    bd = schemes.af_breakdown(cfg)
+    bd = schemes.af_rate(cfg).breakdown
     assert bd.snr_a_to_c == g1 * g2 / (g1 + 2.0 * g2 + 1.0)
     assert bd.snr_c_to_a == g1 * g2 / (2.0 * g1 + g2 + 1.0)
 
