@@ -199,15 +199,17 @@ def ma_rate_pair(config: LinkConfig, lam: float) -> RatePair:
     (``lam=0``) to the A-favouring corner (``lam=1``).  Every returned pair
     has ``rate_a + rate_c`` equal to the sum capacity.
     """
-    _check_lam(lam)
+    _check_share("lam", lam)
     return RatePair(*_face_point(ma_region(config), lam))
 
 
-def _check_lam(lam: float) -> None:
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
-        raise ValueError(f"lam must be a finite number, got {lam!r}")
-    if lam < 0.0 or lam > 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
+def _check_share(name: str, value: float) -> None:
+    """Check a time share (DF's ``theta``, JDF's ``lam``): a share of one
+    unit source phase, so a finite number in [0, 1]."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if value < 0.0 or value > 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def _face_point(region: MaRegion, lam):

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 from . import schemes
 from .channel import (
-    AssumptionViolation, ProtocolError, _check_lam, db_to_linear, linear_to_db, make_config,
+    AssumptionViolation, ProtocolError, _check_share, db_to_linear, linear_to_db, make_config,
 )
 from .sweep import (
     SCHEME_NAMES,
@@ -227,14 +227,12 @@ def _cmd_simulate(args) -> int:
     gamma0 = Gamma0Rule.parse(args.gamma0).apply(gamma1)
     cfg = make_config(gamma0, gamma1, gamma2)
     if args.scheme == "df":
-        name, given, check, best, run = (
-            "theta", args.theta, schemes._check_theta, schemes.df_max_rate, protocol.run_df)
+        name, given, best, run = "theta", args.theta, schemes.df_max_rate, protocol.run_df
     else:
-        name, given, check, best, run = (
-            "lam", args.lam, _check_lam, schemes.jdf_max_rate, protocol.run_jdf)
+        name, given, best, run = "lam", args.lam, schemes.jdf_max_rate, protocol.run_jdf
     # the flag follows the terminals as given, the protocol the normalized labels
     if given is not None:
-        check(given)
+        _check_share(name, given)
     share = best(cfg).parameter if given is None else _as_given(given, cfg)
     transcript = run(cfg, args.n_symbols, share, args.seed)
     print(f"{transcript.scheme} exchange: N = {args.n_symbols}, "

@@ -36,6 +36,7 @@ class GridResult:
 
     ``best_param`` is the optimizing parameter: a float for the 1-D
     searches, an ``(rate_a, rate_c)`` pair for the region search.
+    ``grid_points`` counts the points scanned.
     """
 
     best_param: object
@@ -51,8 +52,6 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
     """
     a, b = lo, hi
     h = b - a
-    if h <= tol:
-        return 0.5 * (a + b), 0
     # reductions needed to shrink the bracket below tol
     steps = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
     c = a + _INV_PHI2 * h
@@ -74,19 +73,18 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
 
 
 def _grid_refine(f: Callable, grid: np.ndarray) -> GridResult:
-    """Maximize ``f`` over ``grid`` (inside [0, 1]) in one call on the
-    whole array, then refine around the best cell by golden-section search
-    with scalar calls; ``f`` maps a float to a float and an array to an
-    array.  A best cell at either end of the grid is bracketed by that end
-    of [0, 1]."""
+    """Maximize ``f`` over ``grid``, which runs from 0 to 1, in one call on
+    the whole array, then refine between the best point's neighbours by
+    golden-section search with scalar calls; ``f`` maps a float to a float
+    and an array to an array."""
     # where a duration overflows to inf the rate is 0, which is right
     with np.errstate(over="ignore"):
         values = f(grid)
     i = int(np.argmax(values))  # first maximum: smallest parameter wins ties
     best_x = float(grid[i])
     best_v = float(values[i])
-    lo = float(grid[i - 1]) if i > 0 else 0.0
-    hi = float(grid[i + 1]) if i < len(grid) - 1 else 1.0
+    lo = float(grid[max(i - 1, 0)])
+    hi = float(grid[min(i + 1, len(grid) - 1)])
     x, iterations = _golden_max(f, lo, hi, _REFINE_TOL)
     v = f(x)
     if v >= best_v:
@@ -102,12 +100,12 @@ def _grid_refine(f: Callable, grid: np.ndarray) -> GridResult:
 def grid_max_df_theta(config: LinkConfig, grid_points: int = 1001) -> GridResult:
     """Maximize the DF rate over the time split theta by brute force.
 
-    Scans ``grid_points`` interior points of (0, 1), then refines the
-    winning grid cell by golden-section search (the rate is unimodal in
-    theta).
+    Scans ``grid_points`` interior points of [0, 1] and both ends, then
+    refines the winning grid cell by golden-section search (the rate is
+    unimodal in theta).
     """
     _check_grid_points(grid_points)
-    grid = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]  # keep theta in (0, 1)
+    grid = np.linspace(0.0, 1.0, grid_points + 2)
     c0 = capacity(config.gamma0)
     c1 = capacity(config.gamma1)
     c2 = capacity(config.gamma2)
@@ -115,9 +113,6 @@ def grid_max_df_theta(config: LinkConfig, grid_points: int = 1001) -> GridResult
     def f(theta):
         return schemes._df_two_way(c0, c1, c2, theta)[3]
 
-    # golden-section probes stay strictly interior, so the bracket may
-    # extend to the open-interval endpoints even though f(0)/f(1) are
-    # never evaluated; a maximizer below the first grid point stays reachable
     return _grid_refine(f, grid)
 
 

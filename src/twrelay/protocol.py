@@ -147,7 +147,10 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[Trans
     tail_label = ("D_BC" if scheme == "DF" else "D_AC") + "2"
     at_a, at_c = _relay_broadcast(steps, to_c, to_a, bits_ac - side_c, bits_ca - side_a,
                                   capacity(config.gamma1), capacity(config.gamma2), tail_label)
-    if not (np.array_equal(at_c, to_c) and np.array_equal(at_a, to_a)):
+    # the relay's arrays, XORed in place with what was sent, are zero where decoded
+    at_c ^= to_c
+    at_a ^= to_a
+    if at_c.any() or at_a.any():
         raise ProtocolError(f"decode mismatch in {scheme} exchange")
 
     # the source steps fill the N symbols (JDF's two overlap, counted once)
@@ -169,9 +172,8 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[Trans
 
 
 # bounds the symbols of a block and the bits of each packet; packed 8 bits per
-# byte, an exchange whose larger packet sits at the cap peaked at 41-63 MB of
-# arrays and 74-94 MB RSS (DF split-and-xor at 60 MB, 92 MB), on a 2-core
-# Linux VM
+# byte, an exchange whose larger packet sits at the cap peaked at 33-58 MB of
+# arrays and 67-92 MB RSS (DF split-and-xor the largest), on a 2-core Linux VM
 MAX_BLOCK_SIZE = 100_000_000
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .channel import (
-    LinkConfig, MaRegion, RatePair, _check_lam, _face_point, _sum_capacity, capacity, ma_region,
+    LinkConfig, MaRegion, RatePair, _check_share, _face_point, _sum_capacity, capacity, ma_region,
 )
 
 # C1 - C0 below this share of C1 has lost 10 of its 53 bits to cancellation
@@ -95,13 +95,6 @@ class SchemeRate:
     upper_bound: bool = False
 
 
-def _check_theta(theta: float) -> None:
-    if not (isinstance(theta, (int, float)) and math.isfinite(theta)):
-        raise ValueError(f"theta must be a finite number, got {theta!r}")
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie strictly inside (0, 1), got {theta!r}")
-
-
 def _broadcast_duration(to_c, to_a, c1: float, c2: float):
     """Symbols spent per unit source phase when the relay must deliver
     ``to_c`` bits per source symbol to C and ``to_a`` to A: the XOR at the
@@ -147,18 +140,13 @@ def _jdf_two_way(region: MaRegion, lam):
 def df_rate(config: LinkConfig, theta: float) -> DfBreakdown:
     """Two-way rate of the three-step DF scheme at a given time split.
 
-    The source phases take one unit of time between them.  The broadcast
+    The source phases take one unit of time between them, C's share
+    ``theta`` in [0, 1] and A's the rest.  The broadcast
     phase sends the XOR of the (length-equalized) binned packets at the
     weaker-link rate; in the split case the excess of the longer C-bound
     packet goes out separately at the stronger-link rate.
     """
-    _check_theta(theta)
-    return _df_breakdown(config, theta)
-
-
-def _df_breakdown(config: LinkConfig, theta: float) -> DfBreakdown:
-    """:func:`df_rate` without its check on ``theta``, for the optima, whose
-    theta* rounds to 0 where it is below the smallest subnormal."""
+    _check_share("theta", theta)
     size_dbc, size_dba, duration, rate = _df_two_way(
         capacity(config.gamma0), capacity(config.gamma1), capacity(config.gamma2), theta
     )
@@ -212,7 +200,7 @@ def df_max_rate(config: LinkConfig) -> SchemeRate:
 
     which equals ``df_rate(config, theta*).rate``.  Its parameter theta*
     equalizes the two binned packet sizes; below the smallest subnormal it
-    rounds to 0, which :func:`df_rate` rejects as an input.
+    rounds to 0, an end of its domain [0, 1].
     Where the denominator of delta leaves the normal float range (below
     about -1540 dB), the formula runs on C(g0)/C(g1) and C(g2)/C(g1) and
     is scaled by C(g1).  Where C(g0) is close to C(g1), theta* is formed
@@ -220,7 +208,7 @@ def df_max_rate(config: LinkConfig) -> SchemeRate:
     """
     g0, g1, g2 = config.gamma0, config.gamma1, config.gamma2
     rate, theta = _df_max_at(g0, g1, g2, capacity(g0), capacity(g1), capacity(g2))
-    return SchemeRate("DF", rate=rate, parameter=theta, breakdown=_df_breakdown(config, theta))
+    return SchemeRate("DF", rate=rate, parameter=theta, breakdown=df_rate(config, theta))
 
 
 def df_max_rate_no_direct(config: LinkConfig) -> SchemeRate:
@@ -235,7 +223,7 @@ def df_max_rate_no_direct(config: LinkConfig) -> SchemeRate:
     rate = 2.0 * c1 * c2 / (c1 + 2.0 * c2)
     theta = c1 / (c1 + c2)  # theta_star at gamma0 = 0
     zeroed = replace(config, gamma0=0.0)
-    return SchemeRate("DF", rate=rate, parameter=theta, breakdown=_df_breakdown(zeroed, theta))
+    return SchemeRate("DF", rate=rate, parameter=theta, breakdown=df_rate(zeroed, theta))
 
 
 def _af_two_way(g1: float, g2: float) -> tuple[float, float, float, float, float]:
@@ -364,7 +352,7 @@ def jdf_rate(config: LinkConfig, lam: float) -> JdfBreakdown:
     weaker-link rate; when the A-bound packet is longer its excess goes
     out separately at the stronger-link rate.
     """
-    _check_lam(lam)
+    _check_share("lam", lam)
     rate_a, rate_c, duration, rate = _jdf_two_way(ma_region(config), lam)
     return JdfBreakdown(
         lam=lam,

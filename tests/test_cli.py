@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -388,6 +389,25 @@ def test_oversized_simulation_exits_one_before_allocating(argv):
     assert float(proc.stdout) < 1.0
 
 
+def test_oversized_packets_exit_one_before_allocating(capsys):
+    # 2*10**7 symbols fit the block cap, but each packet would hold about
+    # 1.04*10**8 bits, 13 MB packed; the simulator (and numpy) load before
+    # tracing starts
+    from twrelay import protocol
+
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "simulate", "--scheme", "df", "--gamma1-db", "30",
+                             "--gamma2", "ratio:2", "--n-symbols", "20000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == ("error: source packets of 104430153 and 104430153 bits exceed the "
+                   f"{protocol.MAX_BLOCK_SIZE}-bit limit; use a shorter block\n")
+    assert peak < 1_000_000
+
+
 def test_af_rate_where_gamma1_gamma2_overflows(capsys):
     code, out, err = run(capsys, "rate", "--gamma1-db", "1550", "--schemes", "AF")
     assert code == 0 and err == ""
@@ -568,7 +588,16 @@ def test_simulate_rejects_a_theta_star_of_zero(capsys):
     code, out, err = run(capsys, "simulate", "--scheme", "df", "--gamma1-db=-3230",
                          "--gamma2", "db:30")
     assert code == 1 and out == ""
-    assert err == "error: theta must lie strictly inside (0, 1), got 0.0\n"
+    assert err == ("error: block of 100000 symbols at theta=0 leaves an empty packet "
+                   "(sizes: D_AC=0, D_CA=0, D_BC=0, D_BA=0)\n")
+
+
+def test_df_oracle_reaches_a_theta_star_of_zero(capsys):
+    # the oracle scans theta = 0 too, where the closed form's optimum lies
+    code, out, err = run(capsys, "sweep", "--gamma1-db=-3230:-3220:5", "--gamma2", "db:30",
+                         "--schemes", "DF", "--verify")
+    assert code == 0 and err == ""
+    assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == ["0", "0", "0"]
 
 
 @pytest.mark.parametrize("scheme, flag, pattern", [
@@ -601,7 +630,7 @@ def test_simulate_theta_follows_the_terminals_as_given(capsys):
     code, out, err = run(capsys, "simulate", "--scheme", "df", "--gamma1-db", "10",
                          "--gamma2", "db:5", "--theta", "1.5")
     assert (code, out) == (1, "")
-    assert err == "error: theta must lie strictly inside (0, 1), got 1.5\n"
+    assert err == "error: theta must lie in [0, 1], got 1.5\n"
 
 
 def test_unswapped_theta_and_lambda_unchanged(capsys):

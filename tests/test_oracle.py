@@ -13,7 +13,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from twrelay import oracle, protocol, schemes
-from twrelay.channel import capacity, ma_region, make_config
+from twrelay.channel import capacity, db_to_linear, ma_region, make_config
 from twrelay.sweep import VERIFY_TOLERANCE
 
 snr = st.floats(min_value=1e-2, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -39,10 +39,19 @@ def test_grid_df_fine_and_too_coarse_grids():
     cfg = make_config(0.1, 1.0, 1.0)
     result = oracle.grid_max_df_theta(cfg, grid_points=100001)
     assert result.refinement_iterations > 0
-    assert result.grid_points == 100001
+    assert result.grid_points == 100003  # the interior points and both ends
     assert math.isclose(result.best_rate, 0.6986908164233079, rel_tol=1e-9)
     with pytest.raises(ValueError):
         oracle.grid_max_df_theta(cfg, grid_points=2)
+
+
+def test_grid_df_reaches_theta_zero():
+    # theta* = (C1 - C0)/(C1 + C2 - 2*C0) is below the smallest subnormal here
+    g1 = db_to_linear(-3230.0)
+    cfg = make_config(0.0, g1, 1e3)
+    result = oracle.grid_max_df_theta(cfg)
+    assert result.best_param == 0.0
+    assert result.best_rate == schemes.df_max_rate(cfg).rate == capacity(g1)
 
 
 def test_grid_jdf_rediscovers_lambda_star():
@@ -91,7 +100,7 @@ def _config(g1_db, r_db, frac):
 
 
 def _df_grid(n):
-    return np.linspace(0.0, 1.0, n + 2)[1:-1]
+    return np.linspace(0.0, 1.0, n + 2)
 
 
 def _jdf_grid(n):
@@ -118,8 +127,8 @@ def _scalar_grid_refine(f, grid):
     i = int(np.argmax(values))
     best_x = float(grid[i])
     best_v = float(values[i])
-    lo = float(grid[i - 1]) if i > 0 else 0.0
-    hi = float(grid[i + 1]) if i < len(grid) - 1 else 1.0
+    lo = float(grid[max(i - 1, 0)])
+    hi = float(grid[min(i + 1, len(grid) - 1)])
     x, iterations = oracle._golden_max(f, lo, hi, 1e-10)
     v = f(x)
     if v >= best_v:

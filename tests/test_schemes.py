@@ -30,10 +30,18 @@ def config_from(g1, g2, g0_frac=0.0):
 # ---------------------------------------------------------------- DF
 
 
-@pytest.mark.parametrize("theta", [0.0, 1.0, -0.25, 1.25, math.nan])
+@pytest.mark.parametrize("theta", [-0.25, -5e-324, 1.0000000000000002, 1.25, math.nan])
 def test_df_theta_domain(theta):
     with pytest.raises(ValueError):
         schemes.df_rate(make_config(0.0, 1.0, 1.0), theta)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_df_rate_at_the_ends_of_its_domain(theta):
+    # one source packet is empty: one bit a symbol one way, then its broadcast
+    result = schemes.df_rate(make_config(0.0, 1.0, 1.0), theta)
+    assert result.rate == 0.5 and result.duration == 2.0
+    assert (result.size_dbc, result.size_dba) == (1.0 - theta, theta)
 
 
 def test_df_rate_worked_examples():
