@@ -36,7 +36,8 @@ class GridResult:
 
     ``best_param`` is the optimizing parameter: a float for the 1-D
     searches, an ``(rate_a, rate_c)`` pair for the region search.
-    ``grid_points`` counts the points scanned.
+    ``grid_points`` counts the points scanned, per axis for the region
+    search.
     """
 
     best_param: object
