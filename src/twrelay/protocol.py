@@ -16,6 +16,7 @@ rate from below as the block length grows, with an O(1/N) gap.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,17 +74,33 @@ def _clear_pad(bits: np.ndarray, count: int) -> np.ndarray:
     return bits
 
 
-def _draw_bits(bitgen: np.random.SFC64, count: int) -> np.ndarray:
+# raw words per random_raw call: 64 KiB, below glibc's mmap threshold, so the
+# allocator recycles each chunk instead of faulting in fresh pages
+_DRAW_CHUNK = 8192
+
+
+def _draw_bits(bitgen: np.random.SFC64, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """``count`` random bits, packed, from the bit generator's next raw
-    64-bit words read as little-endian bytes; the pad bits are zero."""
+    64-bit words read as little-endian bytes; the pad bits are zero.
+
+    The words are written into ``out`` (a fresh array if omitted), which
+    must hold them whole: ``8 * ceil(count / 64)`` bytes.  Returns the
+    first ``ceil(count / 8)`` bytes of it.
+    """
     size = -(-count // 8)
-    words = bitgen.random_raw(-(-size // 8)).astype("<u8", copy=False)
-    return _clear_pad(words.view(np.uint8)[:size], count)
+    n_words = -(-size // 8)
+    if out is None:
+        out = np.empty(8 * n_words, dtype=np.uint8)
+    words = out[: 8 * n_words].view("<u8")
+    for start in range(0, n_words, _DRAW_CHUNK):
+        words[start:start + _DRAW_CHUNK] = bitgen.random_raw(min(_DRAW_CHUNK, n_words - start))
+    return _clear_pad(out[:size], count)
 
 
 def _relay_broadcast(steps: list[TranscriptStep], to_c: np.ndarray, to_a: np.ndarray,
-                     bits_c: int, n: int, c1: float, c2: float,
-                     tail_label: str) -> tuple[np.ndarray, np.ndarray]:
+                     bits_c: int, n: int, c1: float, c2: float, tail_label: str,
+                     own_c: np.ndarray | None = None,
+                     at_c: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Broadcast the XOR of the ``bits_c`` C-bound and ``n`` A-bound bits
     (packed, 8 per byte) at ``c1``.
 
@@ -92,34 +109,49 @@ def _relay_broadcast(steps: list[TranscriptStep], to_c: np.ndarray, to_a: np.nda
     zero-padded.  Both packets start at bit 0, so the XOR lines up byte for
     byte, and C takes the excess from ``to_c`` at its own byte offsets.
     Appends the relay's steps; returns the bits A and C recover from them.
-    ``to_c`` and ``to_a`` are left as they are; the recovered bits are
-    written over the relay's own temporaries.
+    ``to_c`` and ``to_a`` are left as they are.  The relay works in two
+    temporaries, fresh arrays if omitted, whose contents are never read:
+    ``own_c`` (``len(to_a)`` bytes) holds the C-bound packet cut or padded
+    to ``n`` bits, then D_B, then what A recovers; ``at_c`` (``len(to_c)``
+    bytes) receives what C recovers.
     """
     size = len(to_a)
-    if bits_c >= n:
-        own_c = _clear_pad(to_c[:size].copy(), n)
-    else:
-        own_c = np.zeros(size, dtype=np.uint8)
-        own_c[: len(to_c)] = to_c
-    d_b = own_c ^ to_a
+    common = min(size, len(to_c))
+    if own_c is None:
+        own_c, at_c = np.empty(size, dtype=np.uint8), np.empty(len(to_c), dtype=np.uint8)
+    own_c[:common] = to_c[:common]
+    own_c[common:] = 0
+    d_b = np.bitwise_xor(_clear_pad(own_c, n), to_a, out=own_c)
     steps.append(TranscriptStep("B", c1, n / c1, n, "D_B"))
-    # each terminal strips its own packet from D_B
-    at_a = np.bitwise_xor(d_b, own_c, out=own_c)
-    at_c = np.bitwise_xor(d_b, to_a, out=d_b)
-    del own_c, d_b  # a re-join below then frees C's XOR-recovered bits
-    if bits_c < n:
-        at_c = _clear_pad(at_c[: len(to_c)], bits_c)
-    elif bits_c > n:
+    # each terminal strips its own packet from D_B: C first, since A's
+    # recovery is written over D_B
+    np.bitwise_xor(d_b[:common], to_a[:common], out=at_c[:common])
+    np.bitwise_xor(d_b[:common], to_c[:common], out=d_b[:common])
+    at_a = _clear_pad(d_b, n)
+    if bits_c > n:
         steps.append(TranscriptStep("B", c2, (bits_c - n) / c2, bits_c - n, tail_label))
         # C's recovered bits, then the tail from bit n on, which may share
         # the last recovered byte
-        joined = np.empty_like(to_c)
-        joined[:size] = at_c
-        joined[size:] = to_c[size:]
+        at_c[size:] = to_c[size:]
         if n % 8:
-            joined[size - 1] |= to_c[size - 1] & 0xFF >> n % 8
-        at_c = joined
+            at_c[size - 1] |= to_c[size - 1] & 0xFF >> n % 8
     return at_a, at_c
+
+
+# one grow-only byte buffer per thread: every exchange draws its packets into
+# it and takes the relay's temporaries from it, so after the first exchange
+# of a size an exchange touches no fresh pages
+_workspace = threading.local()
+
+
+def _reserve(nbytes: int) -> np.ndarray:
+    """The first ``nbytes`` bytes of this thread's workspace, grown if it is
+    shorter; they hold whatever the last exchange left there."""
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or len(buf) < nbytes:
+        buf = _workspace.buf = None  # drop the old buffer before allocating
+        buf = _workspace.buf = np.empty(nbytes, dtype=np.uint8)
+    return buf[:nbytes]
 
 
 def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[TranscriptStep],
@@ -141,12 +173,19 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[Trans
     # read.  A bit generator's raw words are reproducible across platforms and
     # numpy releases; SFC64 makes them about twice as fast as Philox
     bitgen = np.random.SFC64(seed)
-    to_c, to_a = (_draw_bits(bitgen, bits - side)
-                  for bits, side in ((bits_ac, side_c), (bits_ca, side_a)))
+    bits_c, n = bits_ac - side_c, bits_ca - side_a
+    # the workspace holds C's and A's packets as drawn, in whole 64-bit
+    # words, then the relay's temporaries own_c and at_c, sized like A's and C's
+    span_c, span_a = (8 * -(-bits // 64) for bits in (bits_c, n))
+    space = _reserve(2 * (span_c + span_a))
+    to_c = _draw_bits(bitgen, bits_c, space[:span_c])
+    to_a = _draw_bits(bitgen, n, space[span_c:span_c + span_a])
+    own_c = space[span_c + span_a:][: len(to_a)]
+    at_c = space[span_c + 2 * span_a:][: len(to_c)]
     # DF relays D_BC, the suffix of D_AC that C did not overhear; JDF all of D_AC
     tail_label = ("D_BC" if scheme == "DF" else "D_AC") + "2"
-    at_a, at_c = _relay_broadcast(steps, to_c, to_a, bits_ac - side_c, bits_ca - side_a,
-                                  capacity(config.gamma1), capacity(config.gamma2), tail_label)
+    at_a, at_c = _relay_broadcast(steps, to_c, to_a, bits_c, n, capacity(config.gamma1),
+                                  capacity(config.gamma2), tail_label, own_c, at_c)
     # the relay's arrays, XORed in place with what was sent, are zero where decoded
     at_c ^= to_c
     at_a ^= to_a
@@ -172,8 +211,10 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[Trans
 
 
 # bounds the symbols of a block and the bits of each packet; packed 8 bits per
-# byte, an exchange whose larger packet sits at the cap peaked at 33-58 MB of
-# arrays and 67-92 MB RSS (DF split-and-xor the largest), on a 2-core Linux VM
+# byte, an exchange whose larger packet sits at the cap peaked at 29-48 MB of
+# arrays and 61-79 MB RSS (DF split-and-xor the largest), on a 2-core Linux VM.
+# The thread's workspace keeps the arrays' bytes, all but a 64 KiB draw chunk,
+# for its next exchange
 MAX_BLOCK_SIZE = 100_000_000
 
 

@@ -134,7 +134,14 @@ def _jdf_two_way(region: MaRegion, lam):
     rate_a, rate_c = _face_point(region, lam)
     duration = _broadcast_duration(rate_a, rate_c, region.cap_a, region.cap_c)
     # rate_a + rate_c == cap_sum on the dominant face
-    return rate_a, rate_c, duration, region.cap_sum / duration
+    if region.cap_sum / region.cap_a < math.inf:
+        return rate_a, rate_c, duration, region.cap_sum / duration
+    # C1 subnormal and C2 not: rate_c/C1 overflows, and the duration with
+    # it, so the rate runs on C1 times the duration and is scaled by C1
+    c1 = region.cap_a
+    excess = (rate_a - rate_c) * (rate_a > rate_c)
+    scaled = c1 + rate_c + excess * (c1 / region.cap_c)
+    return rate_a, rate_c, duration, c1 * (region.cap_sum / scaled)
 
 
 def df_rate(config: LinkConfig, theta: float) -> DfBreakdown:

@@ -600,6 +600,19 @@ def test_df_oracle_reaches_a_theta_star_of_zero(capsys):
     assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == ["0", "0", "0"]
 
 
+def test_jdf_oracle_where_the_saturated_duration_overflows(capsys):
+    # C1 subnormal and C2 not: rate_c/C1 overflowed at every lam, and the
+    # oracle read 0.0 where JDF reaches C1 at lam = 1
+    code, out, err = run(capsys, "sweep", "--gamma1-db=-3080:-3080:1", "--gamma2", "db:30",
+                         "--schemes", "JDF", "--verify")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].split(",")[3:5] == ["1.44269504e-308", "1.44269504e-308"]
+    for gamma2 in ("db:30", "db:300"):
+        code, out, err = run(capsys, "sweep", "--gamma1-db=-3230:-3000:5", "--gamma2", gamma2,
+                             "--schemes", "JDF", "--verify")
+        assert code == 0 and err == "" and len(out.splitlines()) == 48
+
+
 @pytest.mark.parametrize("scheme, flag, pattern", [
     ("df", "--theta", r"theta\* = (\S+)"),
     ("jdf", "--lam", r"lambda\* = (\S+)"),

@@ -2,6 +2,8 @@
 
 import inspect
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -218,6 +220,24 @@ def test_df_with_direct_link_forwards_only_the_drawn_suffixes(monkeypatch):
     assert np.array_equal(seen["to_a"], protocol._draw_bits(bitgen, seen["n"]))
 
 
+def test_draw_bits_in_chunks_matches_one_raw_call():
+    # two whole chunks of raw words and part of a third, ending inside a byte
+    count = 2 * 64 * protocol._DRAW_CHUNK + 77
+    size, n_words = -(-count // 8), -(-count // 64)
+    one_call = np.random.SFC64(99)
+    want = one_call.random_raw(n_words).astype("<u8").view(np.uint8)[:size]
+    want[-1] &= 0xF8  # 77 bits keep the 5 high bits of their last byte
+    next_word = one_call.random_raw()
+    out = np.full(8 * n_words, 0xFF, dtype=np.uint8)
+    for dest in (None, out):
+        bitgen = np.random.SFC64(99)
+        got = protocol._draw_bits(bitgen, count, dest)
+        assert np.array_equal(got, want)
+        # the chunks used up exactly the words of the one call
+        assert bitgen.random_raw() == next_word
+    assert np.shares_memory(got, out)
+
+
 # ---------------------------------------------------------------- decode check
 
 
@@ -246,6 +266,12 @@ def test_simulate_decode_mismatch_exits_two(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "simulation failed: decode mismatch in DF exchange\n"
+
+
+def _fill_workspace():
+    """Set every bit of this thread's exchange workspace."""
+    protocol._reserve(1 << 16)
+    protocol._workspace.buf.fill(0xFF)
 
 
 def _flip_drawn_bit(monkeypatch, side, where):
@@ -278,10 +304,12 @@ _CORRUPTION_CASES = {
 @pytest.mark.parametrize("case", list(_CORRUPTION_CASES))
 def test_one_corrupted_payload_bit_fails_the_decode_check(monkeypatch, case, side, where):
     run, cfg, n_symbols, param, relay_labels = _CORRUPTION_CASES[case]
+    _fill_workspace()  # stale bytes may not make the clean run fail
     t = run(cfg, n_symbols, param, seed=5)
     assert [s.label for s in t.steps[2:]] == relay_labels
     assert t.steps[2].bits % 8  # the XOR part ends inside a byte
     _flip_drawn_bit(monkeypatch, side, where)
+    _fill_workspace()  # nor hide the flipped bit
     with pytest.raises(protocol.ProtocolError, match=f"^decode mismatch in {case.split()[0]} exchange$"):
         run(cfg, n_symbols, param, seed=5)
 
@@ -341,19 +369,32 @@ def test_relay_broadcast_matches_unpacked_xor_pad_and_split(case):
     # comparing a buffer with itself
     assert np.array_equal(to_c, sent_c) and np.array_equal(to_a, sent_a)
     assert not (np.shares_memory(at_a, to_a) or np.shares_memory(at_c, to_c))
+    # temporaries that a workspace left full of set bits give the same bits,
+    # recovered into them
+    own_c, into_c = (np.full(len(packet), 0xFF, dtype=np.uint8) for packet in (to_a, to_c))
+    stale_a, stale_c = protocol._relay_broadcast([], to_c, to_a, bits_c, n, 1.0, 2.0, "T",
+                                                 own_c, into_c)
+    assert np.array_equal(stale_a, ref_a) and np.array_equal(stale_c, ref_c)
+    assert np.shares_memory(stale_a, own_c) and np.shares_memory(stale_c, into_c)
 
 
 # ---------------------------------------------------------------- memory
 
 
-@pytest.mark.parametrize("run, cfg, param", [
+_MEMORY_CASES = [
     (protocol.run_df, make_config(0.1, 1.0, 3.0), 0.2),  # split
     (protocol.run_df, make_config(0.1, 1.0, 3.0), 0.8),  # pad
     (protocol.run_jdf, make_config(0.0, 1.0, 1.5), 0.99),  # split
     (protocol.run_jdf, make_config(0.0, 1.0, 3.0), 0.25),  # pad
-    (protocol.run_df, make_config(0.0, 3.0, 3.5), 0.45),  # split, short tail: the largest at the cap
-])
+    # split, short tail: the largest at the cap
+    (protocol.run_df, make_config(0.0, 3.0, 3.5), 0.45),
+]
+
+
+@pytest.mark.parametrize("run, cfg, param", _MEMORY_CASES)
 def test_exchange_peaks_below_one_byte_per_delivered_bit(run, cfg, param):
+    # a workspace left by an earlier exchange would hide this one's arrays
+    protocol._workspace.buf = None
     tracemalloc.start()
     try:
         t = run(cfg, 1_000_000, param, seed=1)
@@ -361,3 +402,47 @@ def test_exchange_peaks_below_one_byte_per_delivered_bit(run, cfg, param):
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * (t.delivered_ac + t.delivered_ca)
+
+
+@pytest.mark.parametrize("run, cfg, param", _MEMORY_CASES)
+def test_second_exchange_of_a_size_reuses_the_workspace(run, cfg, param):
+    run(cfg, 1_000_000, param, seed=1)
+    tracemalloc.start()
+    try:
+        run(cfg, 1_000_000, param, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024  # a 64 KiB draw chunk, not a packet
+
+
+def test_concurrent_exchanges_match_serial_runs():
+    # more threads than cores, switching often, each running exchanges of
+    # several sizes in its own order: a shared workspace would fail a decode
+    # check or change a transcript
+    jobs = [(run, cfg, n_symbols, param, seed)
+            for seed, (run, cfg, param) in enumerate(_MEMORY_CASES)
+            for n_symbols in (20_001, 300_007)]
+    serial = [run(cfg, n_symbols, param, seed=seed) for run, cfg, n_symbols, param, seed in jobs]
+    results = [None] * 4
+
+    def worker(k):
+        order = jobs[k:] + jobs[:k]
+        transcripts = [run(cfg, n_symbols, param, seed=seed)
+                       for run, cfg, n_symbols, param, seed in order]
+        results[k] = transcripts, protocol._workspace.buf
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [r and r[0] for r in results] == [serial[k:] + serial[:k] for k in range(len(results))]
+    bufs = [r[1] for r in results]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(bufs) for b in bufs[i + 1:])
