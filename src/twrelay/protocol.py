@@ -16,7 +16,6 @@ rate from below as the block length grows, with an O(1/N) gap.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,18 +78,16 @@ def _clear_pad(bits: np.ndarray, count: int) -> np.ndarray:
 _DRAW_CHUNK = 8192
 
 
-def _draw_bits(bitgen: np.random.SFC64, count: int, out: np.ndarray | None = None) -> np.ndarray:
+def _draw_bits(bitgen: np.random.SFC64, count: int, out: np.ndarray) -> np.ndarray:
     """``count`` random bits, packed, from the bit generator's next raw
     64-bit words read as little-endian bytes; the pad bits are zero.
 
-    The words are written into ``out`` (a fresh array if omitted), which
-    must hold them whole: ``8 * ceil(count / 64)`` bytes.  Returns the
-    first ``ceil(count / 8)`` bytes of it.
+    The words are written into ``out``, which must hold them whole:
+    ``8 * ceil(count / 64)`` bytes.  Returns the first ``ceil(count / 8)``
+    bytes of it.
     """
     size = -(-count // 8)
     n_words = -(-size // 8)
-    if out is None:
-        out = np.empty(8 * n_words, dtype=np.uint8)
     words = out[: 8 * n_words].view("<u8")
     for start in range(0, n_words, _DRAW_CHUNK):
         words[start:start + _DRAW_CHUNK] = bitgen.random_raw(min(_DRAW_CHUNK, n_words - start))
@@ -99,8 +96,7 @@ def _draw_bits(bitgen: np.random.SFC64, count: int, out: np.ndarray | None = Non
 
 def _relay_broadcast(steps: list[TranscriptStep], to_c: np.ndarray, to_a: np.ndarray,
                      bits_c: int, n: int, c1: float, c2: float, tail_label: str,
-                     own_c: np.ndarray | None = None,
-                     at_c: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                     own_c: np.ndarray, at_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Broadcast the XOR of the ``bits_c`` C-bound and ``n`` A-bound bits
     (packed, 8 per byte) at ``c1``.
 
@@ -110,15 +106,13 @@ def _relay_broadcast(steps: list[TranscriptStep], to_c: np.ndarray, to_a: np.nda
     byte, and C takes the excess from ``to_c`` at its own byte offsets.
     Appends the relay's steps; returns the bits A and C recover from them.
     ``to_c`` and ``to_a`` are left as they are.  The relay works in two
-    temporaries, fresh arrays if omitted, whose contents are never read:
+    temporaries whose contents are never read:
     ``own_c`` (``len(to_a)`` bytes) holds the C-bound packet cut or padded
     to ``n`` bits, then D_B, then what A recovers; ``at_c`` (``len(to_c)``
     bytes) receives what C recovers.
     """
     size = len(to_a)
     common = min(size, len(to_c))
-    if own_c is None:
-        own_c, at_c = np.empty(size, dtype=np.uint8), np.empty(len(to_c), dtype=np.uint8)
     own_c[:common] = to_c[:common]
     own_c[common:] = 0
     d_b = np.bitwise_xor(_clear_pad(own_c, n), to_a, out=own_c)
@@ -136,22 +130,6 @@ def _relay_broadcast(steps: list[TranscriptStep], to_c: np.ndarray, to_a: np.nda
         if n % 8:
             at_c[size - 1] |= to_c[size - 1] & 0xFF >> n % 8
     return at_a, at_c
-
-
-# one grow-only byte buffer per thread: every exchange draws its packets into
-# it and takes the relay's temporaries from it, so after the first exchange
-# of a size an exchange touches no fresh pages
-_workspace = threading.local()
-
-
-def _reserve(nbytes: int) -> np.ndarray:
-    """The first ``nbytes`` bytes of this thread's workspace, grown if it is
-    shorter; they hold whatever the last exchange left there."""
-    buf = getattr(_workspace, "buf", None)
-    if buf is None or len(buf) < nbytes:
-        buf = _workspace.buf = None  # drop the old buffer before allocating
-        buf = _workspace.buf = np.empty(nbytes, dtype=np.uint8)
-    return buf[:nbytes]
 
 
 def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[TranscriptStep],
@@ -174,10 +152,12 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[Trans
     # numpy releases; SFC64 makes them about twice as fast as Philox
     bitgen = np.random.SFC64(seed)
     bits_c, n = bits_ac - side_c, bits_ca - side_a
-    # the workspace holds C's and A's packets as drawn, in whole 64-bit
-    # words, then the relay's temporaries own_c and at_c, sized like A's and C's
+    # one buffer holds C's and A's packets as drawn, in whole 64-bit words,
+    # then the relay's temporaries own_c and at_c, sized like A's and C's.
+    # glibc keeps a freed block below 32 MiB on its heap once it has unmapped
+    # one that size, so the next exchange of a size reuses this one's pages
     span_c, span_a = (8 * -(-bits // 64) for bits in (bits_c, n))
-    space = _reserve(2 * (span_c + span_a))
+    space = np.empty(2 * (span_c + span_a), dtype=np.uint8)
     to_c = _draw_bits(bitgen, bits_c, space[:span_c])
     to_a = _draw_bits(bitgen, n, space[span_c:span_c + span_a])
     own_c = space[span_c + span_a:][: len(to_a)]
@@ -212,9 +192,7 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[Trans
 
 # bounds the symbols of a block and the bits of each packet; packed 8 bits per
 # byte, an exchange whose larger packet sits at the cap peaked at 29-48 MB of
-# arrays and 61-79 MB RSS (DF split-and-xor the largest), on a 2-core Linux VM.
-# The thread's workspace keeps the arrays' bytes, all but a 64 KiB draw chunk,
-# for its next exchange
+# arrays and 61-79 MB RSS (DF split-and-xor the largest), on a 2-core Linux VM
 MAX_BLOCK_SIZE = 100_000_000
 
 

@@ -2,8 +2,6 @@
 
 import inspect
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -189,10 +187,15 @@ def test_run_jdf_swapped_labels():
 # ---------------------------------------------------------------- payload draw
 
 
+def _draw(bitgen, count):
+    """``_draw_bits`` into a fresh buffer of whole words."""
+    return protocol._draw_bits(bitgen, count, np.empty(8 * -(-count // 64), dtype=np.uint8))
+
+
 def test_draw_bits_reads_raw_sfc64_words_as_little_endian_bytes():
     # SFC64(2024)'s first raw words are 0xaab370cbd524bf6e, 0x72a64b267fb96888;
     # 77 bits take 10 bytes, and the last byte keeps its 5 high bits
-    got = protocol._draw_bits(np.random.SFC64(2024), 77)
+    got = _draw(np.random.SFC64(2024), 77)
     assert got.dtype == np.uint8
     assert got.tolist() == [0x6E, 0xBF, 0x24, 0xD5, 0xCB, 0x70, 0xB3, 0xAA, 0x88, 0x68]
 
@@ -216,8 +219,8 @@ def test_df_with_direct_link_forwards_only_the_drawn_suffixes(monkeypatch):
     assert side_c > 0 and side_a > 0
     assert seen["bits_c"] == t.delivered_ac - side_c and seen["n"] == t.delivered_ca - side_a
     bitgen = np.random.SFC64(seed)  # A's suffix first, then C's
-    assert np.array_equal(seen["to_c"], protocol._draw_bits(bitgen, seen["bits_c"]))
-    assert np.array_equal(seen["to_a"], protocol._draw_bits(bitgen, seen["n"]))
+    assert np.array_equal(seen["to_c"], _draw(bitgen, seen["bits_c"]))
+    assert np.array_equal(seen["to_a"], _draw(bitgen, seen["n"]))
 
 
 def test_draw_bits_in_chunks_matches_one_raw_call():
@@ -228,14 +231,13 @@ def test_draw_bits_in_chunks_matches_one_raw_call():
     want = one_call.random_raw(n_words).astype("<u8").view(np.uint8)[:size]
     want[-1] &= 0xF8  # 77 bits keep the 5 high bits of their last byte
     next_word = one_call.random_raw()
+    # set bits in the buffer, as an earlier exchange's bytes may be
     out = np.full(8 * n_words, 0xFF, dtype=np.uint8)
-    for dest in (None, out):
-        bitgen = np.random.SFC64(99)
-        got = protocol._draw_bits(bitgen, count, dest)
-        assert np.array_equal(got, want)
-        # the chunks used up exactly the words of the one call
-        assert bitgen.random_raw() == next_word
-    assert np.shares_memory(got, out)
+    bitgen = np.random.SFC64(99)
+    got = protocol._draw_bits(bitgen, count, out)
+    assert np.array_equal(got, want) and np.shares_memory(got, out)
+    # the chunks used up exactly the words of the one call
+    assert bitgen.random_raw() == next_word
 
 
 # ---------------------------------------------------------------- decode check
@@ -268,12 +270,6 @@ def test_simulate_decode_mismatch_exits_two(monkeypatch, capsys):
     assert captured.err == "simulation failed: decode mismatch in DF exchange\n"
 
 
-def _fill_workspace():
-    """Set every bit of this thread's exchange workspace."""
-    protocol._reserve(1 << 16)
-    protocol._workspace.buf.fill(0xFF)
-
-
 def _flip_drawn_bit(monkeypatch, side, where):
     """Flip one payload bit, chosen by bit index, of what A or C recovers."""
     relay = protocol._relay_broadcast
@@ -304,12 +300,10 @@ _CORRUPTION_CASES = {
 @pytest.mark.parametrize("case", list(_CORRUPTION_CASES))
 def test_one_corrupted_payload_bit_fails_the_decode_check(monkeypatch, case, side, where):
     run, cfg, n_symbols, param, relay_labels = _CORRUPTION_CASES[case]
-    _fill_workspace()  # stale bytes may not make the clean run fail
     t = run(cfg, n_symbols, param, seed=5)
     assert [s.label for s in t.steps[2:]] == relay_labels
     assert t.steps[2].bits % 8  # the XOR part ends inside a byte
     _flip_drawn_bit(monkeypatch, side, where)
-    _fill_workspace()  # nor hide the flipped bit
     with pytest.raises(protocol.ProtocolError, match=f"^decode mismatch in {case.split()[0]} exchange$"):
         run(cfg, n_symbols, param, seed=5)
 
@@ -358,7 +352,11 @@ def test_relay_broadcast_matches_unpacked_xor_pad_and_split(case):
     to_c, to_a, bits_c, n = case
     sent_c, sent_a = to_c.copy(), to_a.copy()
     steps = []
-    at_a, at_c = protocol._relay_broadcast(steps, to_c, to_a, bits_c, n, 1.0, 2.0, "T")
+    # temporaries full of set bits, as np.empty may hand back an earlier
+    # exchange's bytes
+    own_c, into_c = (np.full(len(packet), 0xFF, dtype=np.uint8) for packet in (to_a, to_c))
+    at_a, at_c = protocol._relay_broadcast(steps, to_c, to_a, bits_c, n, 1.0, 2.0, "T",
+                                           own_c, into_c)
     assert [(s.label, s.bits) for s in steps] == (
         [("D_B", n)] + ([("T", bits_c - n)] if bits_c > n else []))
     ref_a, ref_c = _relay_reference(sent_c, sent_a, bits_c, n)
@@ -369,32 +367,20 @@ def test_relay_broadcast_matches_unpacked_xor_pad_and_split(case):
     # comparing a buffer with itself
     assert np.array_equal(to_c, sent_c) and np.array_equal(to_a, sent_a)
     assert not (np.shares_memory(at_a, to_a) or np.shares_memory(at_c, to_c))
-    # temporaries that a workspace left full of set bits give the same bits,
-    # recovered into them
-    own_c, into_c = (np.full(len(packet), 0xFF, dtype=np.uint8) for packet in (to_a, to_c))
-    stale_a, stale_c = protocol._relay_broadcast([], to_c, to_a, bits_c, n, 1.0, 2.0, "T",
-                                                 own_c, into_c)
-    assert np.array_equal(stale_a, ref_a) and np.array_equal(stale_c, ref_c)
-    assert np.shares_memory(stale_a, own_c) and np.shares_memory(stale_c, into_c)
+    assert np.shares_memory(at_a, own_c) and np.shares_memory(at_c, into_c)
 
 
 # ---------------------------------------------------------------- memory
 
 
-_MEMORY_CASES = [
+@pytest.mark.parametrize("run, cfg, param", [
     (protocol.run_df, make_config(0.1, 1.0, 3.0), 0.2),  # split
     (protocol.run_df, make_config(0.1, 1.0, 3.0), 0.8),  # pad
     (protocol.run_jdf, make_config(0.0, 1.0, 1.5), 0.99),  # split
     (protocol.run_jdf, make_config(0.0, 1.0, 3.0), 0.25),  # pad
-    # split, short tail: the largest at the cap
-    (protocol.run_df, make_config(0.0, 3.0, 3.5), 0.45),
-]
-
-
-@pytest.mark.parametrize("run, cfg, param", _MEMORY_CASES)
+    (protocol.run_df, make_config(0.0, 3.0, 3.5), 0.45),  # split, short tail: the largest at the cap
+])
 def test_exchange_peaks_below_one_byte_per_delivered_bit(run, cfg, param):
-    # a workspace left by an earlier exchange would hide this one's arrays
-    protocol._workspace.buf = None
     tracemalloc.start()
     try:
         t = run(cfg, 1_000_000, param, seed=1)
@@ -404,45 +390,28 @@ def test_exchange_peaks_below_one_byte_per_delivered_bit(run, cfg, param):
     assert peak <= 0.5 * (t.delivered_ac + t.delivered_ca)
 
 
-@pytest.mark.parametrize("run, cfg, param", _MEMORY_CASES)
-def test_second_exchange_of_a_size_reuses_the_workspace(run, cfg, param):
-    run(cfg, 1_000_000, param, seed=1)
-    tracemalloc.start()
-    try:
-        run(cfg, 1_000_000, param, seed=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * 1024  # a 64 KiB draw chunk, not a packet
+@pytest.mark.parametrize("run, cfg, param", [
+    (protocol.run_df, make_config(0.1, 1.0, 3.0), 0.2),  # split
+    (protocol.run_jdf, make_config(0.0, 1.0, 3.0), 0.25),  # pad
+])
+def test_exchange_keeps_packets_and_temporaries_in_one_buffer(monkeypatch, run, cfg, param):
+    # one allocation per exchange: glibc then serves the next exchange of a
+    # size from the pages this one freed, where separate arrays fault in
+    # fresh ones
+    seen = {}
+    draw, relay = protocol._draw_bits, protocol._relay_broadcast
 
+    def draw_spy(bitgen, count, out):
+        seen.setdefault("draws", []).append(out)
+        return draw(bitgen, count, out)
 
-def test_concurrent_exchanges_match_serial_runs():
-    # more threads than cores, switching often, each running exchanges of
-    # several sizes in its own order: a shared workspace would fail a decode
-    # check or change a transcript
-    jobs = [(run, cfg, n_symbols, param, seed)
-            for seed, (run, cfg, param) in enumerate(_MEMORY_CASES)
-            for n_symbols in (20_001, 300_007)]
-    serial = [run(cfg, n_symbols, param, seed=seed) for run, cfg, n_symbols, param, seed in jobs]
-    results = [None] * 4
+    def relay_spy(*args):
+        seen["temps"] = args[-2:]
+        return relay(*args)
 
-    def worker(k):
-        order = jobs[k:] + jobs[:k]
-        transcripts = [run(cfg, n_symbols, param, seed=seed)
-                       for run, cfg, n_symbols, param, seed in order]
-        results[k] = transcripts, protocol._workspace.buf
-
-    threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(results))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert [r and r[0] for r in results] == [serial[k:] + serial[:k] for k in range(len(results))]
-    bufs = [r[1] for r in results]
-    assert not any(np.shares_memory(a, b) for i, a in enumerate(bufs) for b in bufs[i + 1:])
+    monkeypatch.setattr(protocol, "_draw_bits", draw_spy)
+    monkeypatch.setattr(protocol, "_relay_broadcast", relay_spy)
+    run(cfg, 100_003, param, seed=1)
+    parts = seen["draws"] + list(seen["temps"])
+    assert len(parts) == 4 and all(part.base is parts[0].base for part in parts)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(parts) for b in parts[i + 1:])
