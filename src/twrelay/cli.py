@@ -21,16 +21,13 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import schemes
-from .channel import (
-    AssumptionViolation, ProtocolError, _check_share, db_to_linear, linear_to_db, make_config,
-)
+from .channel import ProtocolError, _check_share, db_to_linear, linear_to_db, make_config
 from .sweep import (
     SCHEME_NAMES,
     SCHEME_TABLE,
     VERIFY_TOLERANCE,
     Gamma0Rule,
     Gamma2Rule,
-    SweepConfigError,
     SweepSpec,
     VerificationError,
     _as_given,
@@ -334,7 +331,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (SweepConfigError, AssumptionViolation, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -67,7 +67,12 @@ class AfBreakdown:
 
 @dataclass(frozen=True)
 class JdfBreakdown:
-    """Intermediate quantities of the two-step JDF scheme at one lambda."""
+    """Intermediate quantities of the two-step JDF scheme at one lambda.
+
+    ``duration`` is inf where the XOR broadcast's ``rate_c / C(g1)``
+    symbols overflow, which takes C(g1) subnormal and C(g2) far above it;
+    ``rate`` is finite there.
+    """
 
     lam: float
     rate_pair: RatePair
@@ -135,6 +140,7 @@ def _jdf_two_way(region: MaRegion, lam):
     duration = _broadcast_duration(rate_a, rate_c, region.cap_a, region.cap_c)
     # rate_a + rate_c == cap_sum on the dominant face
     if region.cap_sum / region.cap_a < math.inf:
+        # not the scaled form below: it rounds the golden *_verify.csv deviations apart
         return rate_a, rate_c, duration, region.cap_sum / duration
     # C1 subnormal and C2 not: rate_c/C1 overflows, and the duration with
     # it, so the rate runs on C1 times the duration and is scaled by C1
@@ -224,10 +230,17 @@ def df_max_rate_no_direct(config: LinkConfig) -> SchemeRate:
         rate = 2*C(g1)*C(g2) / (C(g1) + 2*C(g2))
 
     Matches :func:`df_max_rate` on configs whose ``gamma0`` is zero.
+    Where ``C(g1)*C(g2)`` leaves the normal float range, the rate is formed
+    as ``2*C(g1) / (C(g1)/C(g2) + 2)``.
     """
     c1 = capacity(config.gamma1)
     c2 = capacity(config.gamma2)
-    rate = 2.0 * c1 * c2 / (c1 + 2.0 * c2)
+    if c1 * c2 < _NORMAL_MIN:
+        # the product is subnormal or 0 (below about -1540 dB with equal
+        # links): num and den divided by C(g2)
+        rate = 2.0 * c1 / (c1 / c2 + 2.0)
+    else:
+        rate = 2.0 * c1 * c2 / (c1 + 2.0 * c2)
     theta = c1 / (c1 + c2)  # theta_star at gamma0 = 0
     zeroed = replace(config, gamma0=0.0)
     return SchemeRate("DF", rate=rate, parameter=theta, breakdown=df_rate(zeroed, theta))

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import schemes
 from .channel import (
-    MAX_GRID_POINTS, AssumptionViolation, LinkConfig, _check_grid_points, capacity, db_to_linear,
+    MAX_GRID_POINTS, LinkConfig, _check_grid_points, capacity, db_to_linear,
     linear_to_db, make_config,
 )
 
@@ -32,8 +32,9 @@ class SchemeEntry:
     """One scheme: its closed form in :mod:`schemes`, its brute-force
     oracle in :mod:`oracle` (or None), whether it takes gamma0 (one column
     per gamma0 rule), the text ``twrelay rate`` prints after its rate and
-    its sweep column: the rates at every grid point, from the
-    :class:`_Links` of a sweep and the index of the column's gamma0 rule.
+    its sweep column: the rates at every grid point, from the lists
+    ``(g0, g1, g2, c0, c1, c2)`` of the link SNRs and capacities over the
+    grid, ``g0`` and ``c0`` those of the column's gamma0 rule.
     Functions are held by name and looked up at each call, so a function
     rebound on its module (a test double, a profiler) is the one called.
     """
@@ -42,7 +43,7 @@ class SchemeEntry:
     oracle: Optional[str]
     uses_gamma0: bool
     detail: Callable[[schemes.SchemeRate, LinkConfig], str]
-    column: Callable[["_Links", int], list[float]]
+    column: Callable[..., list[float]]
 
     def best(self, config: LinkConfig) -> schemes.SchemeRate:
         return getattr(schemes, self.closed_form)(config)
@@ -83,24 +84,21 @@ SCHEME_TABLE = {
         "df_max_rate", "grid_max_df_theta", True,
         lambda best, config: f"theta* = {_as_given(best.parameter, config):.9g}  "
                              f"[{best.breakdown.case}]",
-        lambda links, k: [rate for rate, _ in links.each(
-            schemes._df_max_at, links.g0[k - 1], links.g1, links.g2,
-            links.c0[k - 1], links.c1, links.c2)],
+        lambda g0, g1, g2, c0, c1, c2: [
+            rate for rate, _ in map(schemes._df_max_at, g0, g1, g2, c0, c1, c2)],
     ),
     "AF": SchemeEntry(
         "af_rate", None, False, _af_detail,
-        lambda links, k: [af[-1] for af in links.each(schemes._af_two_way, links.g1, links.g2)],
+        lambda g0, g1, g2, c0, c1, c2: [af[-1] for af in map(schemes._af_two_way, g1, g2)],
     ),
     "JDF": SchemeEntry(
         "jdf_max_rate", "grid_max_jdf_lambda", False,
         lambda best, config: f"lambda* = {_as_given(best.parameter, config):.9g}  "
                              f"[{best.breakdown.regime}]",
-        # lambda* is formed too, so the column raises where jdf_max_rate does
-        lambda links, k: [rate for rate, _ in links.each(
-            schemes._jdf_max, links.g1, links.g2, links.c1)],
+        lambda g0, g1, g2, c0, c1, c2: [rate for rate, _ in map(schemes._jdf_max, g1, g2, c1)],
     ),
     "DNF": SchemeEntry("dnf_upper_bound", None, False, lambda best, config: "upper bound",
-                       lambda links, k: list(links.c1)),
+                       lambda g0, g1, g2, c0, c1, c2: list(c1)),
 }
 
 SCHEME_NAMES = tuple(SCHEME_TABLE)
@@ -359,26 +357,6 @@ def _columns(names: Sequence[str], gamma0_rules: Sequence[Gamma0Rule]) -> list[t
     return columns
 
 
-class _Links:
-    """The link SNRs and capacities at the grid points of a sweep, one list
-    each (``g1``, ``g2``, ``c1``, ``c2``; ``g0`` and ``c0`` one per gamma0
-    rule), set by :func:`run_sweep`."""
-
-    def __init__(self, grid_db: list[float]):
-        self.grid_db = grid_db
-
-    def each(self, rule: Callable, *columns: list) -> list:
-        """``rule`` at each grid point; a ValueError it raises is raised
-        again naming the first point where it failed."""
-        values = []
-        try:
-            for args in zip(*columns):
-                values.append(rule(*args))
-        except ValueError as exc:
-            raise ValueError(f"{exc} at gamma1 = {self.grid_db[len(values)]:g} dB") from exc
-        return values
-
-
 def _check_point(spec: SweepSpec, db: float, gamma1: float, gamma2: float) -> None:
     """Raise :class:`SweepConfigError` if a config at grid point ``db`` is invalid."""
     if gamma2 < gamma1:
@@ -394,7 +372,7 @@ def _check_point(spec: SweepSpec, db: float, gamma1: float, gamma2: float) -> No
     for gamma0, what in gamma0s:
         try:
             make_config(gamma0, gamma1, gamma2)
-        except (AssumptionViolation, ValueError) as exc:
+        except ValueError as exc:
             raise SweepConfigError(
                 f"invalid configuration for {what} at gamma1 = {db:g} dB: {exc}"
             ) from exc
@@ -406,34 +384,40 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     The stages run in turn, and each raises at its first failing grid
     point: the gamma1 conversion (ValueError where it overflows), the
     config screen (:class:`SweepConfigError` where a rule gives an invalid
-    configuration), each scheme column in output order (ValueError where
-    its closed form is undefined), then, with verification on, the oracle
-    checks (:class:`VerificationError` where a closed form strays from its
-    oracle by more than ``VERIFY_TOLERANCE``).
+    configuration), then, with verification on, the oracle checks
+    (:class:`VerificationError` where a closed form strays from its oracle
+    by more than ``VERIFY_TOLERANCE``).
     """
     grid = spec.grid_db()
-    links = _Links(grid)
-    g1 = links.g1 = links.each(db_to_linear, grid)
-    g2 = links.g2 = [spec.gamma2_rule.apply(g) for g in g1]
-    g0 = links.g0 = [[rule.apply(g) for g in g1] for rule in spec.gamma0_rules]
+    g1 = []
+    try:
+        for db in grid:
+            g1.append(db_to_linear(db))
+    except ValueError as exc:
+        raise ValueError(f"{exc} at gamma1 = {grid[len(g1)]:g} dB") from exc
+    g2 = [spec.gamma2_rule.apply(g) for g in g1]
+    # config k of _columns: no direct link, then one per gamma0 rule
+    zeros = [0.0] * len(grid)
+    g0 = [zeros] + [[rule.apply(g) for g in g1] for rule in spec.gamma0_rules]
     # the config checks run only where this screen fails
     suspect = {i for i, (a, b) in enumerate(zip(g1, g2)) if not 0.0 < a <= b < math.inf}
-    for column in g0:
+    for column in g0[1:]:
         suspect.update(i for i, (z, a) in enumerate(zip(column, g1)) if not 0.0 <= z < a)
     for i in sorted(suspect):
         _check_point(spec, grid[i], g1[i], g2[i])
-    links.c1, links.c2 = list(map(capacity, g1)), list(map(capacity, g2))
-    links.c0 = [list(map(capacity, column)) for column in g0]
+    c1, c2 = list(map(capacity, g1)), list(map(capacity, g2))
+    c0 = [zeros] + [list(map(capacity, column)) for column in g0[1:]]  # C(0) is 0.0
 
     columns = _columns(spec.schemes, spec.gamma0_rules)
-    rates = tuple((label, entry.column(links, k)) for label, entry, k in columns)
+    rates = tuple((label, entry.column(g0[k], g1, g2, c0[k], c1, c2))
+                  for label, entry, k in columns)
     checked = [(label, entry, k, rate) for (label, entry, k), (_, rate) in zip(columns, rates)
                if spec.verify and entry.oracle is not None]
     oracle_rates = tuple((label, []) for label, *_ in checked)
     deviations = tuple((label, []) for label, *_ in checked)
     for i, db in enumerate(grid):
         for (label, entry, k, rate), (_, best), (_, gap) in zip(checked, oracle_rates, deviations):
-            config = make_config(g0[k - 1][i] if k else 0.0, g1[i], g2[i])
+            config = make_config(g0[k][i], g1[i], g2[i])
             oracle_rate, deviation = entry.check(config, rate[i], spec.oracle_grid_points, label,
                                                  f"gamma1 = {db:g} dB", VERIFY_TOLERANCE)
             best.append(oracle_rate)
@@ -441,7 +425,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(
         gamma1_db=grid,
         gamma2_db=[linear_to_db(g) for g in g2],
-        gamma0_db=tuple([linear_to_db(g) for g in column] for column in g0),
+        gamma0_db=tuple([linear_to_db(g) for g in column] for column in g0[1:]),
         gamma0_labels=tuple(rule.label for rule in spec.gamma0_rules),
         rates=rates,
         oracle_rates=oracle_rates,

@@ -6,16 +6,17 @@ formulas under test.
 """
 
 import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twrelay import oracle, schemes
-from twrelay.channel import capacity, db_to_linear, ma_region, make_config
+from twrelay.channel import capacity, db_to_linear, linear_to_db, ma_region, make_config
 from twrelay.sweep import VERIFY_TOLERANCE
 
 snr = st.floats(min_value=1e-3, max_value=1e4, allow_nan=False, allow_infinity=False)
@@ -565,3 +566,57 @@ def test_df_max_rate_where_c_gamma0_rounds_to_c_gamma1():
     brute = oracle.grid_max_df_theta(cfg).best_rate
     assert abs(best.rate - brute) / brute <= VERIFY_TOLERANCE
     assert best.breakdown.rate == pytest.approx(best.rate, rel=1e-15)
+
+
+# Over the whole float range: gamma1 from the smallest subnormal to the top
+# of the range, gamma2 on the regime boundaries or up to the top, gamma0
+# zero, a fraction of gamma1, or 1 - 2^-k of it, where C1 - C0 cancels.
+# The sweep's columns apply the rules these closed forms call and have no
+# failure stage of their own, so none of these may raise.
+_TOP_DB = linear_to_db(sys.float_info.max) - 1e-9
+
+
+@given(
+    st.floats(min_value=-3235.0, max_value=3082.0),
+    st.one_of(st.sampled_from(["equal", "quad"]), st.floats(min_value=0.0, max_value=6400.0)),
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+              st.integers(min_value=1, max_value=60).map(lambda k: 1.0 - 2.0 ** -k)),
+)
+@settings(max_examples=500, deadline=None)
+@example(-2130.0, 56.0, 0.0)  # C1*C2 underflowed: the reduced DF rate read 0.0
+@example(-1620.0, "equal", 0.0)  # C1*C2 subnormal: the reduced DF rate read 19% high
+@example(-3080.0, 3110.0, 0.0)  # the JDF broadcast's length overflows
+def test_closed_forms_hold_over_the_whole_float_range(g1_db, gamma2, g0_share):
+    g1 = db_to_linear(g1_db)
+    if gamma2 == "equal":
+        g2 = g1
+    elif gamma2 == "quad":
+        g2 = g1 + g1 * g1
+        assume(g2 < math.inf)
+    else:
+        g2 = db_to_linear(min(g1_db + gamma2, _TOP_DB))
+    assume(g0_share * g1 < g1)
+    cfg = make_config(g0_share * g1, g1, g2)
+    c1 = capacity(g1)
+    df, no_direct, jdf = (schemes.df_max_rate(cfg), schemes.df_max_rate_no_direct(cfg),
+                          schemes.jdf_max_rate(cfg))
+    af, dnf = schemes.af_rate(cfg), schemes.dnf_upper_bound(cfg)
+    for best in (df, no_direct, af, jdf, dnf):
+        assert 0.0 <= best.rate <= c1 + math.ulp(c1), best  # a NaN fails too
+        assert best.parameter is None or 0.0 <= best.parameter <= 1.0, best
+    for best in (df, no_direct, jdf):
+        bd = best.breakdown
+        if best.rate >= sys.float_info.min:
+            assert abs(bd.rate - best.rate) <= 1e-9 * best.rate, best
+        if best is jdf:
+            # inf exactly where the XOR broadcast's rate_c/C1 symbols overflow
+            assert math.isfinite(bd.duration) == (bd.rate_pair.rate_c / c1 < math.inf), best
+        elif best.rate > 0.0:
+            assert math.isfinite(bd.duration), best
+    assert jdf.breakdown.lambda0 is None or 0.0 <= jdf.breakdown.lambda0 <= 1.0
+    assert 0.0 <= af.breakdown.snr_a_to_c < math.inf and 0.0 <= af.breakdown.snr_c_to_a < math.inf
+    assert 0.0 < af.breakdown.amplification <= 1.0
+    # acceptance criterion 2 over the whole range
+    full = schemes.df_max_rate(make_config(0.0, cfg.gamma1, cfg.gamma2)).rate
+    if full >= sys.float_info.min:
+        assert abs(no_direct.rate - full) <= 1e-12 * full

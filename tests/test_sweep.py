@@ -357,21 +357,8 @@ def test_sweep_result_is_a_sequence_of_rows():
 
 def test_run_sweep_reports_the_first_failing_point(monkeypatch):
     # the stages run in turn, each raising at its first failing point:
-    # gamma1 conversion, config screen, each column in output order, oracle
-    def fails_after_the_first_point(name):
-        def column(links, k):
-            def rule(g1):
-                if g1 > links.g1[0]:
-                    raise ValueError(f"{name} forced failure")
-                return 0.0
-            return links.each(rule, links.g1)
-
-        monkeypatch.setitem(sweep.SCHEME_TABLE, name, dataclasses.replace(
-            sweep.SCHEME_TABLE[name], column=column))
-
-    # JDF fails from -3195 dB on, the fixed gamma2 falls below gamma1 at
-    # -3185 dB: the config screen runs first
-    fails_after_the_first_point("JDF")
+    # gamma1 conversion, config screen, then the oracle checks.  Here the
+    # fixed gamma2 falls below gamma1 from -3185 dB
     spec = SweepSpec(-3200.0, -3180.0, 5.0, gamma2_rule=Gamma2Rule.parse("db:-3190"))
     with pytest.raises(SweepConfigError, match="gamma1 = -3185 dB"):
         run_sweep(spec)
@@ -387,19 +374,12 @@ def test_run_sweep_reports_the_first_failing_point(monkeypatch):
     spec = SweepSpec(-3220.0, -3200.0, 5.0, gamma0_rules=(Gamma0Rule.parse("db:-3205"),))
     with pytest.raises(SweepConfigError, match="g0=.* at gamma1 = -3220 dB"):
         run_sweep(spec)
-    # JDF fails at the second point, in either column order; DF, AF and DNF
-    # evaluate at both
-    spec = SweepSpec(-1630.0, -1625.0, 5.0)
-    for order in (sweep.SCHEME_NAMES, ("JDF", "DF")):
-        with pytest.raises(ValueError, match="JDF forced failure at gamma1 = -1625 dB"):
-            run_sweep(dataclasses.replace(spec, schemes=order))
-    assert len(run_sweep(dataclasses.replace(spec, schemes=("DF", "AF", "DNF")))) == 2
-    # with DF failing at the same point, the first column in output order wins
-    fails_after_the_first_point("DF")
-    with pytest.raises(ValueError, match="DF forced failure at gamma1 = -1625 dB"):
-        run_sweep(dataclasses.replace(spec, schemes=("DF", "JDF")))
-    with pytest.raises(ValueError, match="JDF forced failure at gamma1 = -1625 dB"):
-        run_sweep(dataclasses.replace(spec, schemes=("JDF", "DF")))
+    # a DF rule wrong from 1 dB on
+    real = schemes._df_max
+    monkeypatch.setattr(sweep.schemes, "_df_max", lambda c0, c1, c2: (
+        real(c0, c1, c2)[0] * (1.001 if c1 > 1.0 else 1.0), real(c0, c1, c2)[1]))
+    with pytest.raises(VerificationError, match="^DF closed form .* at gamma1 = 1 dB"):
+        run_sweep(SweepSpec(0.0, 2.0, 1.0, verify=True))
 
 
 # ---------------------------------------------------------------- figure sweeps
