@@ -229,18 +229,14 @@ def df_max_rate_no_direct(config: LinkConfig) -> SchemeRate:
 
         rate = 2*C(g1)*C(g2) / (C(g1) + 2*C(g2))
 
-    Matches :func:`df_max_rate` on configs whose ``gamma0`` is zero.
-    Where ``C(g1)*C(g2)`` leaves the normal float range, the rate is formed
-    as ``2*C(g1) / (C(g1)/C(g2) + 2)``.
+    Matches :func:`df_max_rate` on configs whose ``gamma0`` is zero.  The
+    rate is formed as ``2*C(g1) / (C(g1)/C(g2) + 2)``: with
+    ``C(g1)/C(g2) <= 1`` it lies in [2/3, 1] times C(g1), so no step
+    overflows or underflows anywhere in the float range.
     """
     c1 = capacity(config.gamma1)
     c2 = capacity(config.gamma2)
-    if c1 * c2 < _NORMAL_MIN:
-        # the product is subnormal or 0 (below about -1540 dB with equal
-        # links): num and den divided by C(g2)
-        rate = 2.0 * c1 / (c1 / c2 + 2.0)
-    else:
-        rate = 2.0 * c1 * c2 / (c1 + 2.0 * c2)
+    rate = 2.0 * c1 / (c1 / c2 + 2.0)
     theta = c1 / (c1 + c2)  # theta_star at gamma0 = 0
     zeroed = replace(config, gamma0=0.0)
     return SchemeRate("DF", rate=rate, parameter=theta, breakdown=df_rate(zeroed, theta))
