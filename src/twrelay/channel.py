@@ -19,7 +19,7 @@ from dataclasses import dataclass
 _LN2 = math.log(2.0)
 _MA_SLACK = 1e-12  # rate tolerance of ma_contains
 
-MAX_GRID_POINTS = 1_000_000  # largest grid an oracle scan or a sweep may allocate
+MAX_GRID_POINTS = 1_000_000  # largest gamma1 grid of a sweep, or lattice of the region oracle
 
 
 class AssumptionViolation(ValueError):
@@ -37,13 +37,6 @@ class ProtocolError(RuntimeError):
     Raised by the simulator in :mod:`protocol`; it lives here, free of
     numpy, so that the CLI can catch it without loading the simulator.
     """
-
-
-def _check_grid_points(grid_points: int) -> None:
-    if grid_points < 3:
-        raise ValueError(f"grid_points must be at least 3, got {grid_points!r}")
-    if grid_points > MAX_GRID_POINTS:
-        raise ValueError(f"grid_points must be at most {MAX_GRID_POINTS}, got {grid_points!r}")
 
 
 def capacity(gamma: float) -> float:

@@ -112,10 +112,7 @@ def _cmd_rate(args) -> int:
     return 0
 
 
-_SWEEP_KEYS = (
-    "gamma1_db", "gamma2", "gamma0", "schemes", "out",
-    "format", "verify", "grid_points",
-)
+_SWEEP_KEYS = ("gamma1_db", "gamma2", "gamma0", "schemes", "out", "format", "verify")
 
 
 def _config_flags(path: str) -> list[str]:
@@ -154,7 +151,7 @@ def _cmd_sweep(args) -> int:
     start, stop, step = _parse_range(args.gamma1_db)
     spec = SweepSpec(start, stop, step, Gamma2Rule.parse(args.gamma2),
                      _parse_list(args.gamma0, Gamma0Rule.parse), _parse_list(args.schemes),
-                     verify=args.verify, oracle_grid_points=args.grid_points)
+                     verify=args.verify)
     rows = run_sweep(spec)
 
     out = _resolve_out(args.out)
@@ -187,8 +184,6 @@ def _cmd_verify(args) -> int:
     lo, hi = _parse_interval(args.gamma1_db_range)
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise ValueError(f"--tol must be finite and nonnegative, got {args.tol!r}")
     import numpy as np  # its generator draws the configs; rate and sweep start without numpy
 
     rng = np.random.default_rng(args.seed)
@@ -205,9 +200,9 @@ def _cmd_verify(args) -> int:
         where = f"gamma0={cfg.gamma0!r}, gamma1={cfg.gamma1!r}, gamma2={cfg.gamma2!r}"
         for name, entry in checked.items():
             closed = entry.best(cfg).rate
-            _, deviation = entry.check(cfg, closed, args.grid_points, name, where, args.tol)
+            _, deviation = entry.check(cfg, closed, name, where)
             worst[name] = max(worst[name], deviation)
-    print(f"checked {args.samples} random configurations, tolerance {args.tol:g}")
+    print(f"checked {args.samples} random configurations, tolerance {VERIFY_TOLERANCE:g}")
     print("max relative deviation: " + ", ".join(f"{n} {d:.3g}" for n, d in worst.items()))
     print("ok")
     return 0
@@ -279,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="csv (default) or plot (CSV plus gnuplot script)")
     swp.add_argument("--verify", action="store_true",
                      help="re-check closed forms against the oracle at every point")
-    swp.add_argument("--grid-points", type=int, default=1001,
-                     help="oracle grid size (default 1001)")
     swp.add_argument("--config", help="key=value file with any of the sweep options; "
                      "its entries are read as flags placed before the given ones")
     swp.set_defaults(handler=_cmd_sweep)
@@ -288,9 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="closed forms against brute force on random configs")
     ver.add_argument("--samples", type=int, default=200)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--tol", type=float, default=VERIFY_TOLERANCE,
-                     help="relative deviation allowed (default 1e-6)")
-    ver.add_argument("--grid-points", type=int, default=1001)
     ver.add_argument("--gamma1-db-range", default="-10:30",
                      help="gamma1 sampling range in dB as LO:HI (default -10:30)")
     ver.set_defaults(handler=_cmd_verify)

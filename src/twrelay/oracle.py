@@ -20,14 +20,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import schemes
-from .channel import (
-    MAX_GRID_POINTS, LinkConfig, RatePair, _check_grid_points, capacity, ma_contains, ma_region,
-)
+from .channel import MAX_GRID_POINTS, LinkConfig, RatePair, capacity, ma_contains, ma_region
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
 _REFINE_TOL = 1e-10  # golden-section refinement stops below this bracket width
+
+# the 1-D scan grids, built once and shared read-only by every scan: 1001
+# interior points of [0, 1] and both ends for theta, 1001 points for lam
+_THETA_GRID = np.linspace(0.0, 1.0, 1003)
+_LAM_GRID = np.linspace(0.0, 1.0, 1001)
+_THETA_GRID.flags.writeable = _LAM_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -46,15 +50,15 @@ class GridResult:
     refinement_iterations: int
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, int]:
+def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, int]:
     """Golden-section maximization of a unimodal function on [lo, hi].
 
     Returns the located maximizer and the number of interval reductions.
     """
     a, b = lo, hi
     h = b - a
-    # reductions needed to shrink the bracket below tol
-    steps = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
+    # reductions needed to shrink the bracket below _REFINE_TOL
+    steps = int(math.ceil(math.log(_REFINE_TOL / h) / math.log(_INV_PHI)))
     c = a + _INV_PHI2 * h
     d = a + _INV_PHI * h
     fc = f(c)
@@ -86,7 +90,7 @@ def _grid_refine(f: Callable, grid: np.ndarray) -> GridResult:
     best_v = float(values[i])
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])
-    x, iterations = _golden_max(f, lo, hi, _REFINE_TOL)
+    x, iterations = _golden_max(f, lo, hi)
     v = f(x)
     if v >= best_v:
         best_x, best_v = x, v
@@ -98,15 +102,13 @@ def _grid_refine(f: Callable, grid: np.ndarray) -> GridResult:
     )
 
 
-def grid_max_df_theta(config: LinkConfig, grid_points: int = 1001) -> GridResult:
+def grid_max_df_theta(config: LinkConfig) -> GridResult:
     """Maximize the DF rate over the time split theta by brute force.
 
-    Scans ``grid_points`` interior points of [0, 1] and both ends, then
-    refines the winning grid cell by golden-section search (the rate is
-    unimodal in theta).
+    Scans 1001 interior points of [0, 1] and both ends, then refines the
+    winning grid cell by golden-section search (the rate is unimodal in
+    theta).
     """
-    _check_grid_points(grid_points)
-    grid = np.linspace(0.0, 1.0, grid_points + 2)
     c0 = capacity(config.gamma0)
     c1 = capacity(config.gamma1)
     c2 = capacity(config.gamma2)
@@ -114,19 +116,18 @@ def grid_max_df_theta(config: LinkConfig, grid_points: int = 1001) -> GridResult
     def f(theta):
         return schemes._df_two_way(c0, c1, c2, theta)[3]
 
-    return _grid_refine(f, grid)
+    return _grid_refine(f, _THETA_GRID)
 
 
-def grid_max_jdf_lambda(config: LinkConfig, grid_points: int = 1001) -> GridResult:
-    """Maximize the JDF rate over the time-share weight lam by brute force."""
-    _check_grid_points(grid_points)
-    grid = np.linspace(0.0, 1.0, grid_points)
+def grid_max_jdf_lambda(config: LinkConfig) -> GridResult:
+    """Maximize the JDF rate over the time-share weight lam by brute force,
+    on 1001 points from 0 to 1 refined as for theta."""
     region = ma_region(config)
 
     def f(lam):
         return schemes._jdf_two_way(region, lam)[3]
 
-    return _grid_refine(f, grid)
+    return _grid_refine(f, _LAM_GRID)
 
 
 def ma_pair_two_way_rate(config: LinkConfig, rate_a: float, rate_c: float) -> float:

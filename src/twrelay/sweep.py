@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import schemes
-from .channel import (
-    MAX_GRID_POINTS, LinkConfig, _check_grid_points, capacity, db_to_linear,
-    linear_to_db, make_config,
-)
+from .channel import MAX_GRID_POINTS, LinkConfig, capacity, db_to_linear, linear_to_db, make_config
+
+VERIFY_TOLERANCE = 1e-6  # relative deviation allowed between formula and oracle
+MAX_SWEEP_CELLS = 16 * MAX_GRID_POINTS  # largest grid points x output columns of a sweep
 
 
 @dataclass(frozen=True)
@@ -48,19 +48,19 @@ class SchemeEntry:
     def best(self, config: LinkConfig) -> schemes.SchemeRate:
         return getattr(schemes, self.closed_form)(config)
 
-    def check(self, config: LinkConfig, closed: float, grid_points: int, column: str,
-              where: str, tolerance: float) -> tuple[float, float]:
+    def check(self, config: LinkConfig, closed: float, column: str,
+              where: str) -> tuple[float, float]:
         """The oracle's rate at ``config`` and the relative deviation of the
-        closed-form rate ``closed`` from it, at most ``tolerance`` or else a
-        :class:`VerificationError` naming ``column`` and ``where``."""
+        closed-form rate ``closed`` from it, at most ``VERIFY_TOLERANCE`` or
+        else a :class:`VerificationError` naming ``column`` and ``where``."""
         from . import oracle  # numpy, which only verification needs
 
-        best = getattr(oracle, self.oracle)(config, grid_points).best_rate
+        best = getattr(oracle, self.oracle)(config).best_rate
         deviation = abs(best - closed) / closed
-        if not deviation <= tolerance:  # a NaN rate fails too
+        if not deviation <= VERIFY_TOLERANCE:  # a NaN rate fails too
             raise VerificationError(
                 f"{column} closed form {closed!r} deviates from oracle {best!r} at {where} "
-                f"(relative deviation {deviation:.3g}, tolerance {tolerance:g})"
+                f"(relative deviation {deviation:.3g}, tolerance {VERIFY_TOLERANCE:g})"
             )
         return best, deviation
 
@@ -102,8 +102,6 @@ SCHEME_TABLE = {
 }
 
 SCHEME_NAMES = tuple(SCHEME_TABLE)
-
-VERIFY_TOLERANCE = 1e-6  # relative deviation allowed between formula and oracle
 
 
 class SweepConfigError(ValueError):
@@ -220,7 +218,6 @@ class SweepSpec:
     gamma0_rules: tuple[Gamma0Rule, ...] = (Gamma0Rule("zero"),)
     schemes: tuple[str, ...] = SCHEME_NAMES
     verify: bool = False
-    oracle_grid_points: int = 1001
 
     def __post_init__(self):
         for name in ("start_db", "stop_db", "step_db"):
@@ -232,13 +229,18 @@ class SweepSpec:
             raise ValueError("stop_db must not precede start_db")
         object.__setattr__(self, "gamma0_rules", tuple(self.gamma0_rules))
         object.__setattr__(self, "schemes", _checked_schemes(self.schemes, self.gamma0_rules))
-        _check_grid_points(self.oracle_grid_points)
-        # checked before grid_db builds the list; may be inf
+        # both checked before grid_db builds the list; _steps may be inf
+        grid = f"the gamma1 grid {self.start_db:g}:{self.stop_db:g}:{self.step_db:g}"
         if self._steps() >= MAX_GRID_POINTS:
-            raise ValueError(
-                f"the gamma1 grid {self.start_db:g}:{self.stop_db:g}:{self.step_db:g} "
-                f"has more than {MAX_GRID_POINTS} points"
-            )
+            raise ValueError(f"{grid} has more than {MAX_GRID_POINTS} points")
+        # the CSV's columns: gamma1, gamma2, one gamma0 per rule, the rates
+        # and, with verify, the oracle rate and deviation of each checked one
+        columns = _columns(self.schemes, self.gamma0_rules)
+        checked = sum(entry.oracle is not None for _, entry, _ in columns) if self.verify else 0
+        width = 2 + len(self.gamma0_rules) + len(columns) + 2 * checked
+        if (int(self._steps()) + 1) * width > MAX_SWEEP_CELLS:
+            raise ValueError(f"{grid} times {width} output columns has more than "
+                             f"{MAX_SWEEP_CELLS} cells")
 
     def _steps(self) -> float:
         # whole steps from start to stop, padded so that rounding just
@@ -418,8 +420,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for i, db in enumerate(grid):
         for (label, entry, k, rate), (_, best), (_, gap) in zip(checked, oracle_rates, deviations):
             config = make_config(g0[k][i], g1[i], g2[i])
-            oracle_rate, deviation = entry.check(config, rate[i], spec.oracle_grid_points, label,
-                                                 f"gamma1 = {db:g} dB", VERIFY_TOLERANCE)
+            oracle_rate, deviation = entry.check(config, rate[i], label, f"gamma1 = {db:g} dB")
             best.append(oracle_rate)
             gap.append(deviation)
     return SweepResult(

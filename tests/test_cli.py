@@ -164,11 +164,33 @@ def test_io_error_exits_three(tmp_path, capsys):
     assert "i/o error" in err
 
 
-def test_verification_failure_exits_two(capsys):
-    # a zero tolerance trips on the oracle's last-ulp disagreement
-    code, _, err = run(capsys, "verify", "--samples", "5", "--tol", "0")
-    assert code == 2
-    assert "verification failed" in err
+def test_verification_failure_exits_two(capsys, monkeypatch):
+    # the DF rule df_max_rate applies, 1e-5 high: ten times the tolerance
+    real = schemes._df_max
+
+    def corrupted(c0, c1, c2):
+        rate, theta = real(c0, c1, c2)
+        return rate * (1.0 + 1e-5), theta
+
+    monkeypatch.setattr(schemes, "_df_max", corrupted)
+    code, out, err = run(capsys, "verify", "--samples", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("verification failed: DF closed form") and err.count("\n") == 1
+    assert re.search(r" at gamma0=\S+, gamma1=\S+, gamma2=\S+ \(relative deviation 1e-05, "
+                     r"tolerance 1e-06\)$", err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--tol", "0"],
+    ["verify", "--grid-points", "301"],
+    ["sweep", "--gamma1-db", "0:2:1", "--grid-points", "301"],
+])
+def test_removed_verification_options_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_verify_passes_at_documented_tolerance(capsys):
@@ -437,7 +459,7 @@ def test_duplicate_columns_exit_one(capsys, argv):
 
 
 @pytest.mark.parametrize("argument", [
-    "--samples=-1", "--samples=0", "--tol=nan", "--tol=-1", "--tol=inf",
+    "--samples=-1", "--samples=0",
     "--gamma1-db-range=30:-10", "--gamma1-db-range=0:10:1", "--gamma1-db-range=nan:0",
 ])
 def test_verify_rejects_bad_arguments(capsys, argument):
@@ -526,7 +548,7 @@ _PINNED_GRID = ("gamma1_db=0:2:1", ["--gamma1-db", "0:2:1"])
     (["verify=yes"], ["--verify"]),
     (["verify=no"], []),
     (["format=csv"], ["--format", "csv"]),
-    (["verify=yes", "grid_points=301"], ["--verify", "--grid-points", "301"]),
+    (["verify=yes", "gamma0=zero,frac:0.1"], ["--verify", "--gamma0", "zero,frac:0.1"]),
     (["out=curves.csv"], ["--out", "curves.csv"]),
     (["gamma1_db=-3:-1:1"], ["--gamma1-db", "-3:-1:1"]),
 ])
@@ -549,7 +571,7 @@ def test_config_entries_act_like_their_flags(tmp_path, capsys, monkeypatch, entr
     ("verify=maybe", "maybe"),
     ("gamma2 quad", "gamma2 quad"),
     ("format=pdf", "pdf"),
-    ("grid_points=abc", "abc"),
+    ("grid_points=301", "grid_points"),
 ])
 def test_bad_config_entry_exits_one(tmp_path, capsys, entry, bad):
     cfg = tmp_path / "sweep.cfg"
@@ -710,11 +732,9 @@ _VALUES = {
     # relative, so written under TWRELAY_OUT_DIR; the rest name no file or no directory
     "--out": st.sampled_from(["out.csv", "plot", "", ".", "/", "no-such-dir/x.csv"]),
     "--format": st.sampled_from(["csv", "plot", "svg", ""]),
-    "--grid-points": st.one_of(st.integers(-5, 3000).map(str), _NUMBER),
     "--config": st.just("no-such-file.cfg"),
     "--samples": st.integers(-2, 3).map(str),
     "--seed": st.one_of(st.integers(-5, 10**6).map(str), st.just("x")),
-    "--tol": _NUMBER,
     "--gamma1-db-range": st.one_of(_NUMBER, _RANGE),
     "--scheme": st.sampled_from(["df", "jdf", "df", "jdf", "af", ""]),
     "--n-symbols": st.one_of(st.integers(-5, 10**4).map(str), st.just("1e3")),
@@ -725,8 +745,8 @@ _VALUES = {
 _COMMANDS = {
     "rate": (["--gamma1-db"], ["--gamma2", "--gamma0", "--schemes"]),
     "sweep": (["--gamma1-db"], ["--gamma2", "--gamma0", "--schemes", "--out", "--format",
-                                "--grid-points", "--config"]),
-    "verify": ([], ["--samples", "--seed", "--tol", "--grid-points", "--gamma1-db-range"]),
+                                "--config"]),
+    "verify": ([], ["--samples", "--seed", "--gamma1-db-range"]),
     "simulate": (["--scheme", "--gamma1-db"], ["--gamma2", "--gamma0", "--n-symbols", "--theta",
                                               "--lam", "--seed"]),
 }

@@ -35,16 +35,6 @@ def test_grid_df_rediscovers_theta_star():
     assert math.isclose(result.best_rate, 0.8, rel_tol=1e-9)
 
 
-def test_grid_df_fine_and_too_coarse_grids():
-    cfg = make_config(0.1, 1.0, 1.0)
-    result = oracle.grid_max_df_theta(cfg, grid_points=100001)
-    assert result.refinement_iterations > 0
-    assert result.grid_points == 100003  # the interior points and both ends
-    assert math.isclose(result.best_rate, 0.6986908164233079, rel_tol=1e-9)
-    with pytest.raises(ValueError):
-        oracle.grid_max_df_theta(cfg, grid_points=2)
-
-
 def test_grid_df_reaches_theta_zero():
     # theta* = (C1 - C0)/(C1 + C2 - 2*C0) is below the smallest subnormal here
     g1 = db_to_linear(-3230.0)
@@ -74,17 +64,28 @@ def test_grid_jdf_rediscovers_lambda_star():
 def test_searches_match_closed_forms(g1, g2, g0_frac):
     g1, g2 = sorted((g1, g2))
     cfg = make_config(g0_frac * g1, g1, g2)
-    df = oracle.grid_max_df_theta(cfg, grid_points=301)
+    df = oracle.grid_max_df_theta(cfg)
     assert math.isclose(df.best_rate, schemes.df_max_rate(cfg).rate, rel_tol=1e-6)
-    jdf = oracle.grid_max_jdf_lambda(cfg, grid_points=301)
+    jdf = oracle.grid_max_jdf_lambda(cfg)
     assert math.isclose(jdf.best_rate, schemes.jdf_max_rate(cfg).rate, rel_tol=1e-6)
 
 
-def test_grid_size_is_bounded():
-    cfg = make_config(0.0, 1.0, 1.0)
-    for search in (oracle.grid_max_df_theta, oracle.grid_max_jdf_lambda):
-        with pytest.raises(ValueError, match="at most"):
-            search(cfg, grid_points=oracle.MAX_GRID_POINTS + 1)
+def _df_grid():
+    return np.linspace(0.0, 1.0, 1003)  # 1001 interior points and both ends
+
+
+def _jdf_grid():
+    return np.linspace(0.0, 1.0, 1001)
+
+
+def test_scan_grids_are_fixed_and_read_only():
+    cfg = make_config(0.1, 1.0, 1.0)
+    assert oracle.grid_max_df_theta(cfg).grid_points == 1003
+    assert oracle.grid_max_jdf_lambda(cfg).grid_points == 1001
+    for grid, expected in ((oracle._THETA_GRID, _df_grid()), (oracle._LAM_GRID, _jdf_grid())):
+        assert grid.tolist() == expected.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            grid[1] = 0.5
 
 
 # ------------------------------------------------- one array pass per scan
@@ -99,23 +100,15 @@ def _config(g1_db, r_db, frac):
     return make_config(frac * g1, g1, g1 * 10.0 ** (r_db / 10.0))
 
 
-def _df_grid(n):
-    return np.linspace(0.0, 1.0, n + 2)
-
-
-def _jdf_grid(n):
-    return np.linspace(0.0, 1.0, n)
-
-
 @given(db, ratio_db, g0_frac)
 @settings(max_examples=25, deadline=None)
 def test_array_rate_rules_equal_the_per_point_rates(g1_db, r_db, frac):
     cfg = _config(g1_db, r_db, frac)
     c0, c1, c2 = (capacity(g) for g in (cfg.gamma0, cfg.gamma1, cfg.gamma2))
-    grid = _df_grid(1001)
+    grid = _df_grid()
     df = schemes._df_two_way(c0, c1, c2, grid)[3]
     assert df.tolist() == [schemes.df_rate(cfg, t).rate for t in grid.tolist()]
-    grid = _jdf_grid(1001)
+    grid = _jdf_grid()
     jdf = schemes._jdf_two_way(ma_region(cfg), grid)[3]
     assert jdf.tolist() == [schemes.jdf_rate(cfg, lam).rate for lam in grid.tolist()]
 
@@ -129,21 +122,21 @@ def _scalar_grid_refine(f, grid):
     best_v = float(values[i])
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])
-    x, iterations = oracle._golden_max(f, lo, hi, 1e-10)
+    x, iterations = oracle._golden_max(f, lo, hi)
     v = f(x)
     if v >= best_v:
         best_x, best_v = x, v
     return oracle.GridResult(best_x, best_v, len(grid), iterations)
 
 
-@given(db, ratio_db, g0_frac, st.sampled_from([3, 301, 1001]))
+@given(db, ratio_db, g0_frac)
 @settings(max_examples=40, deadline=None)
-def test_array_scans_equal_the_per_point_scans(g1_db, r_db, frac, n):
+def test_array_scans_equal_the_per_point_scans(g1_db, r_db, frac):
     cfg = _config(g1_db, r_db, frac)
-    expected = _scalar_grid_refine(lambda t: schemes.df_rate(cfg, t).rate, _df_grid(n))
-    assert oracle.grid_max_df_theta(cfg, n) == expected
-    expected = _scalar_grid_refine(lambda lam: schemes.jdf_rate(cfg, lam).rate, _jdf_grid(n))
-    assert oracle.grid_max_jdf_lambda(cfg, n) == expected
+    expected = _scalar_grid_refine(lambda t: schemes.df_rate(cfg, t).rate, _df_grid())
+    assert oracle.grid_max_df_theta(cfg) == expected
+    expected = _scalar_grid_refine(lambda lam: schemes.jdf_rate(cfg, lam).rate, _jdf_grid())
+    assert oracle.grid_max_jdf_lambda(cfg) == expected
 
 
 def test_scans_use_no_closed_form_optimum(monkeypatch):

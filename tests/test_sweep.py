@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -218,8 +219,35 @@ def test_spec_grid_sizes_are_bounded():
     assert largest.grid_db()[-1] == oracle.MAX_GRID_POINTS - 1.0
     with pytest.raises(ValueError):
         SweepSpec(0.0, float(oracle.MAX_GRID_POINTS), 1.0)
-    with pytest.raises(ValueError):
-        SweepSpec(0.0, 1.0, 1.0, oracle_grid_points=oracle.MAX_GRID_POINTS + 1)
+
+
+def test_spec_cells_are_bounded(monkeypatch):
+    # at the grid cap the default layout with verification fits, and 10
+    # gamma0 rules (47 columns) do not
+    top = oracle.MAX_GRID_POINTS - 1.0
+    SweepSpec(0.0, top, 1.0, verify=True)
+    rules = tuple(Gamma0Rule("fraction", k / 10) for k in range(10))
+    with pytest.raises(ValueError, match="1 times 47 output columns has more than"):
+        SweepSpec(0.0, top, 1.0, gamma0_rules=rules, verify=True)
+
+    monkeypatch.setattr(sweep, "MAX_SWEEP_CELLS", 100_000, raising=False)
+    # gamma1_db, gamma2_db, gamma0_db, AF, DNF: neither scheme has an oracle
+    SweepSpec(0.0, 19_999.0, 1.0, schemes=("AF", "DNF"), verify=True)
+    with pytest.raises(ValueError, match="0:20000:1 times 5 output columns has more than 100000"):
+        SweepSpec(0.0, 20_000.0, 1.0, schemes=("AF", "DNF"), verify=True)
+    # verification adds the oracle and deviation columns of DF and JDF
+    SweepSpec(0.0, 9_999.0, 1.0)
+    with pytest.raises(ValueError, match="times 11 output columns has more than 100000 cells"):
+        SweepSpec(0.0, 9_999.0, 1.0, verify=True)
+    # rejected before any list over the grid is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="times 25 output columns has more than 100000"):
+            SweepSpec(0.0, 99_999.0, 1.0, gamma0_rules=rules)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # one list of 10^5 floats takes 800 kB and more
 
 
 def test_run_sweep_single_point_matches_closed_forms():
