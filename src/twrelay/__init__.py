@@ -27,7 +27,6 @@ from .schemes import (
     df_max_rate,
     df_max_rate_no_direct,
     df_rate,
-    dnf_rate_at,
     dnf_upper_bound,
     jdf_lambda0,
     jdf_max_rate,
@@ -56,7 +55,6 @@ __all__ = [
     "df_max_rate",
     "df_max_rate_no_direct",
     "df_rate",
-    "dnf_rate_at",
     "dnf_upper_bound",
     "jdf_lambda0",
     "jdf_max_rate",

@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 from . import schemes
@@ -40,8 +40,6 @@ from .sweep import (
 
 OUT_DIR_ENV = "TWRELAY_OUT_DIR"
 
-_NEGATIVE_VALUE = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d*\.?\d+:[-\d.:]*$")
-
 
 class _UsageError(Exception):
     pass
@@ -50,9 +48,10 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse takes only plain negative numbers for values; widen that
-        # to dB ranges such as -10:0:1 so they need no --opt=VALUE form
-        self._negative_number_matcher = _NEGATIVE_VALUE
+        # argparse takes only plain negative numbers for values; take any
+        # argument that _fields parses, such as -1e1 or the dB range -10:0:1,
+        # so none needs the --opt=VALUE form
+        self._negative_number_matcher = SimpleNamespace(match=lambda text: bool(_fields(text)))
 
     # argparse exits with status 2 on usage errors; we reserve 2 for
     # verification failures, so route usage errors through exit code 1
@@ -180,10 +179,16 @@ def _parse_interval(text: str) -> tuple[float, float]:
     raise ValueError(f"expected LO:HI in dB with finite LO <= HI, got {text!r}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
+
+
 def _cmd_verify(args) -> int:
     lo, hi = _parse_interval(args.gamma1_db_range)
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    _check_seed(args.seed)
     import numpy as np  # its generator draws the configs; rate and sweep start without numpy
 
     rng = np.random.default_rng(args.seed)
@@ -214,6 +219,7 @@ def _cmd_simulate(args) -> int:
     flag, scheme = ("lam", "jdf") if args.scheme == "df" else ("theta", "df")
     if getattr(args, flag) is not None:
         raise ValueError(f"--{flag} applies only to --scheme {scheme}")
+    _check_seed(args.seed)
     gamma1 = db_to_linear(args.gamma1_db)
     gamma2 = Gamma2Rule.parse(args.gamma2).apply(gamma1)
     gamma0 = Gamma0Rule.parse(args.gamma0).apply(gamma1)

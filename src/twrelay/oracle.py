@@ -47,14 +47,11 @@ class GridResult:
     best_param: object
     best_rate: float
     grid_points: int
-    refinement_iterations: int
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, int]:
-    """Golden-section maximization of a unimodal function on [lo, hi].
-
-    Returns the located maximizer and the number of interval reductions.
-    """
+def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Golden-section maximization of a unimodal function on [lo, hi]:
+    the located maximizer."""
     a, b = lo, hi
     h = b - a
     # reductions needed to shrink the bracket below _REFINE_TOL
@@ -74,7 +71,7 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[floa
             d = a + _INV_PHI * h
             fd = f(d)
     x = 0.5 * (a + d) if fc > fd else 0.5 * (c + b)
-    return x, steps
+    return x
 
 
 def _grid_refine(f: Callable, grid: np.ndarray) -> GridResult:
@@ -90,16 +87,11 @@ def _grid_refine(f: Callable, grid: np.ndarray) -> GridResult:
     best_v = float(values[i])
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])
-    x, iterations = _golden_max(f, lo, hi)
+    x = _golden_max(f, lo, hi)
     v = f(x)
     if v >= best_v:
         best_x, best_v = x, v
-    return GridResult(
-        best_param=best_x,
-        best_rate=best_v,
-        grid_points=len(grid),
-        refinement_iterations=iterations,
-    )
+    return GridResult(best_param=best_x, best_rate=best_v, grid_points=len(grid))
 
 
 def grid_max_df_theta(config: LinkConfig) -> GridResult:
@@ -176,7 +168,6 @@ def grid_max_ma_region(config: LinkConfig, grid_points: int = 401) -> GridResult
         best_param=(float(ras[i]), float(rcs[j])),
         best_rate=float(rate[i, j]),
         grid_points=grid_points,
-        refinement_iterations=0,
     )
 
 

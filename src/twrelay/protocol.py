@@ -41,7 +41,12 @@ class TranscriptStep:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Full record of one simulated exchange."""
+    """Full record of one simulated exchange.
+
+    ``success`` is always True: a decode mismatch raises
+    :class:`ProtocolError` instead.  It stays because the benchmark's
+    simulator check reads it.
+    """
 
     scheme: str
     steps: tuple[TranscriptStep, ...]
@@ -58,9 +63,6 @@ class Transcript:
             f"{s.sender} {s.rate:.9g} {s.symbols:.9g} {s.bits} {s.label}"
             for s in self.steps
         ]
-
-    def __str__(self) -> str:
-        return "\n".join(self.to_lines())
 
 
 _SWAP = str.maketrans("AC", "CA")

@@ -59,7 +59,6 @@ class DfBreakdown:
 class AfBreakdown:
     """Effective end-to-end SNRs of the two-step AF scheme."""
 
-    amplification: float
     snr_a_to_c: float
     snr_c_to_a: float
     rate_pair: RatePair
@@ -89,15 +88,12 @@ class SchemeRate:
     ``rate`` always comes from the scheme's closed-form maximum; the
     attached ``breakdown`` re-derives the same value through the generic
     per-parameter rate function, so the two paths can be cross-checked.
-    ``upper_bound`` marks rates that bound the scheme from above rather
-    than being constructively achieved (only DNF).
     """
 
     scheme: str
     rate: float
     parameter: Optional[float] = None
     breakdown: object = None
-    upper_bound: bool = False
 
 
 def _broadcast_duration(to_c, to_a, c1: float, c2: float):
@@ -273,15 +269,8 @@ def af_rate(config: LinkConfig) -> SchemeRate:
     Each direction delivers N*C(snr) bits over the 2N symbols of the two
     steps, so the two-way rate is the plain average of the two capacities.
     """
-    g1, g2 = config.gamma1, config.gamma2
-    snr_a_to_c, snr_c_to_a, rate_a, rate_c, rate = _af_two_way(g1, g2)
-    if math.isinf(g1 + g2 + 1.0):
-        # the power sum divided by g2, where it overflows
-        amplification = 1.0 / (math.sqrt(g2) * math.sqrt((g1 + 1.0) / g2 + 1.0))
-    else:
-        amplification = 1.0 / math.sqrt(g1 + g2 + 1.0)
+    snr_a_to_c, snr_c_to_a, rate_a, rate_c, rate = _af_two_way(config.gamma1, config.gamma2)
     bd = AfBreakdown(
-        amplification=amplification,
         snr_a_to_c=snr_a_to_c,
         snr_c_to_a=snr_c_to_a,
         rate_pair=RatePair(rate_a=rate_a, rate_c=rate_c),
@@ -401,33 +390,6 @@ def dnf_upper_bound(config: LinkConfig) -> SchemeRate:
 
     Both steps take N symbols each and each direction can deliver at most
     N*C(gamma1) bits, so the two-way rate is bounded by C(gamma1).  The
-    bound is tight at high SNR but not constructive, hence
-    ``upper_bound=True``.
+    bound is tight at high SNR but not constructive.
     """
-    return SchemeRate(
-        "DNF",
-        rate=capacity(config.gamma1),
-        parameter=None,
-        breakdown=None,
-        upper_bound=True,
-    )
-
-
-def dnf_rate_at(config: LinkConfig, rate_c: float) -> float:
-    """Two-way DNF rate when the C-bound direction is loaded at ``rate_c``.
-
-    For any ``rate_c`` in [C(gamma1), C(gamma2)] the A-bound direction runs
-    at C(gamma1) and the two-way rate
-
-        (C(g1) + rate_c) / (1 + rate_c / C(g1))
-
-    collapses to C(gamma1) identically, so the whole interval attains the
-    upper bound.
-    """
-    c1 = capacity(config.gamma1)
-    c2 = capacity(config.gamma2)
-    if not (c1 <= rate_c <= c2):
-        raise ValueError(
-            f"rate_c must lie in [C(gamma1), C(gamma2)] = [{c1!r}, {c2!r}], got {rate_c!r}"
-        )
-    return (c1 + rate_c) / (1.0 + rate_c / c1)
+    return SchemeRate("DNF", rate=capacity(config.gamma1))

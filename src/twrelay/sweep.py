@@ -468,12 +468,13 @@ def emit_plot_script(rows: SweepResult, csv_path: str) -> str:
     rate_labels = [label for label, _ in rows.rates]
     if not rate_labels:
         raise ValueError("no scheme columns to plot")
+    quoted = "'" + csv_path.replace("'", "''") + "'"  # gnuplot doubles a quote in '...'
     curves = []
     for label in rate_labels:
         column = header.index(label) + 1  # gnuplot columns are 1-based
         title = f"{label} (upper bound)" if label == "DNF" else label
         curves.append(
-            f"  '{csv_path}' every ::1 using 1:{column} with lines lw 2 title '{title}'"
+            f"  {quoted} every ::1 using 1:{column} with lines lw 2 title '{title}'"
         )
     lines = [
         "# two-way rate versus gamma1; data columns as in the CSV header",

@@ -226,6 +226,11 @@ def test_simulate_rejects_the_other_schemes_parameter(capsys, scheme, flag, owne
     assert run(capsys, *argv) == (1, "", f"error: {flag} applies only to --scheme {owner}\n")
 
 
+def test_simulate_rejects_a_negative_seed(capsys):
+    argv = ["simulate", "--scheme", "df", "--gamma1-db", "0", "--seed=-1"]
+    assert run(capsys, *argv) == (1, "", "error: --seed must be non-negative, got -1\n")
+
+
 def test_simulate_degenerate_block_exits_one(capsys):
     code, _, err = run(
         capsys, "simulate", "--scheme", "df", "--gamma1-db", "0", "--n-symbols", "1"
@@ -238,6 +243,10 @@ def test_negative_range_as_separate_token(capsys):
     for command, option, value, extra in (
         ("sweep", "--gamma1-db", "-10:0:1", ()),
         ("verify", "--gamma1-db-range", "-60:60", ("--samples", "3")),
+        # exponent form
+        ("rate", "--gamma1-db", "-1e1", ()),
+        ("sweep", "--gamma1-db", "-1e1:0:5", ()),
+        ("verify", "--gamma1-db-range", "-1e1:-5", ("--samples", "3")),
     ):
         code, joined, _ = run(capsys, command, f"{option}={value}", *extra)
         assert code == 0
@@ -459,7 +468,7 @@ def test_duplicate_columns_exit_one(capsys, argv):
 
 
 @pytest.mark.parametrize("argument", [
-    "--samples=-1", "--samples=0",
+    "--samples=-1", "--samples=0", "--seed=-1",
     "--gamma1-db-range=30:-10", "--gamma1-db-range=0:10:1", "--gamma1-db-range=nan:0",
 ])
 def test_verify_rejects_bad_arguments(capsys, argument):

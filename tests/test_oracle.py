@@ -27,7 +27,6 @@ def test_grid_df_rediscovers_theta_star():
     result = oracle.grid_max_df_theta(cfg)
     assert abs(result.best_param - 0.5) < 1e-6
     assert math.isclose(result.best_rate, 0.6986908164233079, rel_tol=1e-9)
-    assert result.refinement_iterations > 0
 
     cfg = make_config(0.0, 1.0, 3.0)
     result = oracle.grid_max_df_theta(cfg)
@@ -122,11 +121,11 @@ def _scalar_grid_refine(f, grid):
     best_v = float(values[i])
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])
-    x, iterations = oracle._golden_max(f, lo, hi)
+    x = oracle._golden_max(f, lo, hi)
     v = f(x)
     if v >= best_v:
         best_x, best_v = x, v
-    return oracle.GridResult(best_x, best_v, len(grid), iterations)
+    return oracle.GridResult(best_x, best_v, len(grid))
 
 
 @given(db, ratio_db, g0_frac)

@@ -494,6 +494,8 @@ def test_emit_plot_script():
     assert "'curves.csv'" in text
     assert "DNF (upper bound)" in text
     assert "using 1:5" in text  # first rate column right after the SNR columns
+    # gnuplot reads '' as one quote inside a single-quoted string
+    assert emit_plot_script(rows, "it's.csv").count("'it''s.csv'") == 5
 
 
 def test_emit_plot_script_needs_rows_and_columns():
