@@ -13,8 +13,6 @@ from .channel import (
     capacity,
     db_to_linear,
     linear_to_db,
-    ma_contains,
-    ma_rate_pair,
     ma_region,
     make_config,
 )
@@ -28,7 +26,6 @@ from .schemes import (
     df_max_rate_no_direct,
     df_rate,
     dnf_upper_bound,
-    jdf_lambda0,
     jdf_max_rate,
     jdf_rate,
 )
@@ -43,8 +40,6 @@ __all__ = [
     "capacity",
     "db_to_linear",
     "linear_to_db",
-    "ma_contains",
-    "ma_rate_pair",
     "ma_region",
     "make_config",
     "AfBreakdown",
@@ -56,7 +51,6 @@ __all__ = [
     "df_max_rate_no_direct",
     "df_rate",
     "dnf_upper_bound",
-    "jdf_lambda0",
     "jdf_max_rate",
     "jdf_rate",
 ]

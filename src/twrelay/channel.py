@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 _LN2 = math.log(2.0)
-_MA_SLACK = 1e-12  # rate tolerance of ma_contains
 
 MAX_GRID_POINTS = 1_000_000  # largest gamma1 grid of a sweep, or lattice of the region oracle
 
@@ -185,17 +184,6 @@ def ma_region(config: LinkConfig) -> MaRegion:
     )
 
 
-def ma_rate_pair(config: LinkConfig, lam: float) -> RatePair:
-    """Time-share point on the dominant face of the multiple-access region.
-
-    ``lam`` in [0, 1] interpolates linearly from the C-favouring corner
-    (``lam=0``) to the A-favouring corner (``lam=1``).  Every returned pair
-    has ``rate_a + rate_c`` equal to the sum capacity.
-    """
-    _check_share("lam", lam)
-    return RatePair(*_face_point(ma_region(config), lam))
-
-
 def _check_share(name: str, value: float) -> None:
     """Check a time share (DF's ``theta``, JDF's ``lam``): a share of one
     unit source phase, so a finite number in [0, 1]."""
@@ -214,17 +202,3 @@ def _face_point(region: MaRegion, lam):
         (1.0 - lam) * lc.rate_c + lam * la.rate_c,
     )
 
-
-def ma_contains(config: LinkConfig, pair: RatePair) -> bool:
-    """Whether a rate pair lies in the multiple-access region, up to
-    ``_MA_SLACK``, which absorbs floating-point noise on the boundary so
-    that face and corner points test as contained.
-    """
-    if pair.rate_a < -_MA_SLACK or pair.rate_c < -_MA_SLACK:
-        return False
-    region = ma_region(config)
-    return (
-        pair.rate_a <= region.cap_a + _MA_SLACK
-        and pair.rate_c <= region.cap_c + _MA_SLACK
-        and pair.rate_a + pair.rate_c <= region.cap_sum + _MA_SLACK
-    )

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import schemes
-from .channel import MAX_GRID_POINTS, LinkConfig, RatePair, capacity, ma_contains, ma_region
+from .channel import MAX_GRID_POINTS, LinkConfig, capacity, ma_region
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -120,25 +120,6 @@ def grid_max_jdf_lambda(config: LinkConfig) -> GridResult:
         return schemes._jdf_two_way(region, lam)[3]
 
     return _grid_refine(f, _LAM_GRID)
-
-
-def ma_pair_two_way_rate(config: LinkConfig, rate_a: float, rate_c: float) -> float:
-    """Two-way rate achieved by an arbitrary multiple-access rate pair.
-
-    Generalizes the JDF objective off the dominant face: the relay
-    broadcasts the XOR at the weaker-link rate and ships any excess of the
-    C-bound packet at the stronger-link rate.  The pair must lie inside the
-    multiple-access region.
-    """
-    if rate_a < 0.0 or rate_c < 0.0:
-        raise ValueError("rates must be nonnegative")
-    if not ma_contains(config, RatePair(rate_a=rate_a, rate_c=rate_c)):
-        raise ValueError(
-            f"rate pair ({rate_a!r}, {rate_c!r}) lies outside the multiple-access region"
-        )
-    c1 = capacity(config.gamma1)
-    c2 = capacity(config.gamma2)
-    return (rate_a + rate_c) / schemes._broadcast_duration(rate_a, rate_c, c1, c2)
 
 
 def grid_max_ma_region(config: LinkConfig, grid_points: int = 401) -> GridResult:

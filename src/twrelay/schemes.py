@@ -75,7 +75,6 @@ class JdfBreakdown:
 
     lam: float
     rate_pair: RatePair
-    lambda0: Optional[float]
     duration: float
     rate: float
     regime: str  # "crossing" or "saturated"
@@ -329,40 +328,20 @@ def _jdf_max(g1: float, g2: float, c1: float) -> tuple[float, float]:
     return rate, _jdf_balance(g1, g2)
 
 
-def jdf_lambda0(config: LinkConfig) -> Optional[float]:
-    """Time-share weight where the two uplink rates balance.
-
-    At this point both terminals load ``C(gamma1 + gamma2) / 2``, so the
-    relay's XOR packet covers the traffic in both directions with nothing
-    left over.  Returns None when the balance point falls outside [0, 1],
-    i.e. when ``gamma2 > gamma1 + gamma1**2`` (the A-favouring corner then
-    still leaves the C-bound packet longer).
-
-    ``(2*C2 - C12) / (2*(C1+C2-C12))`` is evaluated as
-    ``C((g2-g1+g2**2)/(1+g1+g2)) / (2*C(g1*g2/(1+g1+g2)))``, whose terms do
-    not cancel at low SNR; where ``g1*g2`` leaves the normal float range,
-    as the ratio of those two SNRs.
-    """
-    if not _jdf_has_crossing(config.gamma1, config.gamma2):
-        return None
-    return _jdf_balance(config.gamma1, config.gamma2)
-
-
 def jdf_rate(config: LinkConfig, lam: float) -> JdfBreakdown:
     """Two-way rate of the two-step JDF scheme at a given time share.
 
-    Terminals load the multiple-access point ``ma_rate_pair(config, lam)``
-    during a unit-length joint source phase.  The relay XORs the two
-    decoded packets (padding the shorter one) and broadcasts at the
-    weaker-link rate; when the A-bound packet is longer its excess goes
-    out separately at the stronger-link rate.
+    Terminals load the dominant-face point at share ``lam`` (the
+    breakdown's ``rate_pair``) during a unit-length joint source phase.
+    The relay XORs the two decoded packets (padding the shorter one) and
+    broadcasts at the weaker-link rate; when the A-bound packet is longer
+    its excess goes out separately at the stronger-link rate.
     """
     _check_share("lam", lam)
     rate_a, rate_c, duration, rate = _jdf_two_way(ma_region(config), lam)
     return JdfBreakdown(
         lam=lam,
         rate_pair=RatePair(rate_a=rate_a, rate_c=rate_c),
-        lambda0=jdf_lambda0(config),
         duration=duration,
         rate=rate,
         regime="crossing" if _jdf_has_crossing(config.gamma1, config.gamma2) else "saturated",
@@ -373,7 +352,8 @@ def jdf_max_rate(config: LinkConfig) -> SchemeRate:
     """Maximal two-way JDF rate, in closed form.
 
     In the crossing regime (``gamma2 <= gamma1 + gamma1**2``) the optimum
-    sits at ``lambda0`` where the two uplink loads balance:
+    sits at ``lambda0``, returned as ``parameter``, where the two uplink
+    loads balance:
 
         rate = C(g1) * 2*C(g1+g2) / (2*C(g1) + C(g1+g2))
 

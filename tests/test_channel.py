@@ -14,11 +14,10 @@ from twrelay.channel import (
     capacity,
     db_to_linear,
     linear_to_db,
-    ma_contains,
-    ma_rate_pair,
     ma_region,
     make_config,
 )
+from twrelay.schemes import jdf_rate
 
 # linear SNRs in a range where nothing overflows or degenerates
 snr = st.floats(min_value=1e-3, max_value=1e4, allow_nan=False, allow_infinity=False)
@@ -140,9 +139,9 @@ def test_ma_corner_sums_hit_sum_capacity(g1, g2):
 def test_ma_rate_pair_endpoints_and_midpoint():
     cfg = make_config(0.0, 1.0, 1.0)
     region = ma_region(cfg)
-    assert ma_rate_pair(cfg, 0.0) == region.corner_lc
-    assert ma_rate_pair(cfg, 1.0) == region.corner_la
-    mid = ma_rate_pair(cfg, 0.5)
+    assert jdf_rate(cfg, 0.0).rate_pair == region.corner_lc
+    assert jdf_rate(cfg, 1.0).rate_pair == region.corner_la
+    mid = jdf_rate(cfg, 0.5).rate_pair
     assert math.isclose(mid.rate_a, 0.792481250360578, rel_tol=1e-15)
     assert math.isclose(mid.rate_c, 0.792481250360578, rel_tol=1e-15)
 
@@ -151,23 +150,16 @@ def test_ma_rate_pair_face_sweep_stays_on_face():
     cfg = make_config(0.0, 1.0, 3.0)
     region = ma_region(cfg)
     for lam in np.linspace(0.0, 1.0, 1000):
-        pair = ma_rate_pair(cfg, float(lam))
-        assert ma_contains(cfg, pair)
+        pair = jdf_rate(cfg, float(lam)).rate_pair
+        assert 0.0 <= pair.rate_a <= region.cap_a + 1e-12
+        assert 0.0 <= pair.rate_c <= region.cap_c + 1e-12
         assert math.isclose(pair.rate_a + pair.rate_c, region.cap_sum, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("lam", [-0.1, 1.1, math.nan])
 def test_ma_rate_pair_domain(lam):
     with pytest.raises(ValueError):
-        ma_rate_pair(make_config(0.0, 1.0, 1.0), lam)
-
-
-def test_ma_contains():
-    cfg = make_config(0.0, 1.0, 1.0)
-    assert ma_contains(cfg, RatePair(0.5, 0.5))
-    assert not ma_contains(cfg, RatePair(1.0, 1.0))  # sum over C(2)
-    assert not ma_contains(cfg, RatePair(-0.1, 0.5))
-    assert ma_contains(cfg, ma_region(cfg).corner_la)  # boundary counts
+        jdf_rate(make_config(0.0, 1.0, 1.0), lam)
 
 
 @given(snr, snr)

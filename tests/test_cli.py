@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twrelay
 from twrelay import oracle, schemes
 from twrelay.channel import db_to_linear, make_config
 from twrelay.cli import main
@@ -478,10 +479,13 @@ def test_verify_rejects_bad_arguments(capsys, argument):
     assert argument.split("=")[1] in err  # the message names the bad value
 
 
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_examples():
     """(command, expected output lines) of each ``$ twrelay`` example in
     README.md; an output that ends in ``...`` is a prefix of the real one."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = _README.read_text(encoding="utf-8")
     examples = []
     for block in re.findall(r"^```text\n(.*?)^```", text, re.MULTILINE | re.DOTALL):
         for example in re.split(r"^\$ ", block, flags=re.MULTILINE)[1:]:
@@ -500,6 +504,25 @@ def test_readme_example_output(capsys, command, lines):
         lines = lines[:-1]
         out = "".join(out.splitlines(keepends=True)[: len(lines)])
     assert out == "".join(line + "\n" for line in lines)
+
+
+def test_readme_library_snippet():
+    # README's python block runs and gives the values its comments state
+    text = _README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    assert "rate=0.8, parameter=1/3" in block and "# 1.0 (saturated" in block
+    namespace = {}
+    exec(block, namespace)
+    best = namespace["best"]
+    assert math.isclose(best.rate, 0.8, rel_tol=1e-15)
+    assert math.isclose(best.parameter, 1.0 / 3.0, rel_tol=1e-15)
+    assert namespace["jdf_max_rate"](namespace["cfg"]).rate == 1.0
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from twrelay import *", namespace)  # a stale __all__ entry raises here
+    assert set(twrelay.__all__) <= namespace.keys()
 
 
 @pytest.mark.parametrize("argv", [

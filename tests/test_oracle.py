@@ -151,7 +151,7 @@ def test_scans_use_no_closed_form_optimum(monkeypatch):
         raise AssertionError("an oracle called a closed-form optimum")
 
     for name in ("_df_max", "_df_max_at", "df_max_rate", "df_max_rate_no_direct",
-                 "_jdf_max", "_jdf_balance", "jdf_lambda0", "jdf_max_rate"):
+                 "_jdf_max", "_jdf_balance", "jdf_max_rate"):
         monkeypatch.setattr(schemes, name, forbidden)
     got = [(oracle.grid_max_df_theta(c), oracle.grid_max_jdf_lambda(c)) for c in configs]
     assert got == expected
@@ -216,38 +216,21 @@ def test_region_search_finds_flat_segment_endpoint():
 
 
 def test_pair_objective_flat_on_saturated_segment():
-    cfg = make_config(0.0, 1.0, 3.0)
-    c1 = capacity(1.0)
+    c1, c2 = capacity(1.0), capacity(3.0)
     top = capacity(3.0 / 2.0)  # rate_c at the A-favouring corner
     for rate_c in np.linspace(c1, top, 500):
-        value = oracle.ma_pair_two_way_rate(cfg, c1, float(rate_c))
+        rate_c = float(rate_c)
+        value = (c1 + rate_c) / schemes._broadcast_duration(c1, rate_c, c1, c2)
         assert math.isclose(value, c1, rel_tol=1e-9)
-
-
-def test_pair_objective_matches_face_parameterization():
-    cfg = make_config(0.0, 1.0, 1.5)
-    pair = schemes.jdf_rate(cfg, 0.9).rate_pair
-    assert math.isclose(
-        oracle.ma_pair_two_way_rate(cfg, pair.rate_a, pair.rate_c),
-        0.9380617878262603,
-        rel_tol=1e-12,
-    )
 
 
 def test_pair_objective_interior_points_lose():
     cfg = make_config(0.0, 1.0, 1.5)
     best = schemes.jdf_max_rate(cfg).rate
     pair = schemes.jdf_rate(cfg, 0.5).rate_pair
-    shrunk = oracle.ma_pair_two_way_rate(cfg, 0.9 * pair.rate_a, 0.9 * pair.rate_c)
+    a, c = 0.9 * pair.rate_a, 0.9 * pair.rate_c
+    shrunk = (a + c) / schemes._broadcast_duration(a, c, capacity(1.0), capacity(1.5))
     assert shrunk < best
-
-
-def test_pair_objective_rejects_points_outside_region():
-    cfg = make_config(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        oracle.ma_pair_two_way_rate(cfg, 2.0, 0.1)
-    with pytest.raises(ValueError):
-        oracle.ma_pair_two_way_rate(cfg, -0.1, 0.1)
 
 
 # ---------------------------------------------------------------- denoiser search

@@ -279,25 +279,25 @@ def test_broadcast_duration_scalars_and_arrays():
 
 
 def test_jdf_lambda0_values():
-    assert schemes.jdf_lambda0(make_config(0.0, 1.0, 1.0)) == 0.5
+    assert schemes.jdf_max_rate(make_config(0.0, 1.0, 1.0)).parameter == 0.5
     assert math.isclose(
-        schemes.jdf_lambda0(make_config(0.0, 1.0, 1.5)),
+        schemes.jdf_max_rate(make_config(0.0, 1.0, 1.5)).parameter,
         0.8128108030943434,
         rel_tol=1e-12,
     )
     # raw crossing ~1.2374 falls outside [0, 1]
-    assert schemes.jdf_lambda0(make_config(0.0, 1.0, 3.0)) is None
+    assert schemes.jdf_max_rate(make_config(0.0, 1.0, 3.0)).breakdown.regime == "saturated"
 
 
 def test_jdf_lambda0_at_very_low_snr():
     # 2*(C1 + C2 - C12) cancels to 0.0 here when formed from capacities
     for db in (-160.0, -170.0, -300.0):
         g = 10.0 ** (db / 10.0)
-        assert schemes.jdf_lambda0(make_config(0.0, g, g)) == 0.5
+        assert schemes.jdf_max_rate(make_config(0.0, g, g)).parameter == 0.5
     # gamma1 * gamma2 is subnormal or 0: the balance point is formed from
     # the ratio of the two SNRs whose capacities it divides
     for g in (1e-160, 1e-170, 1e-320, 5e-324):
-        assert schemes.jdf_lambda0(make_config(0.0, g, g)) == 0.5
+        assert schemes.jdf_max_rate(make_config(0.0, g, g)).parameter == 0.5
 
 
 def test_df_max_rate_where_its_denominator_rounds_to_zero():
@@ -373,8 +373,9 @@ def test_jdf_lambda0_balances_uplinks(g1, shrink):
     # any gamma2 in [gamma1, gamma1 + gamma1^2] keeps the balance point inside [0, 1]
     g2 = g1 + shrink * g1 * g1
     cfg = make_config(0.0, g1, g2)
-    lam0 = schemes.jdf_lambda0(cfg)
-    assert lam0 is not None and 0.0 <= lam0 <= 1.0
+    best = schemes.jdf_max_rate(cfg)
+    lam0 = best.parameter
+    assert best.breakdown.regime == "crossing" and 0.0 <= lam0 <= 1.0
     # at lam0 the terminals split the sum capacity evenly, so the relay's
     # XOR packet covers both directions with no leftover
     pair = schemes.jdf_rate(cfg, lam0).rate_pair
@@ -401,7 +402,7 @@ def test_jdf_rate_worked_examples():
 
 def test_jdf_rate_continuous_at_lambda0():
     cfg = make_config(0.0, 1.0, 1.5)
-    lam0 = schemes.jdf_lambda0(cfg)
+    lam0 = schemes.jdf_max_rate(cfg).parameter
     eps = 1e-9
     below = schemes.jdf_rate(cfg, lam0 - eps).rate
     above = schemes.jdf_rate(cfg, lam0 + eps).rate
@@ -446,7 +447,7 @@ def test_jdf_crossing_test_at_its_boundary(g1, steps):
         g2 = math.nextafter(g2, math.inf if steps > 0 else 0.0)
     crossing = schemes._jdf_has_crossing(g1, g2)
     assert crossing == (steps <= 0)
-    if g2 >= g1 > 1e-150:  # jdf_rate forms lambda0, which needs g1*g2 > 0
+    if g2 >= g1:
         assert schemes.jdf_rate(make_config(0.0, g1, g2), 1.0).regime == (
             "crossing" if crossing else "saturated")
     # exact rational evaluation agrees except for a g2 between the float
@@ -480,7 +481,8 @@ def test_jdf_lambda0_where_gamma2_squared_overflows(g1, g2):
     x, y = Fraction(g1), Fraction(g2)
     low, high = x * y / (1 + x + y), (y - x + y * y) / (1 + x + y)
     lam = math.log1p(float(high)) / (2.0 * math.log1p(float(low)))
-    assert math.isclose(schemes.jdf_lambda0(make_config(0.0, g1, g2)), lam, rel_tol=1e-12)
+    assert math.isclose(schemes.jdf_max_rate(make_config(0.0, g1, g2)).parameter, lam,
+                        rel_tol=1e-12)
 
 
 @given(snr, snr)
@@ -489,7 +491,9 @@ def test_jdf_lambda0_keeps_its_bits_where_nothing_overflows(g1, g2):
     g1, g2 = cfg.gamma1, cfg.gamma2
     total = 1.0 + g1 + g2
     lam = capacity((g2 - g1 + g2 * g2) / total) / (2.0 * capacity(g1 * g2 / total))
-    assert schemes.jdf_lambda0(cfg) in (None, min(1.0, lam))
+    best = schemes.jdf_max_rate(cfg)
+    if best.breakdown.regime == "crossing":
+        assert best.parameter == min(1.0, lam)
 
 
 @given(snr, snr)
@@ -598,7 +602,6 @@ def test_closed_forms_hold_over_the_whole_float_range(g1_db, gamma2, g0_share):
             assert math.isfinite(bd.duration) == (bd.rate_pair.rate_c / c1 < math.inf), best
         elif best.rate > 0.0:
             assert math.isfinite(bd.duration), best
-    assert jdf.breakdown.lambda0 is None or 0.0 <= jdf.breakdown.lambda0 <= 1.0
     assert 0.0 <= af.breakdown.snr_a_to_c < math.inf and 0.0 <= af.breakdown.snr_c_to_a < math.inf
     # acceptance criterion 2 over the whole range
     full = schemes.df_max_rate(make_config(0.0, cfg.gamma1, cfg.gamma2)).rate
