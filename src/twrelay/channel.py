@@ -43,7 +43,7 @@ def capacity(gamma: float) -> float:
 
     ``gamma`` is a linear SNR and must be finite and nonnegative.
     """
-    if not (math.isfinite(gamma) and gamma >= 0.0):
+    if not 0.0 <= gamma < math.inf:  # NaN fails both comparisons
         raise ValueError(f"SNR must be finite and nonnegative, got {gamma!r}")
     # log1p keeps precision for gamma near 0
     return math.log1p(gamma) / _LN2

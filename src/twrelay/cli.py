@@ -33,7 +33,7 @@ from .sweep import (
     _as_given,
     _checked_schemes,
     _columns,
-    emit_csv,
+    _csv_chunks,
     emit_plot_script,
     run_sweep,
 )
@@ -151,22 +151,25 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(start, stop, step, Gamma2Rule.parse(args.gamma2),
                      _parse_list(args.gamma0, Gamma0Rule.parse), _parse_list(args.schemes),
                      verify=args.verify)
-    rows = run_sweep(spec)
+    rows = run_sweep(spec)  # every point, checks included, before any output
 
     out = _resolve_out(args.out)
     if args.format == "csv":
         if out is None:
-            sys.stdout.write(emit_csv(rows))
+            for chunk in _csv_chunks(rows):
+                sys.stdout.write(chunk)
             return 0
-        files = {out: emit_csv(rows)}
+        files = {out: _csv_chunks(rows)}
     else:
         if out is None:
             raise ValueError("--format plot needs --out to name the files")
         csv_file = out.with_suffix(".csv")
-        files = {csv_file: emit_csv(rows),
-                 out.with_suffix(".gp"): emit_plot_script(rows, csv_file.name)}
-    for path, text in files.items():
-        path.write_text(text, encoding="utf-8", newline="\n")
+        files = {csv_file: _csv_chunks(rows),
+                 out.with_suffix(".gp"): [emit_plot_script(rows, csv_file.name)]}
+    # the CSV goes out in blocks of rows, never as one string
+    for path, chunks in files.items():
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
     print("wrote " + " and ".join(map(str, files)))
     return 0
 

@@ -311,12 +311,12 @@ def _jdf_balance(g1: float, g2: float) -> float:
     return min(1.0, max(0.0, lam))
 
 
-def _jdf_max(g1: float, g2: float, c1: float) -> tuple[float, float]:
-    """``(rate, lambda*)`` of :func:`jdf_max_rate` from the link SNRs and
+def _jdf_max(g1: float, g2: float, c1: float) -> float:
+    """The rate of :func:`jdf_max_rate` from the link SNRs and
     ``c1 = C(g1)``."""
-    c12 = _sum_capacity(g1, g2)
     if not _jdf_has_crossing(g1, g2):
-        return c1, 1.0
+        return c1
+    c12 = _sum_capacity(g1, g2)
     numerator = c1 * 2.0 * c12
     if numerator < _NORMAL_MIN:
         # below about -1545 dB the product is subnormal or 0: the formula on
@@ -325,7 +325,7 @@ def _jdf_max(g1: float, g2: float, c1: float) -> tuple[float, float]:
         rate = c1 * (2.0 * share / (2.0 + share))
     else:
         rate = numerator / (2.0 * c1 + c12)
-    return rate, _jdf_balance(g1, g2)
+    return rate
 
 
 def jdf_rate(config: LinkConfig, lam: float) -> JdfBreakdown:
@@ -361,7 +361,9 @@ def jdf_max_rate(config: LinkConfig) -> SchemeRate:
     Where the numerator leaves the normal float range (below about
     -1545 dB), the formula runs on C(g1+g2)/C(g1) and is scaled by C(g1).
     """
-    rate, lam = _jdf_max(config.gamma1, config.gamma2, capacity(config.gamma1))
+    g1, g2 = config.gamma1, config.gamma2
+    rate = _jdf_max(g1, g2, capacity(g1))
+    lam = _jdf_balance(g1, g2) if _jdf_has_crossing(g1, g2) else 1.0
     return SchemeRate("JDF", rate=rate, parameter=lam, breakdown=jdf_rate(config, lam))
 
 

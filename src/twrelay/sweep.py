@@ -6,25 +6,32 @@ may run side by side, producing one DF column each; the other schemes do
 not use the direct link.
 
 A sweep is computed column by column: each link SNR and capacity is one
-list over the grid, and each scheme's column applies to them the
+sequence over the grid, and each scheme's column applies to them the
 capacity-level rule in :mod:`schemes` that its closed form also calls.
-:class:`SweepResult` keeps the lists; indexing it gives a
-:class:`SweepRow`.  With ``verify=True`` every closed-form optimum is
-re-checked against the brute-force oracle.
+:class:`SweepResult` keeps every output column as an ``array('d')``, 8
+bytes a cell; indexing it gives a :class:`SweepRow`.  With
+``verify=True`` every closed-form optimum is re-checked against the
+brute-force oracle.  The CSV is formatted in blocks of
+``_CSV_CHUNK_ROWS`` rows, so that it can be written without being held
+whole.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from itertools import islice, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import schemes
 from .channel import MAX_GRID_POINTS, LinkConfig, capacity, db_to_linear, linear_to_db, make_config
 
 VERIFY_TOLERANCE = 1e-6  # relative deviation allowed between formula and oracle
 MAX_SWEEP_CELLS = 16 * MAX_GRID_POINTS  # largest grid points x output columns of a sweep
+_CSV_CHUNK_ROWS = 4096  # CSV rows formatted into one block of output
 
 
 @dataclass(frozen=True)
@@ -32,9 +39,9 @@ class SchemeEntry:
     """One scheme: its closed form in :mod:`schemes`, its brute-force
     oracle in :mod:`oracle` (or None), whether it takes gamma0 (one column
     per gamma0 rule), the text ``twrelay rate`` prints after its rate and
-    its sweep column: the rates at every grid point, from the lists
-    ``(g0, g1, g2, c0, c1, c2)`` of the link SNRs and capacities over the
-    grid, ``g0`` and ``c0`` those of the column's gamma0 rule.
+    its sweep column: the rates at every grid point, in order, from the
+    sequences ``(g0, g1, g2, c0, c1, c2)`` of the link SNRs and capacities
+    over the grid, ``g0`` and ``c0`` those of the column's gamma0 rule.
     Functions are held by name and looked up at each call, so a function
     rebound on its module (a test double, a profiler) is the one called.
     """
@@ -43,7 +50,7 @@ class SchemeEntry:
     oracle: Optional[str]
     uses_gamma0: bool
     detail: Callable[[schemes.SchemeRate, LinkConfig], str]
-    column: Callable[..., list[float]]
+    column: Callable[..., Iterable[float]]
 
     def best(self, config: LinkConfig) -> schemes.SchemeRate:
         return getattr(schemes, self.closed_form)(config)
@@ -84,21 +91,21 @@ SCHEME_TABLE = {
         "df_max_rate", "grid_max_df_theta", True,
         lambda best, config: f"theta* = {_as_given(best.parameter, config):.9g}  "
                              f"[{best.breakdown.case}]",
-        lambda g0, g1, g2, c0, c1, c2: [
-            rate for rate, _ in map(schemes._df_max_at, g0, g1, g2, c0, c1, c2)],
+        lambda g0, g1, g2, c0, c1, c2: map(
+            itemgetter(0), map(schemes._df_max_at, g0, g1, g2, c0, c1, c2)),
     ),
     "AF": SchemeEntry(
         "af_rate", None, False, _af_detail,
-        lambda g0, g1, g2, c0, c1, c2: [af[-1] for af in map(schemes._af_two_way, g1, g2)],
+        lambda g0, g1, g2, c0, c1, c2: map(itemgetter(-1), map(schemes._af_two_way, g1, g2)),
     ),
     "JDF": SchemeEntry(
         "jdf_max_rate", "grid_max_jdf_lambda", False,
         lambda best, config: f"lambda* = {_as_given(best.parameter, config):.9g}  "
                              f"[{best.breakdown.regime}]",
-        lambda g0, g1, g2, c0, c1, c2: [rate for rate, _ in map(schemes._jdf_max, g1, g2, c1)],
+        lambda g0, g1, g2, c0, c1, c2: map(schemes._jdf_max, g1, g2, c1),
     ),
     "DNF": SchemeEntry("dnf_upper_bound", None, False, lambda best, config: "upper bound",
-                       lambda g0, g1, g2, c0, c1, c2: list(c1)),
+                       lambda g0, g1, g2, c0, c1, c2: c1),
 }
 
 SCHEME_NAMES = tuple(SCHEME_TABLE)
@@ -168,6 +175,10 @@ class _Rule:
 
     def apply(self, gamma1: float) -> float:
         return self._KINDS[self.kind].formula(self.value, gamma1)
+
+    def _along(self, gamma1s: Iterable[float]) -> Iterator[float]:
+        """``apply`` at each of ``gamma1s``, lazily."""
+        return map(self._KINDS[self.kind].formula, repeat(self.value), gamma1s)
 
     @property
     def label(self) -> str:
@@ -281,21 +292,21 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult(SequenceABC):
-    """A sweep as one list per CSV column, over the gamma1 grid.
+    """A sweep as one ``array('d')`` per CSV column, over the gamma1 grid.
 
-    ``gamma0_db`` holds one list per gamma0 rule; ``rates``,
+    ``gamma0_db`` holds one array per gamma0 rule; ``rates``,
     ``oracle_rates`` and ``deviations`` pair each column label with its
-    list.  As a sequence it has one :class:`SweepRow` per grid point,
+    array.  As a sequence it has one :class:`SweepRow` per grid point,
     built when indexed; a slice is a plain list of rows.
     """
 
-    gamma1_db: list[float]
-    gamma2_db: list[float]
-    gamma0_db: tuple[list[float], ...]
+    gamma1_db: array
+    gamma2_db: array
+    gamma0_db: tuple[array, ...]
     gamma0_labels: tuple[str, ...]
-    rates: tuple[tuple[str, list[float]], ...]
-    oracle_rates: tuple[tuple[str, list[float]], ...] = ()
-    deviations: tuple[tuple[str, list[float]], ...] = ()
+    rates: tuple[tuple[str, array], ...]
+    oracle_rates: tuple[tuple[str, array], ...] = ()
+    deviations: tuple[tuple[str, array], ...] = ()
 
     def __len__(self) -> int:
         return len(self.gamma1_db)
@@ -390,17 +401,18 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     (:class:`VerificationError` where a closed form strays from its oracle
     by more than ``VERIFY_TOLERANCE``).
     """
-    grid = spec.grid_db()
+    grid = array("d", spec.grid_db())
     g1 = []
     try:
         for db in grid:
             g1.append(db_to_linear(db))
     except ValueError as exc:
         raise ValueError(f"{exc} at gamma1 = {grid[len(g1)]:g} dB") from exc
-    g2 = [spec.gamma2_rule.apply(g) for g in g1]
-    # config k of _columns: no direct link, then one per gamma0 rule
+    g2 = list(spec.gamma2_rule._along(g1))
+    # config k of _columns: no direct link, then one per gamma0 rule.  The
+    # lists g1, g2, c1, c2 are one each; per rule only 8-byte cells are kept
     zeros = [0.0] * len(grid)
-    g0 = [zeros] + [[rule.apply(g) for g in g1] for rule in spec.gamma0_rules]
+    g0 = [zeros] + [array("d", rule._along(g1)) for rule in spec.gamma0_rules]
     # the config checks run only where this screen fails
     suspect = {i for i, (a, b) in enumerate(zip(g1, g2)) if not 0.0 < a <= b < math.inf}
     for column in g0[1:]:
@@ -408,15 +420,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for i in sorted(suspect):
         _check_point(spec, grid[i], g1[i], g2[i])
     c1, c2 = list(map(capacity, g1)), list(map(capacity, g2))
-    c0 = [zeros] + [list(map(capacity, column)) for column in g0[1:]]  # C(0) is 0.0
 
     columns = _columns(spec.schemes, spec.gamma0_rules)
-    rates = tuple((label, entry.column(g0[k], g1, g2, c0[k], c1, c2))
-                  for label, entry, k in columns)
+    # a rule's capacities are formed as its column consumes them; C(0) is 0.0
+    rates = tuple((label, array("d", entry.column(
+        g0[k], g1, g2, map(capacity, g0[k]) if k else zeros, c1, c2)))
+        for label, entry, k in columns)
     checked = [(label, entry, k, rate) for (label, entry, k), (_, rate) in zip(columns, rates)
                if spec.verify and entry.oracle is not None]
-    oracle_rates = tuple((label, []) for label, *_ in checked)
-    deviations = tuple((label, []) for label, *_ in checked)
+    oracle_rates = tuple((label, array("d")) for label, *_ in checked)
+    deviations = tuple((label, array("d")) for label, *_ in checked)
     for i, db in enumerate(grid):
         for (label, entry, k, rate), (_, best), (_, gap) in zip(checked, oracle_rates, deviations):
             config = make_config(g0[k][i], g1[i], g2[i])
@@ -425,8 +438,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             gap.append(deviation)
     return SweepResult(
         gamma1_db=grid,
-        gamma2_db=[linear_to_db(g) for g in g2],
-        gamma0_db=tuple([linear_to_db(g) for g in column] for column in g0[1:]),
+        gamma2_db=array("d", map(linear_to_db, g2)),
+        gamma0_db=tuple(array("d", map(linear_to_db, column)) for column in g0[1:]),
         gamma0_labels=tuple(rule.label for rule in spec.gamma0_rules),
         rates=rates,
         oracle_rates=oracle_rates,
@@ -442,19 +455,27 @@ def _csv_header(result: SweepResult) -> list[str]:
     return header
 
 
+def _csv_chunks(rows: SweepResult) -> Iterator[str]:
+    """The CSV of :func:`emit_csv` in pieces: the header line, then blocks
+    of up to ``_CSV_CHUNK_ROWS`` rows, each line ending in a newline."""
+    if not rows:
+        raise ValueError("no rows to emit")
+    columns = [rows.gamma1_db, rows.gamma2_db, *rows.gamma0_db]
+    for group in (rows.rates, rows.oracle_rates, rows.deviations):
+        columns.extend(column for _, column in group)
+    yield ",".join(_csv_header(rows)) + "\n"
+    lines = map((",".join(["{:.9g}"] * len(columns)) + "\n").format, *columns)
+    while block := "".join(islice(lines, _CSV_CHUNK_ROWS)):
+        yield block
+
+
 def emit_csv(rows: SweepResult) -> str:
     """Render a sweep as CSV.
 
     Floats are printed with nine significant digits; a zero gamma0 prints
     as ``-inf`` dB.  The byte content is a pure function of the columns.
     """
-    if not rows:
-        raise ValueError("no rows to emit")
-    columns = [rows.gamma1_db, rows.gamma2_db, *rows.gamma0_db]
-    for group in (rows.rates, rows.oracle_rates, rows.deviations):
-        columns.extend(column for _, column in group)
-    line = ",".join(["{:.9g}"] * len(columns)).format
-    return ",".join(_csv_header(rows)) + "\n" + "\n".join(map(line, *columns)) + "\n"
+    return "".join(_csv_chunks(rows))
 
 
 def emit_plot_script(rows: SweepResult, csv_path: str) -> str:

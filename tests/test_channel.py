@@ -1,6 +1,7 @@
 """Link-model tests: capacity, config normalization, multiple-access region."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -30,10 +31,15 @@ def test_capacity_known_values():
     assert math.isclose(capacity(15.0), 4.0, rel_tol=1e-15)
 
 
-@pytest.mark.parametrize("bad", [-1.0, -1e-12, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bad", [-1.0, -1e-12, math.inf, -math.inf, math.nan, -5e-324])
 def test_capacity_domain(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="SNR must be finite and nonnegative"):
         capacity(bad)
+
+
+@pytest.mark.parametrize("edge, expected", [(-0.0, 0.0), (sys.float_info.max, 1024.0)])
+def test_capacity_domain_keeps_its_edges(edge, expected):
+    assert capacity(edge) == expected
 
 
 @given(snr, snr)

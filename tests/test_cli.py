@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twrelay
-from twrelay import oracle, schemes
+from twrelay import oracle, schemes, sweep
 from twrelay.channel import db_to_linear, make_config
 from twrelay.cli import main
-from twrelay.sweep import VERIFY_TOLERANCE
+from twrelay.sweep import VERIFY_TOLERANCE, Gamma0Rule, SweepSpec, emit_csv, run_sweep
 
 
 def run(capsys, *argv):
@@ -180,6 +180,76 @@ def test_verification_failure_exits_two(capsys, monkeypatch):
     assert re.search(r" at gamma0=\S+, gamma1=\S+, gamma2=\S+ \(relative deviation 1e-05, "
                      r"tolerance 1e-06\)$", err)
     assert "Traceback" not in err
+
+
+def test_sweep_failing_verify_at_its_last_point_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the DF rule 1e-5 high from 5 dB, the last of six points, with the CSV
+    # in one-row blocks: every point is checked before the first block
+    real = schemes._df_max
+
+    def corrupted(c0, c1, c2):
+        rate, theta = real(c0, c1, c2)
+        return rate * (1.0 + 1e-5 * (c1 > 2.0)), theta
+
+    monkeypatch.setattr(schemes, "_df_max", corrupted)
+    monkeypatch.setattr(sweep, "_CSV_CHUNK_ROWS", 1)
+    target = tmp_path / "curves.csv"
+    for out in ([], ["--out", str(target)]):
+        code, stdout, err = run(capsys, "sweep", "--gamma1-db", "0:5:1", "--verify", *out)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("verification failed: DF closed form") and " at gamma1 = 5 dB " in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("points", ["1", "k", "k+1"])
+@pytest.mark.parametrize("mode", ["csv", "verify", "plot"])
+def test_sweep_output_is_the_same_at_every_block_edge(tmp_path, capsys, monkeypatch,
+                                                      chunk, points, mode):
+    n = {"1": 1, "k": chunk, "k+1": chunk + 1}[points]
+    rules = (Gamma0Rule("zero"), Gamma0Rule("fraction", 0.1))
+    spec = SweepSpec(0.0, n - 1.0, 1.0, gamma0_rules=rules, verify=mode == "verify")
+    whole = emit_csv(run_sweep(spec))  # one block: the default holds far more rows
+    assert whole.count("\n") == n + 1
+    monkeypatch.setattr(sweep, "_CSV_CHUNK_ROWS", chunk)
+    assert emit_csv(run_sweep(spec)) == whole
+    argv = ["sweep", f"--gamma1-db=0:{n - 1}:1", "--gamma0", "zero,frac:0.1"]
+    argv += ["--verify"] if mode == "verify" else []
+    if mode == "plot":
+        code, _, _ = run(capsys, *argv, "--format", "plot", "--out", str(tmp_path / "fig"))
+        assert code == 0 and (tmp_path / "fig.csv").read_bytes() == whole.encode()
+        return
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, whole, "")
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "curves.csv"))
+    assert code == 0 and (tmp_path / "curves.csv").read_bytes() == whole.encode()
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_is_at_most_32_bytes_an_output_cell():
+    # 20001 points, DF alone under 10 gamma0 rules: 22 CSV columns.  An
+    # array cell takes 8 bytes and a list of floats 32; the CSV goes out
+    # in blocks of rows, so printing it adds little to the sweep itself
+    fractions = [k / 10 for k in range(10)]
+    rules = tuple(Gamma0Rule("fraction", f) for f in fractions)
+    spec = SweepSpec(0.0, 200.0, 0.01, gamma0_rules=rules, schemes=("DF",))
+    result, peak = _traced_peak(lambda: run_sweep(spec))
+    cells = 22 * len(result)
+    assert len(result) == 20001 and peak <= 32 * cells
+    del result
+    argv = ["sweep", "--gamma1-db=0:200:0.01", "--schemes", "DF",
+            "--gamma0", ",".join(f"frac:{f:g}" for f in fractions)]
+    with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
+        code, peak = _traced_peak(lambda: main(argv))
+    assert code == 0 and peak <= 32 * cells
 
 
 @pytest.mark.parametrize("argv", [
