@@ -10,18 +10,27 @@ no arguments every ``BENCH_*.json`` at the repo root is read.
 
 Records are printed in date order, one line per workload and metric, and
 each is marked by the machine it ran on (M1, M2, ... with a legend).
+Records of one date follow their parent commits' depth (``git rev-list
+--count <sha>`` in the repository the record sits in), then their file
+names, which also order them where git or the commit is missing.
 Absolute figures drift between sessions and machines, so only the
 parent/change ratio within one record is a measured change; a jump from
 one record's change to the next record's parent is not.
 
-Standard library only.  Exits 1 if a record lacks a field this needs.
+Standard library only.  Exits 1 if a record lacks a field this needs;
+stops quietly, with status 0, when its reader closes the pipe (as
+``| head`` does).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
@@ -44,11 +53,25 @@ def load(path: Path) -> dict:
     return record
 
 
-def trajectory(records: list[tuple[str, dict]]) -> list[str]:
-    """The lines to print for ``(file name, record)`` pairs."""
+def commit_depth(sha: str, where: Path) -> Optional[int]:
+    """How many commits lead to ``sha`` in the git repository at ``where``;
+    None where git, the repository or the commit is missing."""
+    if not re.fullmatch(r"[0-9a-f]{4,40}", sha):
+        return None
+    try:
+        proc = subprocess.run(["git", "rev-list", "--count", sha], cwd=where,
+                              capture_output=True, text=True, timeout=60)
+    except OSError:
+        return None
+    return int(proc.stdout) if proc.returncode == 0 else None
+
+
+def trajectory(records: list[tuple[str, dict, Optional[int]]]) -> list[str]:
+    """The lines to print for ``(file name, record, parent's depth)`` triples."""
     machines: list[dict] = []
     lines = []
-    for name, record in sorted(records, key=lambda item: (item[1]["date"], item[0])):
+    for name, record, _ in sorted(records, key=lambda item: (
+            item[1]["date"], item[2] is None, item[2] or 0, item[0])):
         if record["machine"] not in machines:
             machines.append(record["machine"])
         mark = f"M{machines.index(record['machine']) + 1}"
@@ -78,11 +101,18 @@ def main(argv: list[str]) -> int:
         print("no BENCH_*.json records", file=sys.stderr)
         return 1
     try:
-        records = [(p.name, load(p)) for p in paths]
+        loaded = [(p, load(p)) for p in paths]
     except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print("\n".join(trajectory(records)))
+    records = [(p.name, record, commit_depth(record["parent"], p.resolve().parent))
+               for p, record in loaded]
+    try:
+        print("\n".join(trajectory(records)), flush=True)
+    except BrokenPipeError:
+        # the reader has what it wanted; point stdout at devnull so that the
+        # flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -183,8 +183,11 @@ def _parse_interval(text: str) -> tuple[float, float]:
 
 
 def _check_seed(seed: int) -> None:
+    # the simulator's seed domain, which verify shares
     if seed < 0:
         raise ValueError(f"--seed must be non-negative, got {seed}")
+    if seed >= 2**64:
+        raise ValueError(f"--seed must be below 2**64, got {seed}")
 
 
 def _cmd_verify(args) -> int:

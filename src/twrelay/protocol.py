@@ -15,6 +15,7 @@ rate from below as the block length grows, with an O(1/N) gap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -75,24 +76,56 @@ def _clear_pad(bits: np.ndarray, count: int) -> np.ndarray:
     return bits
 
 
-# raw words per random_raw call: 64 KiB, below glibc's mmap threshold, so the
-# allocator recycles each chunk instead of faulting in fresh pages
-_DRAW_CHUNK = 8192
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): word i of a seed's stream is
+# the seed plus (i + 1) golden-ratio steps, modulo 2**64, through two
+# xorshift-multiply rounds and a final xorshift
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+
+# a draw forms its counters from one cached run of 8192 golden-ratio steps
+# (64 KiB), built on first use, and mixes 65536 words (512 KiB) per pass: a
+# pass and its scratch stay in a 2 MiB L2 cache, and numpy's cost per call is
+# spread over 4 Mbit (2 Mbit took 156 us in 64 KiB passes, 122 us in 512 KiB
+# ones, on a 2-core Linux VM)
+_STEP_RUN = 8192
+_DRAW_CHUNK = 65536
 
 
-def _draw_bits(bitgen: np.random.SFC64, count: int, out: np.ndarray) -> np.ndarray:
-    """``count`` random bits, packed, from the bit generator's next raw
-    64-bit words read as little-endian bytes; the pad bits are zero.
+@functools.lru_cache(maxsize=1)
+def _golden_steps(run: int) -> np.ndarray:
+    """``i`` golden-ratio steps, modulo 2**64, for ``i`` below ``run``: a run
+    of counters less their first."""
+    return np.arange(run, dtype=np.uint64) * np.uint64(_GOLDEN)
+
+
+def _draw_bits(seed: int, first_word: int, count: int, out: np.ndarray,
+               scratch: np.ndarray) -> np.ndarray:
+    """``count`` random bits, packed: words ``first_word``, ``first_word + 1``,
+    ... of ``seed``'s SplitMix64 stream read as little-endian bytes; the pad
+    bits are zero.
 
     The words are written into ``out``, which must hold them whole:
-    ``8 * ceil(count / 64)`` bytes.  Returns the first ``ceil(count / 8)``
-    bytes of it.
+    ``8 * ceil(count / 64)`` bytes.  ``scratch`` takes one pass's
+    intermediate words, ``8 * min(_DRAW_CHUNK, ceil(count / 64))`` bytes;
+    its contents are not read.  Returns the first ``ceil(count / 8)`` bytes
+    of ``out``.
     """
     size = -(-count // 8)
     n_words = -(-size // 8)
     words = out[: 8 * n_words].view("<u8")
+    temp = scratch[: 8 * min(_DRAW_CHUNK, n_words)].view(np.uint64)
+    steps = _golden_steps(_STEP_RUN)
+    counter = int(seed) + (first_word + 1) * _GOLDEN  # the first word's
     for start in range(0, n_words, _DRAW_CHUNK):
-        words[start:start + _DRAW_CHUNK] = bitgen.random_raw(min(_DRAW_CHUNK, n_words - start))
+        z = words[start:start + _DRAW_CHUNK]
+        for run in range(0, len(z), _STEP_RUN):
+            part = z[run:run + _STEP_RUN]
+            np.add(steps[: len(part)], (counter + (start + run) * _GOLDEN) % 2**64, out=part)
+        t = temp[: len(z)]
+        for shift, factor in _MIX:
+            np.bitwise_xor(z, np.right_shift(z, shift, out=t), out=z)
+            np.multiply(z, factor, out=z)
+        np.bitwise_xor(z, np.right_shift(z, 31, out=t), out=z)
     return _clear_pad(out[:size], count)
 
 
@@ -150,20 +183,20 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[Trans
             f"{MAX_BLOCK_SIZE}-bit limit; use a shorter block"
         )
     # only the suffix the relay forwards is drawn: the overheard prefix is never
-    # read.  A bit generator's raw words are reproducible across platforms and
-    # numpy releases; SFC64 makes them about twice as fast as Philox
-    bitgen = np.random.SFC64(seed)
+    # read.  A's suffix takes the seed's words from 0 on, C's the words after it
     bits_c, n = bits_ac - side_c, bits_ca - side_a
     # one buffer holds C's and A's packets as drawn, in whole 64-bit words,
-    # then the relay's temporaries own_c and at_c, sized like A's and C's.
+    # then the relay's temporaries own_c and at_c, sized like A's and C's;
+    # until the relay runs, the draws use that region as scratch.
     # glibc keeps a freed block below 32 MiB on its heap once it has unmapped
     # one that size, so the next exchange of a size reuses this one's pages
     span_c, span_a = (8 * -(-bits // 64) for bits in (bits_c, n))
     space = np.empty(2 * (span_c + span_a), dtype=np.uint8)
-    to_c = _draw_bits(bitgen, bits_c, space[:span_c])
-    to_a = _draw_bits(bitgen, n, space[span_c:span_c + span_a])
-    own_c = space[span_c + span_a:][: len(to_a)]
-    at_c = space[span_c + 2 * span_a:][: len(to_c)]
+    temps = space[span_c + span_a:]
+    to_c = _draw_bits(seed, 0, bits_c, space[:span_c], temps)
+    to_a = _draw_bits(seed, span_c // 8, n, space[span_c:span_c + span_a], temps)
+    own_c = temps[: len(to_a)]
+    at_c = temps[span_a:][: len(to_c)]
     # DF relays D_BC, the suffix of D_AC that C did not overhear; JDF all of D_AC
     tail_label = ("D_BC" if scheme == "DF" else "D_AC") + "2"
     at_a, at_c = _relay_broadcast(steps, to_c, to_a, bits_c, n, capacity(config.gamma1),
@@ -193,8 +226,9 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[Trans
 
 
 # bounds the symbols of a block and the bits of each packet; packed 8 bits per
-# byte, an exchange whose larger packet sits at the cap peaked at 29-48 MB of
-# arrays and 61-79 MB RSS (DF split-and-xor the largest), on a 2-core Linux VM
+# byte, the largest exchange at the cap (DF split-and-xor, CI's 90.9*10**6-symbol
+# case) peaks at 47.5 MB of arrays and 74 MB RSS as a CLI process, on a 2-core
+# Linux VM
 MAX_BLOCK_SIZE = 100_000_000
 
 
@@ -203,6 +237,14 @@ def _check_block(n_symbols) -> None:
         raise ValueError(f"n_symbols must be an integer, got {n_symbols!r}")
     if not 1 <= n_symbols <= MAX_BLOCK_SIZE:
         raise ValueError(f"n_symbols must lie in [1, {MAX_BLOCK_SIZE}], got {n_symbols!r}")
+
+
+def _check_seed(seed) -> None:
+    # SplitMix64's state is 64 bits: a larger seed would alias a smaller one
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
 
 
 def run_df(config: LinkConfig, n_symbols: int, theta: float, seed: int = 0) -> Transcript:
@@ -221,6 +263,7 @@ def run_df(config: LinkConfig, n_symbols: int, theta: float, seed: int = 0) -> T
     every packet to hold at least one bit.
     """
     _check_block(n_symbols)
+    _check_seed(seed)
     breakdown = schemes.df_rate(config, theta)  # validates theta as well
     c0 = capacity(config.gamma0)
     c1 = capacity(config.gamma1)
@@ -259,6 +302,7 @@ def run_jdf(config: LinkConfig, n_symbols: int, lam: float, seed: int = 0) -> Tr
     from the XOR.
     """
     _check_block(n_symbols)
+    _check_seed(seed)
     breakdown = schemes.jdf_rate(config, lam)  # validates lam
     pair = breakdown.rate_pair
     bits_ac = math.floor(n_symbols * pair.rate_a)

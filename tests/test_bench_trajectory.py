@@ -46,6 +46,39 @@ def test_records_in_date_order_marked_by_machine(tmp_path):
     assert '  M2 {"cpu": "cpu two", "nproc": 2}' in out
 
 
+def _git(where, *args):
+    proc = subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                           *args], cwd=where, capture_output=True, text=True, timeout=60,
+                          check=True)
+    return proc.stdout.strip()
+
+
+def test_records_of_one_date_follow_their_parents_commit_order(tmp_path):
+    # the names sort the wrong way: the record of the later parent first
+    _git(tmp_path, "init", "-q")
+    for message in ("first", "second"):
+        _git(tmp_path, "commit", "-q", "--allow-empty", "-m", message)
+    first, second = (_git(tmp_path, "rev-parse", "--short", rev) for rev in ("HEAD~1", "HEAD"))
+    for name, parent in (("BENCH_zzz.json", first), ("BENCH_aaa.json", second),
+                         ("BENCH_mmm.json", "0000000")):  # no such commit: last
+        (tmp_path / name).write_text(json.dumps(_record("2026-01-01", parent, "cpu", 20.0)))
+    code, out, _ = _trajectory(*(tmp_path / n for n in ("BENCH_mmm.json", "BENCH_aaa.json",
+                                                       "BENCH_zzz.json")))
+    assert code == 0
+    heads = [line.split()[0] for line in out.splitlines() if line.startswith("BENCH_")]
+    assert heads == ["BENCH_zzz.json", "BENCH_aaa.json", "BENCH_mmm.json"]
+
+
+def test_a_closed_pipe_ends_quietly():
+    # as `| head` does: the reader is gone before the first line
+    proc = subprocess.Popen([sys.executable, str(SCRIPT)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0 and err == b""
+
+
 def test_a_record_without_a_field_exits_one(tmp_path):
     record = _record("2026-01-01", "aaaaaaa", "cpu", 20.0)
     del record["workloads"]["sim-large"]["ops_per_s"]["change"]["q3"]

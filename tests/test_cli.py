@@ -302,6 +302,18 @@ def test_simulate_rejects_a_negative_seed(capsys):
     assert run(capsys, *argv) == (1, "", "error: --seed must be non-negative, got -1\n")
 
 
+@pytest.mark.parametrize("seed", ["18446744073709551616", "99999999999999999999999"])
+def test_simulate_rejects_a_seed_past_64_bits(capsys, seed):
+    argv = ["simulate", "--scheme", "df", "--gamma1-db", "0", f"--seed={seed}"]
+    assert run(capsys, *argv) == (1, "", f"error: --seed must be below 2**64, got {seed}\n")
+
+
+def test_simulate_takes_the_largest_64_bit_seed(capsys):
+    code, out, err = run(capsys, "simulate", "--scheme", "df", "--gamma1-db", "0",
+                         "--n-symbols", "1000", "--seed=18446744073709551615")
+    assert code == 0 and err == "" and out.endswith("decode check: ok\n")
+
+
 def test_simulate_degenerate_block_exits_one(capsys):
     code, _, err = run(
         capsys, "simulate", "--scheme", "df", "--gamma1-db", "0", "--n-symbols", "1"
@@ -471,6 +483,24 @@ def test_simulate_and_verify_import_numpy_when_they_run():
     assert proc.stderr == "simulation failed: decode mismatch in DF exchange\n"
 
 
+@pytest.mark.parametrize("scheme, gamma0", [("df", "frac:0.2"), ("jdf", "zero")])
+def test_simulate_leaves_numpy_random_unloaded(scheme, gamma0):
+    # the payloads are SplitMix64 words formed with numpy arithmetic: no bit
+    # generator, so none of numpy.random's import
+    argv = ["simulate", "--scheme", scheme, "--gamma1-db", "0", "--gamma2", "ratio:3",
+            "--gamma0", gamma0, "--n-symbols", "100000", "--seed", "7"]
+    proc = _child(
+        "import sys\n"
+        "from twrelay.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print('numpy.random loaded:', 'numpy.random' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "decode check: ok\n" in proc.stdout
+    assert proc.stdout.endswith("numpy.random loaded: False\n")
+
+
 def test_oversized_sweep_grid_exits_one_at_once():
     # 3*10**10 points
     proc = _main_in_capped_child(["sweep", "--gamma1-db=0:30:1e-9"])
@@ -539,7 +569,7 @@ def test_duplicate_columns_exit_one(capsys, argv):
 
 
 @pytest.mark.parametrize("argument", [
-    "--samples=-1", "--samples=0", "--seed=-1",
+    "--samples=-1", "--samples=0", "--seed=-1", "--seed=18446744073709551616",
     "--gamma1-db-range=30:-10", "--gamma1-db-range=0:10:1", "--gamma1-db-range=nan:0",
 ])
 def test_verify_rejects_bad_arguments(capsys, argument):
@@ -836,7 +866,8 @@ _VALUES = {
     "--format": st.sampled_from(["csv", "plot", "svg", ""]),
     "--config": st.just("no-such-file.cfg"),
     "--samples": st.integers(-2, 3).map(str),
-    "--seed": st.one_of(st.integers(-5, 10**6).map(str), st.just("x")),
+    "--seed": st.one_of(st.integers(-5, 10**6).map(str),
+                        st.sampled_from(["x", "18446744073709551615", "18446744073709551616"])),
     "--gamma1-db-range": st.one_of(_NUMBER, _RANGE),
     "--scheme": st.sampled_from(["df", "jdf", "df", "jdf", "af", ""]),
     "--n-symbols": st.one_of(st.integers(-5, 10**4).map(str), st.just("1e3")),

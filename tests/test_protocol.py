@@ -187,17 +187,59 @@ def test_run_jdf_swapped_labels():
 # ---------------------------------------------------------------- payload draw
 
 
-def _draw(bitgen, count):
-    """``_draw_bits`` into a fresh buffer of whole words."""
-    return protocol._draw_bits(bitgen, count, np.empty(8 * -(-count // 64), dtype=np.uint8))
+_MASK = 2**64 - 1
 
 
-def test_draw_bits_reads_raw_sfc64_words_as_little_endian_bytes():
-    # SFC64(2024)'s first raw words are 0xaab370cbd524bf6e, 0x72a64b267fb96888;
+def _splitmix64(seed, first_word, n_words):
+    """Words ``first_word`` on of ``seed``'s SplitMix64 stream, one at a time
+    in Python integers."""
+    words = []
+    for i in range(first_word, first_word + n_words):
+        z = (seed + (i + 1) * 0x9E3779B97F4A7C15) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        words.append(z ^ (z >> 31))
+    return words
+
+
+def _reference_bits(seed, first_word, count):
+    """``count`` bits from the reference words read as little-endian bytes,
+    the pad bits zero."""
+    size = -(-count // 8)
+    words = _splitmix64(seed, first_word, -(-size // 8))
+    data = bytearray(b"".join(word.to_bytes(8, "little") for word in words))
+    del data[size:]
+    if count % 8:
+        data[-1] &= 0xFF << (8 - count % 8) & 0xFF
+    return list(data)
+
+
+def _draw(seed, first_word, count):
+    """``_draw_bits`` into a fresh buffer of whole words, with fresh scratch."""
+    n_words = -(-count // 64)
+    return protocol._draw_bits(seed, first_word, count, np.empty(8 * n_words, dtype=np.uint8),
+                               np.empty(8 * n_words, dtype=np.uint8))
+
+
+def test_draw_bits_reads_splitmix64_words_as_little_endian_bytes():
+    # the published first outputs of SplitMix64 at seed 0
+    assert _splitmix64(0, 0, 2) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
     # 77 bits take 10 bytes, and the last byte keeps its 5 high bits
-    got = _draw(np.random.SFC64(2024), 77)
+    got = _draw(0, 0, 77)
     assert got.dtype == np.uint8
-    assert got.tolist() == [0x6E, 0xBF, 0x24, 0xD5, 0xCB, 0x70, 0xB3, 0xAA, 0x88, 0x68]
+    assert got.tolist() == [0xAF, 0xCD, 0x1D, 0x7B, 0x39, 0xA8, 0x20, 0xE2, 0xF4, 0x60]
+    assert got.tolist() == _reference_bits(0, 0, 77)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024, 2**63 + 12345, 2**64 - 1])
+@pytest.mark.parametrize("first_word", [0, 1, 7, 2**40])
+def test_draw_bits_starts_mid_stream(seed, first_word):
+    # word i of a stream depends only on the seed and i: a draw from word k
+    # on is the tail of a draw from word 0 on
+    assert _draw(seed, first_word, 333).tolist() == _reference_bits(seed, first_word, 333)
+    if first_word < 8:
+        head = _draw(seed, 0, 64 * first_word + 333)
+        assert np.array_equal(head[8 * first_word:], _draw(seed, first_word, 333))
 
 
 def test_df_with_direct_link_forwards_only_the_drawn_suffixes(monkeypatch):
@@ -218,26 +260,53 @@ def test_df_with_direct_link_forwards_only_the_drawn_suffixes(monkeypatch):
     side_a = math.floor(n_symbols * theta * c0)
     assert side_c > 0 and side_a > 0
     assert seen["bits_c"] == t.delivered_ac - side_c and seen["n"] == t.delivered_ca - side_a
-    bitgen = np.random.SFC64(seed)  # A's suffix first, then C's
-    assert np.array_equal(seen["to_c"], _draw(bitgen, seen["bits_c"]))
-    assert np.array_equal(seen["to_a"], _draw(bitgen, seen["n"]))
+    # A's suffix takes the stream's words from 0 on, C's the words after it
+    words_c = -(-seen["bits_c"] // 64)
+    assert seen["to_c"].tolist() == _reference_bits(seed, 0, seen["bits_c"])
+    assert seen["to_a"].tolist() == _reference_bits(seed, words_c, seen["n"])
+
+
+@pytest.mark.parametrize("step_run, chunk", [(1, 1), (2, 3), (3, 6), (4, 2)])
+@pytest.mark.parametrize("words", ["k", "k+1", "2k-1", "2k+part"])
+def test_draw_bits_at_small_chunk_edges(monkeypatch, step_run, chunk, words):
+    # whole passes of a small chunk and part of one more, the last ending
+    # inside a byte, from the middle of the stream; counters formed in runs
+    # that do and do not divide a pass
+    monkeypatch.setattr(protocol, "_STEP_RUN", step_run)
+    monkeypatch.setattr(protocol, "_DRAW_CHUNK", chunk)
+    n_words = {"k": chunk, "k+1": chunk + 1, "2k-1": 2 * chunk - 1, "2k+part": 2 * chunk + 2}[words]
+    count = 64 * (n_words - 1) + 13
+    # set bits in the buffers, as an earlier exchange's bytes may be; the
+    # scratch is as small as a draw may be given
+    out = np.full(8 * n_words, 0xFF, dtype=np.uint8)
+    scratch = np.full(8 * min(chunk, n_words), 0xFF, dtype=np.uint8)
+    got = protocol._draw_bits(99, 5, count, out, scratch)
+    assert got.tolist() == _reference_bits(99, 5, count) and np.shares_memory(got, out)
 
 
 def test_draw_bits_in_chunks_matches_one_raw_call():
-    # two whole chunks of raw words and part of a third, ending inside a byte
+    # two whole passes of words and part of a third, ending inside a byte
+    assert protocol._DRAW_CHUNK % protocol._STEP_RUN == 0
     count = 2 * 64 * protocol._DRAW_CHUNK + 77
-    size, n_words = -(-count // 8), -(-count // 64)
-    one_call = np.random.SFC64(99)
-    want = one_call.random_raw(n_words).astype("<u8").view(np.uint8)[:size]
-    want[-1] &= 0xF8  # 77 bits keep the 5 high bits of their last byte
-    next_word = one_call.random_raw()
-    # set bits in the buffer, as an earlier exchange's bytes may be
+    n_words = -(-count // 64)
     out = np.full(8 * n_words, 0xFF, dtype=np.uint8)
-    bitgen = np.random.SFC64(99)
-    got = protocol._draw_bits(bitgen, count, out)
-    assert np.array_equal(got, want) and np.shares_memory(got, out)
-    # the chunks used up exactly the words of the one call
-    assert bitgen.random_raw() == next_word
+    scratch = np.full(8 * protocol._DRAW_CHUNK, 0xFF, dtype=np.uint8)
+    got = protocol._draw_bits(99, 3, count, out, scratch)
+    assert got.tolist() == _reference_bits(99, 3, count) and np.shares_memory(got, out)
+
+
+@pytest.mark.parametrize("run, param", [(protocol.run_df, 0.5), (protocol.run_jdf, 0.25)])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "1", None])
+def test_seed_outside_the_64_bit_range_is_a_value_error(run, param, seed):
+    # a seed of 2**64 or more would alias a smaller one
+    with pytest.raises(ValueError, match="^seed must"):
+        run(make_config(0.1, 1.0, 3.0), 1000, param, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7)])
+def test_seed_range_edges_run(seed):
+    t = protocol.run_jdf(make_config(0.0, 1.0, 3.0), 1000, 0.25, seed=seed)
+    assert t == protocol.run_jdf(make_config(0.0, 1.0, 3.0), 1000, 0.25, seed=int(seed))
 
 
 # ---------------------------------------------------------------- decode check
@@ -401,9 +470,10 @@ def test_exchange_keeps_packets_and_temporaries_in_one_buffer(monkeypatch, run, 
     seen = {}
     draw, relay = protocol._draw_bits, protocol._relay_broadcast
 
-    def draw_spy(bitgen, count, out):
+    def draw_spy(seed, first_word, count, out, scratch):
         seen.setdefault("draws", []).append(out)
-        return draw(bitgen, count, out)
+        seen.setdefault("scratch", []).append(scratch)
+        return draw(seed, first_word, count, out, scratch)
 
     def relay_spy(*args):
         seen["temps"] = args[-2:]
@@ -415,3 +485,8 @@ def test_exchange_keeps_packets_and_temporaries_in_one_buffer(monkeypatch, run, 
     parts = seen["draws"] + list(seen["temps"])
     assert len(parts) == 4 and all(part.base is parts[0].base for part in parts)
     assert not any(np.shares_memory(a, b) for i, a in enumerate(parts) for b in parts[i + 1:])
+    # the draws' scratch is the temporaries' region, unused until the relay runs
+    for scratch in seen["scratch"]:
+        assert scratch.base is parts[0].base
+        assert not any(np.shares_memory(scratch, drawn) for drawn in seen["draws"])
+        assert all(np.shares_memory(scratch, temp) for temp in seen["temps"])
