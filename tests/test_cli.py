@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twrelay
-from twrelay import oracle, schemes, sweep
+from twrelay import cli, oracle, schemes, sweep
 from twrelay.channel import db_to_linear, make_config
 from twrelay.cli import main
 from twrelay.sweep import VERIFY_TOLERANCE, Gamma0Rule, SweepSpec, emit_csv, run_sweep
@@ -322,6 +322,16 @@ def test_simulate_degenerate_block_exits_one(capsys):
     assert "empty" in err
 
 
+def test_simulate_names_an_empty_relay_packet(capsys):
+    # C overhears all but a fraction of a bit of A's 9: D_BC is empty
+    code, out, err = run(capsys, "simulate", "--scheme", "df", "--gamma1-db=-0.4576",
+                         "--gamma2", "ratio:3", "--gamma0", "frac:0.999", "--n-symbols", "20",
+                         "--theta", "0.5")
+    assert (code, out) == (1, "")
+    assert err == ("error: block of 20 symbols at theta=0.5 leaves an empty packet "
+                   "(sizes: D_AC=9, D_CA=18, D_BC=0, D_BA=9)\n")
+
+
 def test_negative_range_as_separate_token(capsys):
     for command, option, value, extra in (
         ("sweep", "--gamma1-db", "-10:0:1", ()),
@@ -499,6 +509,38 @@ def test_simulate_leaves_numpy_random_unloaded(scheme, gamma0):
     assert proc.returncode == 0 and proc.stderr == ""
     assert "decode check: ok\n" in proc.stdout
     assert proc.stdout.endswith("numpy.random loaded: False\n")
+
+
+def test_verify_leaves_numpy_random_unloaded():
+    # verify draws its configs from the standard library; numpy comes only
+    # with the oracles, as it does for sweep --verify
+    proc = _child(
+        "import sys\n"
+        "from twrelay.cli import main\n"
+        "codes = [main(['verify', '--samples', '3']),\n"
+        "         main(['sweep', '--gamma1-db', '0:2:1', '--verify'])]\n"
+        "print(codes, 'numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "\nok\n" in proc.stdout and ",oracle[DF],oracle[JDF]," in proc.stdout
+    assert proc.stdout.endswith("\n[0, 0] True False\n")
+
+
+def test_verify_configs_follow_the_seed(capsys, monkeypatch):
+    drawn = []
+
+    def recording(*gammas):
+        drawn.append(gammas)
+        return make_config(*gammas)
+
+    monkeypatch.setattr(cli, "make_config", recording)
+    outputs = []
+    for seed in ("5", "5", "6"):
+        code, out, err = run(capsys, "verify", "--samples", "20", "--seed", seed)
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1] and drawn[:20] == drawn[20:40]
+    assert outputs[2] != outputs[0] and not set(drawn[40:]) & set(drawn[:20])
 
 
 def test_oversized_sweep_grid_exits_one_at_once():

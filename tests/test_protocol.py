@@ -107,6 +107,28 @@ def test_run_df_degenerate_block():
         protocol.run_df(make_config(0.0, 1.0, 1.0), 1000.5, 0.5, seed=0)
 
 
+@pytest.mark.parametrize("run, cfg, delivered", [
+    # packets of 1 bit, the smallest a guard lets through
+    (protocol.run_df, make_config(0.0, 1.0, 1.0), (1, 1)),
+    (protocol.run_jdf, make_config(0.0, 1.0, 3.0), (1, 3)),
+])
+def test_one_bit_packets_are_sent(run, cfg, delivered):
+    t = run(cfg, 2, 0.5, seed=0)
+    assert min(s.bits for s in t.steps) == 1
+    assert (t.delivered_ac, t.delivered_ca) == delivered and t.success
+
+
+def test_packets_of_exactly_the_block_cap_are_sent(monkeypatch):
+    # C(3) == 2.0 exactly, so half of 1000 symbols carries 1000 bits a side
+    monkeypatch.setattr(protocol, "MAX_BLOCK_SIZE", 1000)
+    cfg = make_config(0.0, 3.0, 3.0)
+    t = protocol.run_df(cfg, 1000, 0.5, seed=0)
+    assert [s.bits for s in t.steps[:2]] == [1000, 1000] and t.success
+    with pytest.raises(ValueError, match="^source packets of 800 and 1200 bits exceed "
+                                         "the 1000-bit limit"):
+        protocol.run_df(cfg, 1000, 0.6, seed=0)
+
+
 def test_run_df_converges_like_one_over_n():
     cfg = make_config(0.1, 1.0, 1.0)
     worst = 0.0
