@@ -193,6 +193,16 @@ def _check_share(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
+def _check_seed(seed, name: str = "seed") -> None:
+    """Check a simulator seed: an integer in [0, 2**64), SplitMix64's state."""
+    if isinstance(seed, bool) or not hasattr(type(seed), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"{name} must be non-negative, got {seed!r}")
+    if seed >= 2**64:
+        raise ValueError(f"{name} must be below 2**64, got {seed!r}")
+
+
 def _face_point(region: MaRegion, lam):
     """``(rate_a, rate_c)`` at time share ``lam`` on the dominant face, for
     a Python float or elementwise for a numpy array of ``lam``."""

@@ -20,8 +20,9 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
-from . import schemes
-from .channel import ProtocolError, _check_share, db_to_linear, linear_to_db, make_config
+from .channel import (
+    ProtocolError, _check_seed, _check_share, db_to_linear, linear_to_db, make_config,
+)
 from .sweep import (
     SCHEME_NAMES,
     SCHEME_TABLE,
@@ -175,26 +176,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
-    """Parse ``LO:HI`` in dB, finite and LO <= HI; a single value is both."""
+    """Parse ``LO:HI`` in dB, LO <= HI, of finite ends and width; a single value is both."""
     v = _fields(text)
-    if 1 <= len(v) <= 2 and all(map(math.isfinite, v)) and v[0] <= v[-1]:
+    if 1 <= len(v) <= 2 and 0.0 <= v[-1] - v[0] < math.inf:  # an inf or NaN end fails
         return v[0], v[-1]
     raise ValueError(f"expected LO:HI in dB with finite LO <= HI, got {text!r}")
-
-
-def _check_seed(seed: int) -> None:
-    # the simulator's seed domain, which verify shares
-    if seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {seed}")
-    if seed >= 2**64:
-        raise ValueError(f"--seed must be below 2**64, got {seed}")
 
 
 def _cmd_verify(args) -> int:
     lo, hi = _parse_interval(args.gamma1_db_range)
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    _check_seed(args.seed)
+    _check_seed(args.seed, "--seed")  # the simulator's seed domain, which verify shares
     # the standard library's generator draws the configs: numpy loads only
     # with the oracles, and numpy.random not at all
     import random
@@ -224,25 +217,23 @@ def _cmd_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     from . import protocol  # the simulator needs numpy, which rate and sweep do without
 
-    flag, scheme = ("lam", "jdf") if args.scheme == "df" else ("theta", "df")
-    if getattr(args, flag) is not None:
-        raise ValueError(f"--{flag} applies only to --scheme {scheme}")
-    _check_seed(args.seed)
+    entry = SCHEME_TABLE[args.scheme.upper()]
+    for name, other in SCHEME_TABLE.items():
+        if other.share not in (None, entry.share) and getattr(args, other.share) is not None:
+            raise ValueError(f"--{other.share} applies only to --scheme {name.lower()}")
+    _check_seed(args.seed, "--seed")
     gamma1 = db_to_linear(args.gamma1_db)
     gamma2 = Gamma2Rule.parse(args.gamma2).apply(gamma1)
     gamma0 = Gamma0Rule.parse(args.gamma0).apply(gamma1)
     cfg = make_config(gamma0, gamma1, gamma2)
-    if args.scheme == "df":
-        name, given, best, run = "theta", args.theta, schemes.df_max_rate, protocol.run_df
-    else:
-        name, given, best, run = "lam", args.lam, schemes.jdf_max_rate, protocol.run_jdf
     # the flag follows the terminals as given, the protocol the normalized labels
+    given = getattr(args, entry.share)
     if given is not None:
-        _check_share(name, given)
-    share = best(cfg).parameter if given is None else _as_given(given, cfg)
-    transcript = run(cfg, args.n_symbols, share, args.seed)
+        _check_share(entry.share, given)
+    share = entry.best(cfg).parameter if given is None else _as_given(given, cfg)
+    transcript = getattr(protocol, entry.simulator)(cfg, args.n_symbols, share, args.seed)
     print(f"{transcript.scheme} exchange: N = {args.n_symbols}, "
-          f"{name} = {_as_given(share, cfg):.9g}, seed = {args.seed}")
+          f"{entry.share} = {_as_given(share, cfg):.9g}, seed = {args.seed}")
     for line in transcript.to_lines():
         print(line)
     print(
@@ -300,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(handler=_cmd_verify)
 
     sim = sub.add_parser("simulate", parents=[links], help="bit-exact protocol run")
-    sim.add_argument("--scheme", choices=("df", "jdf"), required=True)
+    sim.add_argument("--scheme", required=True,
+                     choices=[name.lower() for name, e in SCHEME_TABLE.items() if e.simulator])
     sim.add_argument("--gamma1-db", type=float, required=True)
     sim.add_argument("--n-symbols", type=int, default=100000)
     sim.add_argument("--theta", type=float, help="DF time split (default: optimal)")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import schemes
-from .channel import LinkConfig, ProtocolError, capacity
+from .channel import LinkConfig, ProtocolError, _check_seed, capacity
 
 
 class ProtocolConfigError(ValueError):
@@ -168,13 +168,14 @@ def _relay_broadcast(steps: list[TranscriptStep], to_c: np.ndarray, to_a: np.nda
 
 
 def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[TranscriptStep],
-              side_c: int, side_a: int, analytic: float, seed: int) -> Transcript:
+              side_c: int, side_a: int, tail_label: str, analytic: float, seed: int) -> Transcript:
     """Draw the source packets of ``steps`` (A's, then C's), relay them and
     check both decodes.
 
     The relay forwards each packet without the prefix the opposite terminal
-    overheard (``side_c`` bits of A's, ``side_a`` of C's).  Terminal labels
-    are undone in the transcript when ``config`` was swapped.
+    overheard (``side_c`` bits of A's, ``side_a`` of C's), and sends any
+    excess of the C-bound packet as ``tail_label``.  Terminal labels are
+    undone in the transcript when ``config`` was swapped.
     """
     bits_ac, bits_ca = steps[0].bits, steps[1].bits
     if max(bits_ac, bits_ca) > MAX_BLOCK_SIZE:
@@ -197,8 +198,6 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[Trans
     to_a = _draw_bits(seed, span_c // 8, n, space[span_c:span_c + span_a], temps)
     own_c = temps[: len(to_a)]
     at_c = temps[span_a:][: len(to_c)]
-    # DF relays D_BC, the suffix of D_AC that C did not overhear; JDF all of D_AC
-    tail_label = ("D_BC" if scheme == "DF" else "D_AC") + "2"
     at_a, at_c = _relay_broadcast(steps, to_c, to_a, bits_c, n, capacity(config.gamma1),
                                   capacity(config.gamma2), tail_label, own_c, at_c)
     # the relay's arrays, XORed in place with what was sent, are zero where decoded
@@ -237,14 +236,6 @@ def _check_block(n_symbols) -> None:
         raise ValueError(f"n_symbols must be an integer, got {n_symbols!r}")
     if not 1 <= n_symbols <= MAX_BLOCK_SIZE:
         raise ValueError(f"n_symbols must lie in [1, {MAX_BLOCK_SIZE}], got {n_symbols!r}")
-
-
-def _check_seed(seed) -> None:
-    # SplitMix64's state is 64 bits: a larger seed would alias a smaller one
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
 
 
 def run_df(config: LinkConfig, n_symbols: int, theta: float, seed: int = 0) -> Transcript:
@@ -288,7 +279,8 @@ def run_df(config: LinkConfig, n_symbols: int, theta: float, seed: int = 0) -> T
         TranscriptStep("A", c1, n1, bits_ac, "D_AC"),
         TranscriptStep("C", c2, n2, bits_ca, "D_CA"),
     ]
-    return _exchange("DF", config, n_symbols, steps, side_c, side_a, breakdown.rate, seed)
+    # a split tail is of D_BC, the suffix of D_AC that C did not overhear
+    return _exchange("DF", config, n_symbols, steps, side_c, side_a, "D_BC2", breakdown.rate, seed)
 
 
 def run_jdf(config: LinkConfig, n_symbols: int, lam: float, seed: int = 0) -> Transcript:
@@ -317,4 +309,4 @@ def run_jdf(config: LinkConfig, n_symbols: int, lam: float, seed: int = 0) -> Tr
         TranscriptStep("A", pair.rate_a, float(n_symbols), bits_ac, "D_AC"),
         TranscriptStep("C", pair.rate_c, float(n_symbols), bits_ca, "D_CA"),
     ]
-    return _exchange("JDF", config, n_symbols, steps, 0, 0, breakdown.rate, seed)
+    return _exchange("JDF", config, n_symbols, steps, 0, 0, "D_AC2", breakdown.rate, seed)

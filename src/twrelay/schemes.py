@@ -138,11 +138,10 @@ def _jdf_two_way(region: MaRegion, lam):
         # not the scaled form below: it rounds the golden *_verify.csv deviations apart
         return rate_a, rate_c, duration, region.cap_sum / duration
     # C1 subnormal and C2 not: rate_c/C1 overflows, and the duration with
-    # it, so the rate runs on C1 times the duration and is scaled by C1
+    # it, so the rate runs on C1 times the duration and is scaled by C1.
+    # rate_c >= C(g2/(1+g1)) is then far above C1 >= rate_a: no excess of rate_a
     c1 = region.cap_a
-    excess = (rate_a - rate_c) * (rate_a > rate_c)
-    scaled = c1 + rate_c + excess * (c1 / region.cap_c)
-    return rate_a, rate_c, duration, c1 * (region.cap_sum / scaled)
+    return rate_a, rate_c, duration, c1 * (region.cap_sum / (c1 + rate_c))
 
 
 def df_rate(config: LinkConfig, theta: float) -> DfBreakdown:

@@ -38,12 +38,14 @@ _CSV_CHUNK_ROWS = 4096  # CSV rows formatted into one block of output
 class SchemeEntry:
     """One scheme: its closed form in :mod:`schemes`, its brute-force
     oracle in :mod:`oracle` (or None), whether it takes gamma0 (one column
-    per gamma0 rule), the text ``twrelay rate`` prints after its rate and
-    its sweep column: the rates at every grid point, in order, from the
+    per gamma0 rule), the text ``twrelay rate`` prints after its rate, its
+    sweep column: the rates at every grid point, in order, from the
     sequences ``(g0, g1, g2, c0, c1, c2)`` of the link SNRs and capacities
-    over the grid, ``g0`` and ``c0`` those of the column's gamma0 rule.
-    Functions are held by name and looked up at each call, so a function
-    rebound on its module (a test double, a profiler) is the one called.
+    over the grid, ``g0`` and ``c0`` those of the column's gamma0 rule, and
+    for ``twrelay simulate`` its time share's flag and its simulator in
+    :mod:`protocol` (or None).  Functions are held by name and looked up at
+    each call, so a function rebound on its module (a test double, a
+    profiler) is the one called.
     """
 
     closed_form: str
@@ -51,6 +53,8 @@ class SchemeEntry:
     uses_gamma0: bool
     detail: Callable[[schemes.SchemeRate, LinkConfig], str]
     column: Callable[..., Iterable[float]]
+    share: Optional[str] = None
+    simulator: Optional[str] = None
 
     def best(self, config: LinkConfig) -> schemes.SchemeRate:
         return getattr(schemes, self.closed_form)(config)
@@ -93,6 +97,7 @@ SCHEME_TABLE = {
                              f"[{best.breakdown.case}]",
         lambda g0, g1, g2, c0, c1, c2: map(
             itemgetter(0), map(schemes._df_max_at, g0, g1, g2, c0, c1, c2)),
+        "theta", "run_df",
     ),
     "AF": SchemeEntry(
         "af_rate", None, False, _af_detail,
@@ -103,6 +108,7 @@ SCHEME_TABLE = {
         lambda best, config: f"lambda* = {_as_given(best.parameter, config):.9g}  "
                              f"[{best.breakdown.regime}]",
         lambda g0, g1, g2, c0, c1, c2: map(schemes._jdf_max, g1, g2, c1),
+        "lam", "run_jdf",
     ),
     "DNF": SchemeEntry("dnf_upper_bound", None, False, lambda best, config: "upper bound",
                        lambda g0, g1, g2, c0, c1, c2: c1),
@@ -346,8 +352,8 @@ def _checked_schemes(names: Sequence[str], gamma0_rules: Sequence[Gamma0Rule]) -
     if not normalized:
         raise ValueError("at least one scheme is required")
     for s in normalized:
-        if s not in SCHEME_NAMES:
-            raise ValueError(f"unknown scheme {s!r} (expected one of {SCHEME_NAMES})")
+        if s not in SCHEME_TABLE:
+            raise ValueError(f"unknown scheme {s!r} (expected one of {tuple(SCHEME_TABLE)})")
     if len(set(normalized)) != len(normalized):
         raise ValueError("duplicate scheme names")
     return normalized

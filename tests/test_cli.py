@@ -332,6 +332,51 @@ def test_simulate_names_an_empty_relay_packet(capsys):
                    "(sizes: D_AC=9, D_CA=18, D_BC=0, D_BA=9)\n")
 
 
+def test_a_new_scheme_row_needs_no_cli_edit(capsys, monkeypatch):
+    # a row that reuses DF's functions under a new label reaches every subcommand
+    monkeypatch.setitem(sweep.SCHEME_TABLE, "DFX", sweep.SCHEME_TABLE["DF"])
+    code, out, err = run(capsys, "rate", "--gamma1-db", "10", "--gamma2", "ratio:2",
+                         "--schemes", "DF,DFX")
+    assert (code, err) == (0, "")
+    rates = dict(re.findall(r"^(\S+)\s+rate = (\S+)", out, re.M))
+    assert list(rates) == ["DF", "DFX"] and rates["DF"] == rates["DFX"]
+
+    code, out, err = run(capsys, "sweep", "--gamma1-db", "0:4:1", "--schemes", "DFX,DF")
+    assert (code, err) == (0, "")
+    header, *rows = (line.split(",") for line in out.splitlines())
+    assert header[-2:] == ["DFX", "DF"] and len(rows) == 5
+    assert all(row[-2] == row[-1] for row in rows)
+
+    code, out, err = run(capsys, "verify", "--samples", "3")
+    assert (code, err) == (0, "")
+    assert re.search(r"^max relative deviation: DF \S+, JDF \S+, DFX \S+$", out, re.M)
+
+    argv = ["--gamma1-db", "0", "--gamma0", "frac:0.1", "--n-symbols", "1000"]
+    code, out, err = run(capsys, "simulate", "--scheme", "dfx", *argv)
+    assert (code, err) == (0, "") and out.endswith("decode check: ok\n")
+    assert out == run(capsys, "simulate", "--scheme", "df", *argv)[1]
+
+
+def test_simulate_surface_comes_from_the_scheme_table(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help text to the terminal
+    code, out, err = run(capsys, "simulate", "--help")
+    assert (code, err) == (0, "")
+    assert "--scheme {df,jdf}" in out
+    assert "DF time split (default: optimal)" in out
+    assert "JDF time share (default: optimal)" in out
+
+    code, out, err = run(capsys, "simulate", "--scheme", "af", "--gamma1-db", "0")
+    assert (code, out) == (1, "")
+    # argparse releases differ in whether they quote the choices
+    assert re.fullmatch(r"twrelay simulate: error: argument --scheme: invalid choice: 'af' "
+                        r"\(choose from '?df'?, '?jdf'?\)\n", err)
+
+    from twrelay import protocol
+
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        protocol.run_df(make_config(0.1, 1.0, 3.0), 1000, 0.5, seed=-1)
+
+
 def test_negative_range_as_separate_token(capsys):
     for command, option, value, extra in (
         ("sweep", "--gamma1-db", "-10:0:1", ()),
@@ -710,6 +755,8 @@ def test_verify_draws_gamma2_inside_the_float_range(capsys):
      "expected LO:HI in dB with finite LO <= HI, got '0:1:2:3'"),
     (["rate", "--gamma1-db", "0", "--gamma0", ","], "at least one gamma0 rule is required"),
     (["sweep", "--gamma1-db", "0:2:1", "--gamma0", " ,"], "at least one gamma0 rule is required"),
+    (["verify", "--samples", "1", "--gamma1-db-range=-1e308:1e308"],
+     "expected LO:HI in dB with finite LO <= HI, got '-1e308:1e308'"),
 ])
 def test_empty_list_and_long_interval_messages(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
