@@ -129,42 +129,49 @@ def _draw_bits(seed: int, first_word: int, count: int, out: np.ndarray,
     return _clear_pad(out[:size], count)
 
 
-def _relay_broadcast(steps: list[TranscriptStep], to_c: np.ndarray, to_a: np.ndarray,
-                     bits_c: int, n: int, c1: float, c2: float, tail_label: str,
-                     own_c: np.ndarray, at_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Broadcast the XOR of the ``bits_c`` C-bound and ``n`` A-bound bits
-    (packed, 8 per byte) at ``c1``.
+def _relay_broadcast(temps: np.ndarray, to_c: np.ndarray, to_a: np.ndarray, bits_c: int,
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
+    """What A and C recover from the relay's XOR of the ``bits_c`` C-bound
+    and ``n`` A-bound bits (packed, 8 per byte).
 
     A C-bound packet at least as long is split at bit ``n`` and its excess
-    sent to C alone at ``c2`` as ``tail_label``; a shorter one is
-    zero-padded.  Both packets start at bit 0, so the XOR lines up byte for
-    byte, and C takes the excess from ``to_c`` at its own byte offsets.
-    Appends the relay's steps; returns the bits A and C recover from them.
-    ``to_c`` and ``to_a`` are left as they are.  The relay works in two
-    temporaries whose contents are never read:
-    ``own_c`` (``len(to_a)`` bytes) holds the C-bound packet cut or padded
-    to ``n`` bits, then D_B, then what A recovers; ``at_c`` (``len(to_c)``
-    bytes) receives what C recovers.
+    sent to C alone; a shorter one is zero-padded.  Both packets start at
+    bit 0, so the XOR lines up byte for byte, and C takes the excess from
+    ``to_c`` at its own byte offsets.  ``n = 0`` is a pure tail and
+    ``bits_c = 0`` a pure pad.  ``to_c`` and ``to_a`` are left as they are.
+    The relay works in ``temps``, ``len(to_a) + len(to_c)`` bytes or more
+    whose contents are never read: its first ``len(to_a)`` bytes hold D_B,
+    then what A recovers; the next ``len(to_c)`` receive what C recovers.
     """
     size = len(to_a)
     common = min(size, len(to_c))
-    own_c[:common] = to_c[:common]
-    own_c[common:] = 0
-    d_b = np.bitwise_xor(_clear_pad(own_c, n), to_a, out=own_c)
-    steps.append(TranscriptStep("B", c1, n / c1, n, "D_B"))
+    d_b, at_c = temps[:size], temps[size:size + len(to_c)]
+    # the C-bound packet cut or zero-padded to n bits, XORed with the A-bound
+    # one: a split's first tail bits, in byte size - 1, are cleared
+    np.bitwise_xor(to_c[:common], to_a[:common], out=d_b[:common])
+    d_b[common:] = to_a[common:]
+    _clear_pad(d_b, n)
     # each terminal strips its own packet from D_B: C first, since A's
     # recovery is written over D_B
     np.bitwise_xor(d_b[:common], to_a[:common], out=at_c[:common])
     np.bitwise_xor(d_b[:common], to_c[:common], out=d_b[:common])
     at_a = _clear_pad(d_b, n)
     if bits_c > n:
-        steps.append(TranscriptStep("B", c2, (bits_c - n) / c2, bits_c - n, tail_label))
         # C's recovered bits, then the tail from bit n on, which may share
         # the last recovered byte
         at_c[size:] = to_c[size:]
         if n % 8:
             at_c[size - 1] |= to_c[size - 1] & 0xFF >> n % 8
     return at_a, at_c
+
+
+# the relay walks both packets in chunks of this many bytes each, a whole
+# number of words: an exchange holds two chunks of packet and two of
+# temporaries, 512 KiB however large its packets, and each chunk's draw is
+# one of _draw_bits' passes.  A chunk costs 20-35 us of numpy calls whatever
+# its size: a DF exchange of 2.45 Mbit took 12-14% longer in 128 KiB chunks
+# than as one chunk, and 28-33% longer in 64 KiB ones, on a 2-core Linux VM
+_RELAY_CHUNK = 131072
 
 
 def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[TranscriptStep],
@@ -186,25 +193,31 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[Trans
     # only the suffix the relay forwards is drawn: the overheard prefix is never
     # read.  A's suffix takes the seed's words from 0 on, C's the words after it
     bits_c, n = bits_ac - side_c, bits_ca - side_a
-    # one buffer holds C's and A's packets as drawn, in whole 64-bit words,
-    # then the relay's temporaries own_c and at_c, sized like A's and C's;
-    # until the relay runs, the draws use that region as scratch.
-    # glibc keeps a freed block below 32 MiB on its heap once it has unmapped
-    # one that size, so the next exchange of a size reuses this one's pages
-    span_c, span_a = (8 * -(-bits // 64) for bits in (bits_c, n))
-    space = np.empty(2 * (span_c + span_a), dtype=np.uint8)
-    temps = space[span_c + span_a:]
-    to_c = _draw_bits(seed, 0, bits_c, space[:span_c], temps)
-    to_a = _draw_bits(seed, span_c // 8, n, space[span_c:span_c + span_a], temps)
-    own_c = temps[: len(to_a)]
-    at_c = temps[span_a:][: len(to_c)]
-    at_a, at_c = _relay_broadcast(steps, to_c, to_a, bits_c, n, capacity(config.gamma1),
-                                  capacity(config.gamma2), tail_label, own_c, at_c)
-    # the relay's arrays, XORed in place with what was sent, are zero where decoded
-    at_c ^= to_c
-    at_a ^= to_a
-    if at_c.any() or at_a.any():
-        raise ProtocolError(f"decode mismatch in {scheme} exchange")
+    words_c = -(-bits_c // 64)
+    # one buffer holds a chunk of each packet as drawn, then the relay's
+    # temporaries; until the relay runs, the draws use that region as
+    # scratch.  Chunk k is bytes k * chunk on of both packets: the XOR, the
+    # pad at bit n, the split and the tail are each relayed, and checked, in
+    # the chunk that holds them
+    chunk = min(_RELAY_CHUNK, 8 * -(-max(bits_c, n) // 64))
+    space = np.empty(4 * chunk, dtype=np.uint8)
+    out_c, out_a, temps = space[:chunk], space[chunk:2 * chunk], space[2 * chunk:]
+    for start in range(0, max(bits_c, n), 8 * chunk):
+        part_c, part_a = (min(max(bits - start, 0), 8 * chunk) for bits in (bits_c, n))
+        to_c = _draw_bits(seed, start // 64, part_c, out_c, temps)
+        to_a = _draw_bits(seed, words_c + start // 64, part_a, out_a, temps)
+        at_a, at_c = _relay_broadcast(temps, to_c, to_a, part_c, part_a)
+        # the relay's arrays, XORed in place with what was sent, are zero
+        # where decoded (numpy takes a uint8 max in about a third of any's
+        # time)
+        at_c ^= to_c
+        at_a ^= to_a
+        if at_c.max(initial=0) or at_a.max(initial=0):
+            raise ProtocolError(f"decode mismatch in {scheme} exchange")
+    c1, c2 = capacity(config.gamma1), capacity(config.gamma2)
+    steps.append(TranscriptStep("B", c1, n / c1, n, "D_B"))
+    if bits_c > n:
+        steps.append(TranscriptStep("B", c2, (bits_c - n) / c2, bits_c - n, tail_label))
 
     # the source steps fill the N symbols (JDF's two overlap, counted once)
     total_symbols = n_symbols + sum(s.symbols for s in steps[2:])
@@ -224,10 +237,10 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[Trans
     )
 
 
-# bounds the symbols of a block and the bits of each packet; packed 8 bits per
-# byte, the largest exchange at the cap (DF split-and-xor, CI's 90.9*10**6-symbol
-# case) peaks at 47.5 MB of arrays and 74 MB RSS as a CLI process, on a 2-core
-# Linux VM
+# bounds the symbols of a block and the bits of each packet, and so an
+# exchange's time; its memory is the relay's chunks whatever the size.  The
+# largest exchange at the cap (DF split-and-xor, CI's 90.9*10**6-symbol case)
+# peaks at 0.86 MB traced and 29.2 MB RSS as a CLI process, on a 2-core Linux VM
 MAX_BLOCK_SIZE = 100_000_000
 
 

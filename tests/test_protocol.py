@@ -439,17 +439,17 @@ def _relay_packets(draw):
 @example((np.full(3, 0xA5, dtype=np.uint8), np.full(2, 0x3C, dtype=np.uint8), 24, 16))
 # a split 7 bits into a byte, with a one-bit tail
 @example((np.array([0x5A, 0xFF], dtype=np.uint8), np.array([0xC3, 0xFE], dtype=np.uint8), 16, 15))
+# a chunk past the end of the A-bound packet: all tail
+@example((np.array([0xA5, 0xA5, 0xA0], dtype=np.uint8), np.zeros(0, dtype=np.uint8), 21, 0))
+# a chunk past the end of the C-bound packet: all pad
+@example((np.zeros(0, dtype=np.uint8), np.array([0x3C, 0x3C, 0x38], dtype=np.uint8), 0, 21))
 def test_relay_broadcast_matches_unpacked_xor_pad_and_split(case):
     to_c, to_a, bits_c, n = case
     sent_c, sent_a = to_c.copy(), to_a.copy()
-    steps = []
     # temporaries full of set bits, as np.empty may hand back an earlier
     # exchange's bytes
-    own_c, into_c = (np.full(len(packet), 0xFF, dtype=np.uint8) for packet in (to_a, to_c))
-    at_a, at_c = protocol._relay_broadcast(steps, to_c, to_a, bits_c, n, 1.0, 2.0, "T",
-                                           own_c, into_c)
-    assert [(s.label, s.bits) for s in steps] == (
-        [("D_B", n)] + ([("T", bits_c - n)] if bits_c > n else []))
+    temps = np.full(len(to_a) + len(to_c), 0xFF, dtype=np.uint8)
+    at_a, at_c = protocol._relay_broadcast(temps, to_c, to_a, bits_c, n)
     ref_a, ref_c = _relay_reference(sent_c, sent_a, bits_c, n)
     # equal arrays of packbits' length: the pad bits are zero
     assert np.array_equal(at_a, ref_a) and np.array_equal(at_c, ref_c)
@@ -458,7 +458,102 @@ def test_relay_broadcast_matches_unpacked_xor_pad_and_split(case):
     # comparing a buffer with itself
     assert np.array_equal(to_c, sent_c) and np.array_equal(to_a, sent_a)
     assert not (np.shares_memory(at_a, to_a) or np.shares_memory(at_c, to_c))
-    assert np.shares_memory(at_a, own_c) and np.shares_memory(at_c, into_c)
+    assert not np.shares_memory(at_a, at_c)
+    assert all(np.shares_memory(at, temps) for at in (at_a, at_c) if len(at))
+
+
+def _relay_spy(recovered):
+    """A ``_relay_broadcast`` that also appends copies of what A and C
+    recover, chunk by chunk, to ``recovered``."""
+    relay = protocol._relay_broadcast
+
+    def spy(*args):
+        at_a, at_c = relay(*args)
+        recovered.append((at_a.copy(), at_c.copy()))
+        return at_a, at_c
+
+    return spy
+
+
+@given(st.sampled_from([8, 24]), st.integers(1, 400), st.integers(1, 400),
+       st.integers(0, 2**64 - 1))
+@settings(max_examples=300, deadline=None)
+# 64-bit chunks: a pad from bit 70 across two chunk edges, a split at bit 70
+# with the tail across two more, a split on a chunk edge, a one-bit pad in a
+# chunk of its own
+@example(8, 70, 200, 1)
+@example(8, 200, 70, 2)
+@example(8, 128, 64, 3)
+@example(8, 64, 65, 4)
+# 192-bit chunks: a split 2 bits before a chunk edge, its tail running on
+# through two more chunks
+@example(24, 400, 190, 5)
+def test_exchange_relays_splits_pads_and_tails_across_chunk_edges(chunk, bits_c, n, seed):
+    # what A and C recover, chunk after chunk, is the whole packets' relay
+    recovered = []
+    steps = [protocol.TranscriptStep("A", 1.0, 1.0, bits_c, "D_AC"),
+             protocol.TranscriptStep("C", 1.0, 1.0, n, "D_CA")]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "_RELAY_CHUNK", chunk)
+        patch.setattr(protocol, "_relay_broadcast", _relay_spy(recovered))
+        t = protocol._exchange("DF", make_config(0.0, 1.0, 3.0), 1, steps, 0, 0, "T", 0.0, seed)
+    assert len(recovered) == -(-max(bits_c, n) // (8 * chunk))
+    to_c, to_a = (np.array(_reference_bits(seed, first_word, count), dtype=np.uint8)
+                  for first_word, count in ((0, bits_c), (-(-bits_c // 64), n)))
+    ref_a, ref_c = _relay_reference(to_c, to_a, bits_c, n)
+    at_a, at_c = (np.concatenate(parts) for parts in zip(*recovered))
+    assert np.array_equal(at_a, ref_a) and np.array_equal(at_c, ref_c)
+    # one relay step, and one tail, for the whole exchange
+    assert [(s.label, s.bits) for s in t.steps[2:]] == (
+        [("D_B", n)] + ([("T", bits_c - n)] if bits_c > n else []))
+
+
+_CHUNKED_CASES = {
+    **{case: spec[:4] for case, spec in _CORRUPTION_CASES.items()},
+    "DF swapped, direct link": (protocol.run_df, make_config(0.3, 3.0, 1.0), 3003, 0.6),
+    "JDF swapped": (protocol.run_jdf, make_config(0.0, 3.0, 1.0), 2003, 0.25),
+}
+
+
+@pytest.mark.parametrize("chunk", [8, 24])
+@pytest.mark.parametrize("case", list(_CHUNKED_CASES))
+def test_exchange_in_small_chunks_gives_the_one_chunk_transcript(monkeypatch, case, chunk):
+    run, cfg, n_symbols, param = _CHUNKED_CASES[case]
+    whole = run(cfg, n_symbols, param, seed=5)
+    recovered = []
+    monkeypatch.setattr(protocol, "_relay_broadcast", _relay_spy(recovered))
+    assert run(cfg, n_symbols, param, seed=5) == whole and len(recovered) == 1
+    recovered.clear()
+    monkeypatch.setattr(protocol, "_RELAY_CHUNK", chunk)
+    assert run(cfg, n_symbols, param, seed=5) == whole and len(recovered) > 3
+
+
+@pytest.mark.parametrize("side", ["a", "c"])
+@pytest.mark.parametrize("case", list(_CORRUPTION_CASES))
+def test_one_corrupted_bit_in_a_middle_chunk_fails_the_decode_check(monkeypatch, case, side):
+    run, cfg, n_symbols, param, _ = _CORRUPTION_CASES[case]
+    monkeypatch.setattr(protocol, "_RELAY_CHUNK", 8)
+    recovered = []
+    monkeypatch.setattr(protocol, "_relay_broadcast", _relay_spy(recovered))
+    run(cfg, n_symbols, param, seed=5)
+    # the middle one of the chunks that hold some of this side's packet
+    held = [i for i, (at_a, at_c) in enumerate(recovered) if len(at_a if side == "a" else at_c)]
+    middle = held[len(held) // 2]
+    assert 0 < middle < len(recovered) - 1
+    relay, calls = protocol._relay_broadcast, []
+
+    def corrupted(*args):
+        at_a, at_c = relay(*args)
+        if len(calls) == middle:
+            (at_a if side == "a" else at_c)[0] ^= 0x80
+        calls.append(args)
+        return at_a, at_c
+
+    monkeypatch.setattr(protocol, "_relay_broadcast", corrupted)
+    with pytest.raises(protocol.ProtocolError,
+                       match=f"^decode mismatch in {case.split()[0]} exchange$"):
+        run(cfg, n_symbols, param, seed=5)
+    assert len(calls) == middle + 1
 
 
 # ---------------------------------------------------------------- memory
@@ -481,34 +576,56 @@ def test_exchange_peaks_below_one_byte_per_delivered_bit(run, cfg, param):
     assert peak <= 0.5 * (t.delivered_ac + t.delivered_ca)
 
 
+@pytest.mark.parametrize("n_symbols", [10_000_000, 90_900_000])
+def test_exchange_peak_does_not_grow_with_the_block(n_symbols):
+    # DF split-and-xor with a short tail, the largest exchange at the cap:
+    # the relay holds one chunk of each packet and two of temporaries
+    tracemalloc.start()
+    try:
+        t = protocol.run_df(make_config(0.0, 3.0, 3.5), n_symbols, 0.45, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s.label for s in t.steps[2:]] == ["D_B", "D_BC2"]
+    assert peak <= 2**20
+
+
 @pytest.mark.parametrize("run, cfg, param", [
     (protocol.run_df, make_config(0.1, 1.0, 3.0), 0.2),  # split
     (protocol.run_jdf, make_config(0.0, 1.0, 3.0), 0.25),  # pad
 ])
 def test_exchange_keeps_packets_and_temporaries_in_one_buffer(monkeypatch, run, cfg, param):
-    # one allocation per exchange: glibc then serves the next exchange of a
-    # size from the pages this one freed, where separate arrays fault in
-    # fresh ones
-    seen = {}
+    # one allocation of four chunks per exchange: each chunk of both packets
+    # is drawn into the first two, the relay works in the last two, and the
+    # draws use those as scratch until the relay runs
+    monkeypatch.setattr(protocol, "_RELAY_CHUNK", 1024)
+    seen = {"draws": [], "scratch": [], "temps": []}
     draw, relay = protocol._draw_bits, protocol._relay_broadcast
 
     def draw_spy(seed, first_word, count, out, scratch):
-        seen.setdefault("draws", []).append(out)
-        seen.setdefault("scratch", []).append(scratch)
+        seen["draws"].append(out)
+        seen["scratch"].append(scratch)
         return draw(seed, first_word, count, out, scratch)
 
-    def relay_spy(*args):
-        seen["temps"] = args[-2:]
-        return relay(*args)
+    def relay_spy(temps, *rest):
+        seen["temps"].append(temps)
+        return relay(temps, *rest)
 
     monkeypatch.setattr(protocol, "_draw_bits", draw_spy)
     monkeypatch.setattr(protocol, "_relay_broadcast", relay_spy)
-    run(cfg, 100_003, param, seed=1)
-    parts = seen["draws"] + list(seen["temps"])
-    assert len(parts) == 4 and all(part.base is parts[0].base for part in parts)
-    assert not any(np.shares_memory(a, b) for i, a in enumerate(parts) for b in parts[i + 1:])
-    # the draws' scratch is the temporaries' region, unused until the relay runs
-    for scratch in seen["scratch"]:
-        assert scratch.base is parts[0].base
-        assert not any(np.shares_memory(scratch, drawn) for drawn in seen["draws"])
-        assert all(np.shares_memory(scratch, temp) for temp in seen["temps"])
+    t = run(cfg, 100_003, param, seed=1)
+    chunks = len(seen["temps"])
+    # the relay steps carry the longer of the two packets the relay forwards
+    assert chunks == -(-sum(s.bits for s in t.steps[2:]) // 8192) > 3
+    space = seen["draws"][0].base
+    assert space.nbytes == 4 * 1024
+    quarters = [space[k * 1024:(k + 1) * 1024] for k in range(4)]
+    for draws in (seen["draws"][0::2], seen["draws"][1::2]):
+        assert len(draws) == chunks
+    assert all(out.base is space and np.shares_memory(out, quarters[0])
+               for out in seen["draws"][0::2])
+    assert all(out.base is space and np.shares_memory(out, quarters[1])
+               for out in seen["draws"][1::2])
+    for temps in seen["temps"] + seen["scratch"]:
+        assert temps.base is space and np.shares_memory(temps, quarters[2])
+        assert not any(np.shares_memory(temps, quarter) for quarter in quarters[:2])
