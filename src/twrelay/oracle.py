@@ -186,32 +186,25 @@ def _tabulate(alphabet_a: int, alphabet_c: int, channel: Callable[[int, int], ob
             f"got ({alphabet_a}, {alphabet_c})"
         )
     index: dict = {}  # observation -> vertex id, in first-appearance order
-    table = np.empty((alphabet_a, alphabet_c), dtype=np.int64)
-    for a in range(alphabet_a):
-        for c in range(alphabet_c):
-            y = channel(a, c)
-            table[a, c] = index.setdefault(y, len(index))
+    table = [[index.setdefault(channel(a, c), len(index)) for c in range(alphabet_c)]
+             for a in range(alphabet_a)]
     return index, table
 
 
-def _conflicts(table: np.ndarray) -> tuple[list[set], bool]:
+def _conflicts(table: list[list[int]]) -> tuple[list[set], bool]:
     """Adjacency between observations that some terminal must tell apart.
 
     Two observations conflict when they share a row (same A symbol) or a
     column (same C symbol).  A repeated observation within a row or column
     is a self-conflict: no codebook of any size can resolve it.
     """
-    n = int(table.max()) + 1
-    adj: list[set] = [set() for _ in range(n)]
+    adj: list[set] = [set() for _ in range(max(map(max, table)) + 1)]
     self_conflict = False
-    lines = [table[a, :] for a in range(table.shape[0])]
-    lines += [table[:, c] for c in range(table.shape[1])]
-    for line in lines:
-        seen = list(map(int, line))
-        if len(set(seen)) < len(seen):
+    for line in table + [list(col) for col in zip(*table)]:
+        if len(set(line)) < len(line):
             self_conflict = True
-        for i, u in enumerate(seen):
-            for v in seen[i + 1 :]:
+        for i, u in enumerate(line):
+            for v in line[i + 1 :]:
                 if u != v:
                     adj[u].add(v)
                     adj[v].add(u)

@@ -78,24 +78,20 @@ def _clear_pad(bits: np.ndarray, count: int) -> np.ndarray:
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): word i of a seed's stream is
 # the seed plus (i + 1) golden-ratio steps, modulo 2**64, through two
-# xorshift-multiply rounds and a final xorshift
+# xorshift-multiply rounds and a final xorshift.  A draw is one pass over at
+# most one relay chunk of words
 _GOLDEN = 0x9E3779B97F4A7C15
-_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
-
-# a draw forms its counters from one cached run of 8192 golden-ratio steps
-# (64 KiB), built on first use, and mixes 65536 words (512 KiB) per pass: a
-# pass and its scratch stay in a 2 MiB L2 cache, and numpy's cost per call is
-# spread over 4 Mbit (2 Mbit took 156 us in 64 KiB passes, 122 us in 512 KiB
-# ones, on a 2-core Linux VM)
-_STEP_RUN = 8192
-_DRAW_CHUNK = 65536
 
 
 @functools.lru_cache(maxsize=1)
 def _golden_steps(run: int) -> np.ndarray:
-    """``i`` golden-ratio steps, modulo 2**64, for ``i`` below ``run``: a run
-    of counters less their first."""
-    return np.arange(run, dtype=np.uint64) * np.uint64(_GOLDEN)
+    """``i`` golden-ratio steps, modulo 2**64, for ``i`` below ``run``: one
+    relay chunk's counters less their first, built in place so that the
+    build makes no temporary.  Keyed on ``run``, so that a changed
+    ``_RELAY_CHUNK`` rebuilds it."""
+    steps = np.arange(run, dtype=np.uint64)
+    steps *= np.uint64(_GOLDEN)
+    return steps
 
 
 def _draw_bits(seed: int, first_word: int, count: int, out: np.ndarray,
@@ -104,28 +100,24 @@ def _draw_bits(seed: int, first_word: int, count: int, out: np.ndarray,
     ... of ``seed``'s SplitMix64 stream read as little-endian bytes; the pad
     bits are zero.
 
-    The words are written into ``out``, which must hold them whole:
-    ``8 * ceil(count / 64)`` bytes.  ``scratch`` takes one pass's
-    intermediate words, ``8 * min(_DRAW_CHUNK, ceil(count / 64))`` bytes;
-    its contents are not read.  Returns the first ``ceil(count / 8)`` bytes
-    of ``out``.
+    ``count`` is at most ``8 * _RELAY_CHUNK``.  The words are written into
+    ``out``, which must hold them whole: ``8 * ceil(count / 64)`` bytes.
+    ``scratch`` takes their intermediate values, as many bytes; its contents
+    are not read.  Returns the first ``ceil(count / 8)`` bytes of ``out``.
     """
+    if not count:
+        return out[:0]
     size = -(-count // 8)
     n_words = -(-size // 8)
-    words = out[: 8 * n_words].view("<u8")
-    temp = scratch[: 8 * min(_DRAW_CHUNK, n_words)].view(np.uint64)
-    steps = _golden_steps(_STEP_RUN)
-    counter = int(seed) + (first_word + 1) * _GOLDEN  # the first word's
-    for start in range(0, n_words, _DRAW_CHUNK):
-        z = words[start:start + _DRAW_CHUNK]
-        for run in range(0, len(z), _STEP_RUN):
-            part = z[run:run + _STEP_RUN]
-            np.add(steps[: len(part)], (counter + (start + run) * _GOLDEN) % 2**64, out=part)
-        t = temp[: len(z)]
-        for shift, factor in _MIX:
-            np.bitwise_xor(z, np.right_shift(z, shift, out=t), out=z)
-            np.multiply(z, factor, out=z)
-        np.bitwise_xor(z, np.right_shift(z, 31, out=t), out=z)
+    z = out[: 8 * n_words].view("<u8")
+    t = scratch[: 8 * n_words].view(np.uint64)
+    first = (int(seed) + (first_word + 1) * _GOLDEN) % 2**64  # the first word's counter
+    np.add(_golden_steps(_RELAY_CHUNK // 8)[:n_words], first, out=z)
+    np.bitwise_xor(z, np.right_shift(z, 30, out=t), out=z)
+    np.multiply(z, 0xBF58476D1CE4E5B9, out=z)
+    np.bitwise_xor(z, np.right_shift(z, 27, out=t), out=z)
+    np.multiply(z, 0x94D049BB133111EB, out=z)
+    np.bitwise_xor(z, np.right_shift(z, 31, out=t), out=z)
     return _clear_pad(out[:size], count)
 
 
@@ -168,9 +160,9 @@ def _relay_broadcast(temps: np.ndarray, to_c: np.ndarray, to_a: np.ndarray, bits
 # the relay walks both packets in chunks of this many bytes each, a whole
 # number of words: an exchange holds two chunks of packet and two of
 # temporaries, 512 KiB however large its packets, and each chunk's draw is
-# one of _draw_bits' passes.  A chunk costs 20-35 us of numpy calls whatever
-# its size: a DF exchange of 2.45 Mbit took 12-14% longer in 128 KiB chunks
-# than as one chunk, and 28-33% longer in 64 KiB ones, on a 2-core Linux VM
+# one pass.  A chunk costs 20-35 us of numpy calls whatever its size: a DF
+# exchange of 2.45 Mbit took 12-14% longer in 128 KiB chunks than as one
+# chunk, and 28-33% longer in 64 KiB ones, on a 2-core Linux VM
 _RELAY_CHUNK = 131072
 
 
