@@ -201,14 +201,3 @@ def _check_seed(seed, name: str = "seed") -> None:
         raise ValueError(f"{name} must be non-negative, got {seed!r}")
     if seed >= 2**64:
         raise ValueError(f"{name} must be below 2**64, got {seed!r}")
-
-
-def _face_point(region: MaRegion, lam):
-    """``(rate_a, rate_c)`` at time share ``lam`` on the dominant face, for
-    a Python float or elementwise for a numpy array of ``lam``."""
-    la, lc = region.corner_la, region.corner_lc
-    return (
-        (1.0 - lam) * lc.rate_a + lam * la.rate_a,
-        (1.0 - lam) * lc.rate_c + lam * la.rate_c,
-    )
-

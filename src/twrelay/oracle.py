@@ -6,9 +6,10 @@ multiple-access search walks the whole rate region, and the denoiser
 search enumerates relay codebooks exhaustively.  Tests compare these
 independent answers against the formulas.
 
-The 1-D scans evaluate the per-parameter rate rules of :mod:`schemes`
-(``_df_two_way``, ``_jdf_two_way``) on the whole grid in one numpy pass,
-then refine on the same rule with Python floats.
+The 1-D scans build the scheme's rate rule of :mod:`schemes` once per
+config (``_df_two_way``, ``_jdf_two_way``: a function of the time share),
+evaluate it on the whole grid in one numpy pass, then refine on the same
+rule with Python floats.
 """
 
 from __future__ import annotations
@@ -49,46 +50,47 @@ class GridResult:
     grid_points: int
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Golden-section maximization of a unimodal function on [lo, hi]:
-    the located maximizer."""
+def _golden_max(rule: Callable, lo: float, hi: float) -> float:
+    """Golden-section maximization on [lo, hi] of the rate, entry 3 of
+    ``rule``'s tuple, which is unimodal in the share: the located
+    maximizer."""
     a, b = lo, hi
     h = b - a
     # reductions needed to shrink the bracket below _REFINE_TOL
     steps = int(math.ceil(math.log(_REFINE_TOL / h) / math.log(_INV_PHI)))
     c = a + _INV_PHI2 * h
     d = a + _INV_PHI * h
-    fc = f(c)
-    fd = f(d)
+    fc = rule(c)[3]
+    fd = rule(d)[3]
     for _ in range(steps):
         h *= _INV_PHI
         if fc > fd:
             b, d, fd = d, c, fc
             c = a + _INV_PHI2 * h
-            fc = f(c)
+            fc = rule(c)[3]
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * h
-            fd = f(d)
+            fd = rule(d)[3]
     x = 0.5 * (a + d) if fc > fd else 0.5 * (c + b)
     return x
 
 
-def _grid_refine(f: Callable, grid: np.ndarray) -> GridResult:
-    """Maximize ``f`` over ``grid``, which runs from 0 to 1, in one call on
-    the whole array, then refine between the best point's neighbours by
-    golden-section search with scalar calls; ``f`` maps a float to a float
-    and an array to an array."""
+def _grid_refine(rule: Callable, grid: np.ndarray) -> GridResult:
+    """Maximize the rate, entry 3 of ``rule``'s tuple, over ``grid``, which
+    runs from 0 to 1, in one call on the whole array, then refine between
+    the best point's neighbours by golden-section search with scalar calls;
+    ``rule`` maps a float to floats and an array to arrays."""
     # where a duration overflows to inf the rate is 0, which is right
     with np.errstate(over="ignore"):
-        values = f(grid)
-    i = int(np.argmax(values))  # first maximum: smallest parameter wins ties
+        values = rule(grid)[3]
+    i = int(values.argmax())  # first maximum: smallest parameter wins ties
     best_x = float(grid[i])
     best_v = float(values[i])
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])
-    x = _golden_max(f, lo, hi)
-    v = f(x)
+    x = _golden_max(rule, lo, hi)
+    v = rule(x)[3]
     if v >= best_v:
         best_x, best_v = x, v
     return GridResult(best_param=best_x, best_rate=best_v, grid_points=len(grid))
@@ -101,25 +103,16 @@ def grid_max_df_theta(config: LinkConfig) -> GridResult:
     winning grid cell by golden-section search (the rate is unimodal in
     theta).
     """
-    c0 = capacity(config.gamma0)
-    c1 = capacity(config.gamma1)
-    c2 = capacity(config.gamma2)
-
-    def f(theta):
-        return schemes._df_two_way(c0, c1, c2, theta)[3]
-
-    return _grid_refine(f, _THETA_GRID)
+    rule = schemes._df_two_way(
+        capacity(config.gamma0), capacity(config.gamma1), capacity(config.gamma2)
+    )
+    return _grid_refine(rule, _THETA_GRID)
 
 
 def grid_max_jdf_lambda(config: LinkConfig) -> GridResult:
     """Maximize the JDF rate over the time-share weight lam by brute force,
     on 1001 points from 0 to 1 refined as for theta."""
-    region = ma_region(config)
-
-    def f(lam):
-        return schemes._jdf_two_way(region, lam)[3]
-
-    return _grid_refine(f, _LAM_GRID)
+    return _grid_refine(schemes._jdf_two_way(ma_region(config)), _LAM_GRID)
 
 
 def grid_max_ma_region(config: LinkConfig, grid_points: int = 401) -> GridResult:
@@ -143,7 +136,7 @@ def grid_max_ma_region(config: LinkConfig, grid_points: int = 401) -> GridResult
     rc = rcs[None, :]
     rate = (ra + rc) / schemes._broadcast_duration(ra, rc, region.cap_a, region.cap_c)
     rate[ra + rc > region.cap_sum + 1e-12] = -np.inf
-    flat = int(np.argmax(rate))  # row-major: smallest (rate_a, rate_c) wins ties
+    flat = int(rate.argmax())  # row-major: smallest (rate_a, rate_c) wins ties
     i, j = divmod(flat, grid_points)
     return GridResult(
         best_param=(float(ras[i]), float(rcs[j])),

@@ -20,11 +20,12 @@ number of channel symbols spent, counting simultaneous transmissions once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, Optional
 
 from .channel import (
-    LinkConfig, MaRegion, RatePair, _check_share, _face_point, _sum_capacity, capacity, ma_region,
+    LinkConfig, MaRegion, RatePair, _check_share, _sum_capacity, capacity, ma_region,
 )
 
 # C1 - C0 below this share of C1 has lost 10 of its 53 bits to cancellation
@@ -85,14 +86,20 @@ class SchemeRate:
     """A scheme's best two-way rate with its optimizing parameter.
 
     ``rate`` always comes from the scheme's closed-form maximum; the
-    attached ``breakdown`` re-derives the same value through the generic
+    ``breakdown`` re-derives the same value through the generic
     per-parameter rate function, so the two paths can be cross-checked.
+    It is built by the deferred call ``_breakdown`` when first read, and
+    takes no part in ``==`` or ``repr``.
     """
 
     scheme: str
     rate: float
     parameter: Optional[float] = None
-    breakdown: object = None
+    _breakdown: Callable[[], object] = field(default=lambda: None, repr=False, compare=False)
+
+    @cached_property
+    def breakdown(self):
+        return self._breakdown()
 
 
 def _broadcast_duration(to_c, to_a, c1: float, c2: float):
@@ -111,37 +118,55 @@ def _broadcast_duration(to_c, to_a, c1: float, c2: float):
 
 
 # The two rate rules below take per-config capacities (Python floats) and
-# apply only + - * / to the parameter, so an array of parameters gives,
-# elementwise, exactly the floats that one call per parameter gives.  The
-# breakdown functions and the oracles' grid scans share them.
+# return a function of the time share that applies only + - * / to it, so
+# an array of shares gives, elementwise, exactly the floats that one call
+# per share gives.  The breakdown functions and the oracles' grid scans
+# share them; what depends on the config alone is formed once per rule.
 
 
-def _df_two_way(c0: float, c1: float, c2: float, theta):
-    """DF at time split ``theta`` from the link capacities ``c0``, ``c1``,
-    ``c2``: ``(size_dbc, size_dba, duration, rate)`` for a unit-length
-    source phase, for a Python float or elementwise for a numpy array."""
-    size_dbc = (1.0 - theta) * (c1 - c0)
-    size_dba = theta * (c2 - c0)
-    duration = _broadcast_duration(size_dbc, size_dba, c1, c2)
-    delivered = (1.0 - theta) * c1 + theta * c2  # source-phase bits, N = 1
-    return size_dbc, size_dba, duration, delivered / duration
+def _df_two_way(c0: float, c1: float, c2: float):
+    """DF's rule from the link capacities ``c0``, ``c1``, ``c2``: a function
+    of the time split ``theta`` giving ``(size_dbc, size_dba, duration,
+    rate)`` for a unit-length source phase, for a Python float or
+    elementwise for a numpy array."""
+    gap1, gap2 = c1 - c0, c2 - c0
+
+    def rule(theta):
+        rest = 1.0 - theta
+        size_dbc = rest * gap1
+        size_dba = theta * gap2
+        duration = _broadcast_duration(size_dbc, size_dba, c1, c2)
+        delivered = rest * c1 + theta * c2  # source-phase bits, N = 1
+        return size_dbc, size_dba, duration, delivered / duration
+
+    return rule
 
 
-def _jdf_two_way(region: MaRegion, lam):
-    """JDF at time share ``lam`` on the dominant face of ``region``:
-    ``(rate_a, rate_c, duration, rate)``, for a Python float or elementwise
-    for a numpy array."""
-    rate_a, rate_c = _face_point(region, lam)
-    duration = _broadcast_duration(rate_a, rate_c, region.cap_a, region.cap_c)
-    # rate_a + rate_c == cap_sum on the dominant face
-    if region.cap_sum / region.cap_a < math.inf:
-        # not the scaled form below: it rounds the golden *_verify.csv deviations apart
-        return rate_a, rate_c, duration, region.cap_sum / duration
+def _jdf_two_way(region: MaRegion):
+    """JDF's rule on the dominant face of ``region``: a function of the
+    time share ``lam`` giving ``(rate_a, rate_c, duration, rate)``, for a
+    Python float or elementwise for a numpy array.  The terminals load the
+    point ``(1 - lam)*corner_lc + lam*corner_la`` of the face."""
+    lc_a, lc_c = region.corner_lc.rate_a, region.corner_lc.rate_c
+    la_a, la_c = region.corner_la.rate_a, region.corner_la.rate_c
+    c1, c2, cap_sum = region.cap_a, region.cap_c, region.cap_sum
     # C1 subnormal and C2 not: rate_c/C1 overflows, and the duration with
     # it, so the rate runs on C1 times the duration and is scaled by C1.
-    # rate_c >= C(g2/(1+g1)) is then far above C1 >= rate_a: no excess of rate_a
-    c1 = region.cap_a
-    return rate_a, rate_c, duration, c1 * (region.cap_sum / (c1 + rate_c))
+    # rate_c >= C(g2/(1+g1)) is then far above C1 >= rate_a: no excess of
+    # rate_a.  Elsewhere not this form: it rounds the golden *_verify.csv
+    # deviations apart
+    scaled = not cap_sum / c1 < math.inf
+
+    def rule(lam):
+        rest = 1.0 - lam
+        rate_a = rest * lc_a + lam * la_a
+        rate_c = rest * lc_c + lam * la_c
+        duration = _broadcast_duration(rate_a, rate_c, c1, c2)
+        # rate_a + rate_c == cap_sum on the dominant face
+        rate = c1 * (cap_sum / (c1 + rate_c)) if scaled else cap_sum / duration
+        return rate_a, rate_c, duration, rate
+
+    return rule
 
 
 def df_rate(config: LinkConfig, theta: float) -> DfBreakdown:
@@ -155,8 +180,8 @@ def df_rate(config: LinkConfig, theta: float) -> DfBreakdown:
     """
     _check_share("theta", theta)
     size_dbc, size_dba, duration, rate = _df_two_way(
-        capacity(config.gamma0), capacity(config.gamma1), capacity(config.gamma2), theta
-    )
+        capacity(config.gamma0), capacity(config.gamma1), capacity(config.gamma2)
+    )(theta)
     return DfBreakdown(
         theta=theta,
         size_dbc=size_dbc,
@@ -215,7 +240,7 @@ def df_max_rate(config: LinkConfig) -> SchemeRate:
     """
     g0, g1, g2 = config.gamma0, config.gamma1, config.gamma2
     rate, theta = _df_max_at(g0, g1, g2, capacity(g0), capacity(g1), capacity(g2))
-    return SchemeRate("DF", rate=rate, parameter=theta, breakdown=df_rate(config, theta))
+    return SchemeRate("DF", rate, theta, lambda: df_rate(config, theta))
 
 
 def df_max_rate_no_direct(config: LinkConfig) -> SchemeRate:
@@ -232,8 +257,7 @@ def df_max_rate_no_direct(config: LinkConfig) -> SchemeRate:
     c2 = capacity(config.gamma2)
     rate = 2.0 * c1 / (c1 / c2 + 2.0)
     theta = c1 / (c1 + c2)  # theta_star at gamma0 = 0
-    zeroed = replace(config, gamma0=0.0)
-    return SchemeRate("DF", rate=rate, parameter=theta, breakdown=df_rate(zeroed, theta))
+    return SchemeRate("DF", rate, theta, lambda: df_rate(replace(config, gamma0=0.0), theta))
 
 
 def _af_two_way(g1: float, g2: float) -> tuple[float, float, float, float, float]:
@@ -268,12 +292,11 @@ def af_rate(config: LinkConfig) -> SchemeRate:
     steps, so the two-way rate is the plain average of the two capacities.
     """
     snr_a_to_c, snr_c_to_a, rate_a, rate_c, rate = _af_two_way(config.gamma1, config.gamma2)
-    bd = AfBreakdown(
+    return SchemeRate("AF", rate, None, lambda: AfBreakdown(
         snr_a_to_c=snr_a_to_c,
         snr_c_to_a=snr_c_to_a,
         rate_pair=RatePair(rate_a=rate_a, rate_c=rate_c),
-    )
-    return SchemeRate("AF", rate=rate, parameter=None, breakdown=bd)
+    ))
 
 
 def _jdf_has_crossing(g1: float, g2: float) -> bool:
@@ -337,7 +360,7 @@ def jdf_rate(config: LinkConfig, lam: float) -> JdfBreakdown:
     its excess goes out separately at the stronger-link rate.
     """
     _check_share("lam", lam)
-    rate_a, rate_c, duration, rate = _jdf_two_way(ma_region(config), lam)
+    rate_a, rate_c, duration, rate = _jdf_two_way(ma_region(config))(lam)
     return JdfBreakdown(
         lam=lam,
         rate_pair=RatePair(rate_a=rate_a, rate_c=rate_c),
@@ -363,7 +386,7 @@ def jdf_max_rate(config: LinkConfig) -> SchemeRate:
     g1, g2 = config.gamma1, config.gamma2
     rate = _jdf_max(g1, g2, capacity(g1))
     lam = _jdf_balance(g1, g2) if _jdf_has_crossing(g1, g2) else 1.0
-    return SchemeRate("JDF", rate=rate, parameter=lam, breakdown=jdf_rate(config, lam))
+    return SchemeRate("JDF", rate, lam, lambda: jdf_rate(config, lam))
 
 
 def dnf_upper_bound(config: LinkConfig) -> SchemeRate:

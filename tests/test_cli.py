@@ -49,6 +49,20 @@ def test_rate_scheme_subset(capsys):
     assert "AF" in out and "DNF" not in out
 
 
+def test_rate_output_matches_golden(capsys):
+    # each "$ twrelay rate ARGS" line of the file is followed by that
+    # command's output; CI compares the console script's the same way
+    expected = (Path(__file__).parent / "golden" / "rate.txt").read_text()
+    got = []
+    for line in expected.splitlines():
+        if line.startswith("$ twrelay rate "):
+            code, out, err = run(capsys, *line.split()[2:])
+            assert code == 0 and err == "", line
+            got.append(f"{line}\n{out}")
+    assert len(got) == 9
+    assert "".join(got) == expected
+
+
 def test_sweep_to_stdout(capsys):
     code, out, err = run(capsys, "sweep", "--gamma1-db", "0:2:1")
     assert code == 0 and err == ""

@@ -105,10 +105,10 @@ def test_array_rate_rules_equal_the_per_point_rates(g1_db, r_db, frac):
     cfg = _config(g1_db, r_db, frac)
     c0, c1, c2 = (capacity(g) for g in (cfg.gamma0, cfg.gamma1, cfg.gamma2))
     grid = _df_grid()
-    df = schemes._df_two_way(c0, c1, c2, grid)[3]
+    df = schemes._df_two_way(c0, c1, c2)(grid)[3]
     assert df.tolist() == [schemes.df_rate(cfg, t).rate for t in grid.tolist()]
     grid = _jdf_grid()
-    jdf = schemes._jdf_two_way(ma_region(cfg), grid)[3]
+    jdf = schemes._jdf_two_way(ma_region(cfg))(grid)[3]
     assert jdf.tolist() == [schemes.jdf_rate(cfg, lam).rate for lam in grid.tolist()]
 
 
@@ -121,7 +121,7 @@ def _scalar_grid_refine(f, grid):
     best_v = float(values[i])
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])
-    x = oracle._golden_max(f, lo, hi)
+    x = oracle._golden_max(lambda t: (None, None, None, f(t)), lo, hi)  # rate is entry 3
     v = f(x)
     if v >= best_v:
         best_x, best_v = x, v

@@ -607,3 +607,54 @@ def test_closed_forms_hold_over_the_whole_float_range(g1_db, gamma2, g0_share):
     full = schemes.df_max_rate(make_config(0.0, cfg.gamma1, cfg.gamma2)).rate
     if full >= sys.float_info.min:
         assert abs(no_direct.rate - full) <= 1e-12 * full
+
+
+# ------------------------------------------------------ breakdowns on first read
+
+_BREAKDOWN_CONFIGS = [
+    make_config(0.0, 1.0, 3.0),  # JDF saturated
+    make_config(0.1, 1.0, 1.5),  # gamma0 > 0, JDF crossing
+    make_config(2.0, 10.0, 5.0),  # swapped
+    make_config(0.0, 40.0, 4.0),  # swapped, no direct link
+    make_config((1.0 - 2.0**-40) * 100.0, 100.0, 150.0),  # C(gamma0) near C(gamma1)
+    make_config(0.0, db_to_linear(-3080.0), 1e3),
+]
+_DF_JDF_CLOSED_FORMS = ("df_max_rate", "df_max_rate_no_direct", "jdf_max_rate")
+
+
+def test_closed_forms_build_no_breakdown_until_it_is_read(monkeypatch):
+    expected = [getattr(schemes, name)(cfg) for cfg in _BREAKDOWN_CONFIGS
+                for name in _DF_JDF_CLOSED_FORMS]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a breakdown was built before it was read")
+
+    for name in ("df_rate", "jdf_rate", "ma_region"):
+        monkeypatch.setattr(schemes, name, forbidden)
+    got = [getattr(schemes, name)(cfg) for cfg in _BREAKDOWN_CONFIGS
+           for name in _DF_JDF_CLOSED_FORMS]
+    assert [(b.scheme, b.rate, b.parameter) for b in got] == [
+        (b.scheme, b.rate, b.parameter) for b in expected]
+    with pytest.raises(AssertionError, match="before it was read"):
+        got[0].breakdown
+
+
+def test_breakdown_read_back_is_the_rate_function_at_the_parameter():
+    for cfg in _BREAKDOWN_CONFIGS:
+        df = schemes.df_max_rate(cfg)
+        assert df.breakdown == schemes.df_rate(cfg, df.parameter)
+        assert df.breakdown is df.breakdown  # built once
+        no_direct = schemes.df_max_rate_no_direct(cfg)
+        zeroed = make_config(0.0, cfg.gamma1, cfg.gamma2)
+        assert no_direct.breakdown == schemes.df_rate(zeroed, no_direct.parameter)
+        jdf = schemes.jdf_max_rate(cfg)
+        assert jdf.breakdown == schemes.jdf_rate(cfg, jdf.parameter)
+    assert schemes.dnf_upper_bound(cfg).breakdown is None
+
+
+def test_scheme_rates_compare_and_print_without_their_breakdown():
+    cfg = _BREAKDOWN_CONFIGS[1]
+    read, unread = schemes.df_max_rate(cfg), schemes.df_max_rate(cfg)
+    read.breakdown
+    assert read == unread
+    assert repr(unread) == f"SchemeRate(scheme='DF', rate={unread.rate!r}, parameter={unread.parameter!r})"
