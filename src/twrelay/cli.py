@@ -295,8 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=[name.lower() for name, e in SCHEME_TABLE.items() if e.simulator])
     sim.add_argument("--gamma1-db", type=float, required=True)
     sim.add_argument("--n-symbols", type=int, default=100000)
-    sim.add_argument("--theta", type=float, help="DF time split (default: optimal)")
-    sim.add_argument("--lam", type=float, help="JDF time share (default: optimal)")
+    shares = {}  # each share's flag once, named for the first scheme with it
+    for name, entry in SCHEME_TABLE.items():
+        if entry.share is not None:
+            shares.setdefault(entry.share, name)
+    for share, name in shares.items():
+        sim.add_argument(f"--{share}", type=float, help=f"{name} time share (default: optimal)")
     sim.add_argument("--seed", type=int, default=0)
     sim.set_defaults(handler=_cmd_simulate)
 
@@ -305,6 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    # twrelay makes no BLAS call, yet numpy's bundled OpenBLAS starts a worker
+    # thread per further core when numpy loads: on a 2-core Linux VM that cost
+    # a cold verify or simulate about 60 of its 210 ms.  Set before any
+    # subcommand imports numpy; a value the user set is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -41,13 +41,10 @@ class GridResult:
 
     ``best_param`` is the optimizing parameter: a float for the 1-D
     searches, an ``(rate_a, rate_c)`` pair for the region search.
-    ``grid_points`` counts the points scanned, per axis for the region
-    search.
     """
 
     best_param: object
     best_rate: float
-    grid_points: int
 
 
 def _golden_max(rule: Callable, lo: float, hi: float) -> float:
@@ -93,7 +90,7 @@ def _grid_refine(rule: Callable, grid: np.ndarray) -> GridResult:
     v = rule(x)[3]
     if v >= best_v:
         best_x, best_v = x, v
-    return GridResult(best_param=best_x, best_rate=best_v, grid_points=len(grid))
+    return GridResult(best_param=best_x, best_rate=best_v)
 
 
 def grid_max_df_theta(config: LinkConfig) -> GridResult:
@@ -138,11 +135,7 @@ def grid_max_ma_region(config: LinkConfig, grid_points: int = 401) -> GridResult
     rate[ra + rc > region.cap_sum + 1e-12] = -np.inf
     flat = int(rate.argmax())  # row-major: smallest (rate_a, rate_c) wins ties
     i, j = divmod(flat, grid_points)
-    return GridResult(
-        best_param=(float(ras[i]), float(rcs[j])),
-        best_rate=float(rate[i, j]),
-        grid_points=grid_points,
-    )
+    return GridResult(best_param=(float(ras[i]), float(rcs[j])), best_rate=float(rate[i, j]))
 
 
 class AlphabetBudgetError(ValueError):

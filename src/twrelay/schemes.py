@@ -35,7 +35,7 @@ _NORMAL_MIN = 2.0 ** -1022  # smallest normal float, sys.float_info.min
 
 @dataclass(frozen=True)
 class DfBreakdown:
-    """Intermediate quantities of the three-step DF scheme.
+    """Intermediate quantities of the three-step DF scheme at one theta.
 
     Packet sizes are normalized to a unit-length source phase (N = 1);
     the two-way rate does not depend on N.  The relay re-bins each decoded
@@ -48,7 +48,6 @@ class DfBreakdown:
     ``"pad-and-xor"``.
     """
 
-    theta: float
     size_dbc: float
     size_dba: float
     duration: float
@@ -74,7 +73,6 @@ class JdfBreakdown:
     ``rate`` is finite there.
     """
 
-    lam: float
     rate_pair: RatePair
     duration: float
     rate: float
@@ -92,7 +90,6 @@ class SchemeRate:
     takes no part in ``==`` or ``repr``.
     """
 
-    scheme: str
     rate: float
     parameter: Optional[float] = None
     _breakdown: Callable[[], object] = field(default=lambda: None, repr=False, compare=False)
@@ -183,7 +180,6 @@ def df_rate(config: LinkConfig, theta: float) -> DfBreakdown:
         capacity(config.gamma0), capacity(config.gamma1), capacity(config.gamma2)
     )(theta)
     return DfBreakdown(
-        theta=theta,
         size_dbc=size_dbc,
         size_dba=size_dba,
         duration=duration,
@@ -240,7 +236,7 @@ def df_max_rate(config: LinkConfig) -> SchemeRate:
     """
     g0, g1, g2 = config.gamma0, config.gamma1, config.gamma2
     rate, theta = _df_max_at(g0, g1, g2, capacity(g0), capacity(g1), capacity(g2))
-    return SchemeRate("DF", rate, theta, lambda: df_rate(config, theta))
+    return SchemeRate(rate, theta, lambda: df_rate(config, theta))
 
 
 def df_max_rate_no_direct(config: LinkConfig) -> SchemeRate:
@@ -257,7 +253,7 @@ def df_max_rate_no_direct(config: LinkConfig) -> SchemeRate:
     c2 = capacity(config.gamma2)
     rate = 2.0 * c1 / (c1 / c2 + 2.0)
     theta = c1 / (c1 + c2)  # theta_star at gamma0 = 0
-    return SchemeRate("DF", rate, theta, lambda: df_rate(replace(config, gamma0=0.0), theta))
+    return SchemeRate(rate, theta, lambda: df_rate(replace(config, gamma0=0.0), theta))
 
 
 def _af_two_way(g1: float, g2: float) -> tuple[float, float, float, float, float]:
@@ -292,7 +288,7 @@ def af_rate(config: LinkConfig) -> SchemeRate:
     steps, so the two-way rate is the plain average of the two capacities.
     """
     snr_a_to_c, snr_c_to_a, rate_a, rate_c, rate = _af_two_way(config.gamma1, config.gamma2)
-    return SchemeRate("AF", rate, None, lambda: AfBreakdown(
+    return SchemeRate(rate, None, lambda: AfBreakdown(
         snr_a_to_c=snr_a_to_c,
         snr_c_to_a=snr_c_to_a,
         rate_pair=RatePair(rate_a=rate_a, rate_c=rate_c),
@@ -362,7 +358,6 @@ def jdf_rate(config: LinkConfig, lam: float) -> JdfBreakdown:
     _check_share("lam", lam)
     rate_a, rate_c, duration, rate = _jdf_two_way(ma_region(config))(lam)
     return JdfBreakdown(
-        lam=lam,
         rate_pair=RatePair(rate_a=rate_a, rate_c=rate_c),
         duration=duration,
         rate=rate,
@@ -386,7 +381,7 @@ def jdf_max_rate(config: LinkConfig) -> SchemeRate:
     g1, g2 = config.gamma1, config.gamma2
     rate = _jdf_max(g1, g2, capacity(g1))
     lam = _jdf_balance(g1, g2) if _jdf_has_crossing(g1, g2) else 1.0
-    return SchemeRate("JDF", rate, lam, lambda: jdf_rate(config, lam))
+    return SchemeRate(rate, lam, lambda: jdf_rate(config, lam))
 
 
 def dnf_upper_bound(config: LinkConfig) -> SchemeRate:
@@ -396,4 +391,4 @@ def dnf_upper_bound(config: LinkConfig) -> SchemeRate:
     N*C(gamma1) bits, so the two-way rate is bounded by C(gamma1).  The
     bound is tight at high SNR but not constructive.
     """
-    return SchemeRate("DNF", rate=capacity(config.gamma1))
+    return SchemeRate(rate=capacity(config.gamma1))

@@ -274,17 +274,17 @@ class SweepSpec:
 class SweepRow:
     """Rates at one gamma1 grid point: one row of a :class:`SweepResult`.
 
-    ``rates`` pairs column labels (``DF``, or ``DF[g0=...]`` with several
-    gamma0 rules, plus ``AF``/``JDF``/``DNF``) with two-way rates, in
-    output order.  With verification on, ``oracle_rates`` and
-    ``deviations`` carry the oracle's answers and the relative gaps for
-    the parameterized schemes.
+    ``gamma0_db`` holds one value per gamma0 rule, in the order of the
+    result's ``gamma0_labels``.  ``rates`` pairs column labels (``DF``, or
+    ``DF[g0=...]`` with several gamma0 rules, plus ``AF``/``JDF``/``DNF``)
+    with two-way rates, in output order.  With verification on,
+    ``oracle_rates`` and ``deviations`` carry the oracle's answers and the
+    relative gaps for the parameterized schemes.
     """
 
     gamma1_db: float
     gamma2_db: float
     gamma0_db: tuple[float, ...]
-    gamma0_labels: tuple[str, ...]
     rates: tuple[tuple[str, float], ...]
     oracle_rates: tuple[tuple[str, float], ...] = ()
     deviations: tuple[tuple[str, float], ...] = ()
@@ -327,7 +327,7 @@ class SweepResult(SequenceABC):
 
         return SweepRow(
             self.gamma1_db[i], self.gamma2_db[i], tuple(column[i] for column in self.gamma0_db),
-            self.gamma0_labels, at(self.rates), at(self.oracle_rates), at(self.deviations),
+            at(self.rates), at(self.oracle_rates), at(self.deviations),
         )
 
 

@@ -1,5 +1,6 @@
 """Command-line interface tests (exit codes, file output, config files)."""
 
+import dataclasses
 import io
 import math
 import os
@@ -370,14 +371,28 @@ def test_a_new_scheme_row_needs_no_cli_edit(capsys, monkeypatch):
     assert (code, err) == (0, "") and out.endswith("decode check: ok\n")
     assert out == run(capsys, "simulate", "--scheme", "df", *argv)[1]
 
+    # a row with a share name of its own gets its own flag
+    monkeypatch.setitem(sweep.SCHEME_TABLE, "DFP",
+                        dataclasses.replace(sweep.SCHEME_TABLE["DF"], share="phi"))
+    code, out, err = run(capsys, "simulate", "--scheme", "df", "--theta", "0.4", *argv)
+    assert (code, err) == (0, "") and out.endswith("decode check: ok\n")
+    code, phi, err = run(capsys, "simulate", "--scheme", "dfp", "--phi", "0.4", *argv)
+    assert (code, err) == (0, "")
+    assert phi == out.replace("theta = 0.4", "phi = 0.4", 1)
+    code, out, err = run(capsys, "simulate", "--scheme", "df", "--phi", "0.4", *argv)
+    assert (code, out, err) == (1, "", "error: --phi applies only to --scheme dfp\n")
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help text to the terminal
+    out = run(capsys, "simulate", "--help")[1]
+    assert re.search(r"--phi PHI +DFP time share \(default: optimal\)$", out, re.M)
+
 
 def test_simulate_surface_comes_from_the_scheme_table(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help text to the terminal
     code, out, err = run(capsys, "simulate", "--help")
     assert (code, err) == (0, "")
     assert "--scheme {df,jdf}" in out
-    assert "DF time split (default: optimal)" in out
-    assert "JDF time share (default: optimal)" in out
+    assert re.search(r"--theta THETA +DF time share \(default: optimal\)$", out, re.M)
+    assert re.search(r"--lam LAM +JDF time share \(default: optimal\)$", out, re.M)
 
     code, out, err = run(capsys, "simulate", "--scheme", "af", "--gamma1-db", "0")
     assert (code, out) == (1, "")
@@ -583,6 +598,75 @@ def test_verify_leaves_numpy_random_unloaded():
     assert proc.returncode == 0 and proc.stderr == ""
     assert "\nok\n" in proc.stdout and ",oracle[DF],oracle[JDF]," in proc.stdout
     assert proc.stdout.endswith("\n[0, 0] True False\n")
+
+
+_CLI_MODULES = {"twrelay", "twrelay.channel", "twrelay.cli", "twrelay.schemes", "twrelay.sweep"}
+
+
+@pytest.mark.parametrize("argv, extra, numpy_loaded", [
+    (["rate", "--gamma1-db", "10", "--gamma0", "zero,frac:0.1"], set(), False),
+    (["sweep", "--gamma1-db", "0:2:1"], set(), False),
+    (["sweep", "--gamma1-db", "0:2:1", "--verify"], {"twrelay.oracle"}, True),
+    (["verify", "--samples", "1"], {"twrelay.oracle"}, True),
+    (["simulate", "--scheme", "df", "--gamma1-db", "0", "--n-symbols", "1000"],
+     {"twrelay.protocol"}, True),
+], ids=["rate", "sweep", "sweep-verify", "verify", "simulate"])
+def test_each_subcommand_loads_only_the_modules_it_needs(argv, extra, numpy_loaded):
+    # a cold start pays for every module a subcommand loads: rate and sweep
+    # need neither the oracles, the simulator nor numpy, and none needs
+    # numpy.random
+    proc = _child(
+        "import sys\n"
+        "from twrelay.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'twrelay'),\n"
+        "      'numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    expected = f"{sorted(_CLI_MODULES | extra)} {numpy_loaded} False\n"
+    assert proc.stdout.splitlines(keepends=True)[-1] == expected
+
+
+_BLAS_THREADS = (
+    "import os, sys\n"
+    "{setup}\n"
+    "from twrelay.cli import main\n"
+    "code = main({argv!r})\n"
+    "threads = [line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:')]\n"
+    "print(os.environ['OPENBLAS_NUM_THREADS'], threads[0])\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+                    reason="counts the threads of /proc/self/status on two or more CPUs")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "1"],
+    ["simulate", "--scheme", "jdf", "--gamma1-db", "0", "--n-symbols", "1000"],
+])
+def test_cli_starts_numpy_with_one_blas_thread(argv):
+    # twrelay makes no BLAS call: numpy's OpenBLAS worker threads would only
+    # slow its import down
+    proc = _child(_BLAS_THREADS.format(
+        setup="os.environ.pop('OPENBLAS_NUM_THREADS', None)", argv=argv))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.endswith("\n1 1\n")
+    # a value the user set is kept
+    proc = _child(_BLAS_THREADS.format(setup="os.environ['OPENBLAS_NUM_THREADS'] = '2'",
+                                       argv=argv))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.endswith("\n2 2\n")
+
+
+def test_importing_twrelay_leaves_the_environment_alone():
+    proc = _child(
+        "import os\n"
+        "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+        "import twrelay, twrelay.cli, twrelay.oracle, twrelay.protocol\n"
+        "print('OPENBLAS_NUM_THREADS' in os.environ)\n"
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_verify_configs_follow_the_seed(capsys, monkeypatch):

@@ -36,11 +36,11 @@ def test_a_perturbed_copy_is_reported_value_by_value(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     schemes = tmp_path / "twrelay" / "schemes.py"
     text = schemes.read_text()
-    bound = 'return SchemeRate("DNF", rate=capacity(config.gamma1))'
+    bound = 'return SchemeRate(rate=capacity(config.gamma1))'
     assert bound in text
     # the DNF bound one float up, on every config
     schemes.write_text(text.replace(
-        bound, 'return SchemeRate("DNF", rate=math.nextafter(capacity(config.gamma1), math.inf))'))
+        bound, 'return SchemeRate(rate=math.nextafter(capacity(config.gamma1), math.inf))'))
     proc, rows = _run(SRC, tmp_path)
     assert proc.returncode == 1, proc.stderr
     compared, _, differ, ulps = rows["dnf_upper_bound.rate"]

@@ -88,7 +88,7 @@ def test_df_theta_star_values():
     cfg = make_config(0.9999999999999999 * 1000.0, 1000.0, 2000.0)
     best = schemes.df_max_rate(cfg)
     theta = best.parameter
-    assert theta == best.breakdown.theta and 0.0 < theta < 1e-15
+    assert best.breakdown == schemes.df_rate(cfg, theta) and 0.0 < theta < 1e-15
     assert schemes.df_rate(cfg, theta).rate == best.rate
 
 
@@ -124,7 +124,7 @@ def test_df_closed_form_matches_rate_at_theta_star(g1, g2, g0_frac):
     cfg = config_from(g1, g2, g0_frac)
     best = schemes.df_max_rate(cfg)
     assert math.isclose(best.rate, best.breakdown.rate, rel_tol=1e-12)
-    assert best.breakdown.theta == best.parameter
+    assert best.breakdown == schemes.df_rate(cfg, best.parameter)
 
 
 @given(snr, snr, frac)
@@ -633,8 +633,7 @@ def test_closed_forms_build_no_breakdown_until_it_is_read(monkeypatch):
         monkeypatch.setattr(schemes, name, forbidden)
     got = [getattr(schemes, name)(cfg) for cfg in _BREAKDOWN_CONFIGS
            for name in _DF_JDF_CLOSED_FORMS]
-    assert [(b.scheme, b.rate, b.parameter) for b in got] == [
-        (b.scheme, b.rate, b.parameter) for b in expected]
+    assert [(b.rate, b.parameter) for b in got] == [(b.rate, b.parameter) for b in expected]
     with pytest.raises(AssertionError, match="before it was read"):
         got[0].breakdown
 
@@ -657,4 +656,4 @@ def test_scheme_rates_compare_and_print_without_their_breakdown():
     read, unread = schemes.df_max_rate(cfg), schemes.df_max_rate(cfg)
     read.breakdown
     assert read == unread
-    assert repr(unread) == f"SchemeRate(scheme='DF', rate={unread.rate!r}, parameter={unread.parameter!r})"
+    assert repr(unread) == f"SchemeRate(rate={unread.rate!r}, parameter={unread.parameter!r})"

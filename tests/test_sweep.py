@@ -375,7 +375,7 @@ def test_sweep_result_is_a_sequence_of_rows():
     assert result[2:5] == rows[2:5] and type(result[2:5]) is list
     with pytest.raises(IndexError):
         result[31]
-    assert rows[3].gamma0_labels == ("g0=0", "g0=0.1*g1")
+    assert result.gamma0_labels == ("g0=0", "g0=0.1*g1") and len(rows[3].gamma0_db) == 2
     assert [label for label, _ in rows[3].oracle_rates] == ["DF[g0=0]", "DF[g0=0.1*g1]", "JDF"]
     # a row swapped into a slice, as the benchmark's self-check builds them
     scaled = dataclasses.replace(rows[4], rates=tuple((k, 2 * v) for k, v in rows[4].rates))
