@@ -64,6 +64,21 @@ def test_rate_output_matches_golden(capsys):
     assert "".join(got) == expected
 
 
+def test_simulate_output_matches_golden(capsys):
+    # the same layout for simulate: DF split, pad, with gamma0 and swapped;
+    # JDF crossing, split at a given lam, saturated and swapped; and
+    # exchanges whose packets span several relay chunks
+    expected = (Path(__file__).parent / "golden" / "simulate.txt").read_text()
+    got = []
+    for line in expected.splitlines():
+        if line.startswith("$ twrelay simulate "):
+            code, out, err = run(capsys, *line.split()[2:])
+            assert code == 0 and err == "", line
+            got.append(f"{line}\n{out}")
+    assert len(got) == 12
+    assert "".join(got) == expected
+
+
 def test_sweep_to_stdout(capsys):
     code, out, err = run(capsys, "sweep", "--gamma1-db", "0:2:1")
     assert code == 0 and err == ""
