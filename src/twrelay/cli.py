@@ -85,7 +85,8 @@ def _resolve_out(out: Optional[str]) -> Optional[Path]:
     if out is None:
         return None
     path = Path(out)
-    if not path.name:
+    # Path drops a trailing separator, so "results/" would name a file "results"
+    if not path.name or out[-1:] in (os.sep, os.altsep):
         raise ValueError(f"--out must name a file, got {out!r}")
     base = os.environ.get(OUT_DIR_ENV)
     if base and not path.is_absolute():

@@ -8,9 +8,12 @@ against direct-link side information is modelled as prefix knowledge (the
 receiving terminal already holds the first bits of the incoming packet, so
 the relay only forwards the unknown suffix).
 
-Bit counts are floored to whole bits per packet; symbol counts stay
-fractional.  The realized two-way rate therefore approaches the analytic
-rate from below as the block length grows, with an O(1/N) gap.
+Each scheme hands one exchange its source loads, a ``(rate, symbols)`` step
+per terminal; the exchange floors them, and any overheard prefixes, to whole
+bits per packet, refuses an empty packet, draws the packets packed 8 bits to
+a byte and relays them.  Symbol counts stay fractional, so the realized
+two-way rate approaches the analytic rate from below as the block length
+grows, with an O(1/N) gap.
 """
 
 from __future__ import annotations
@@ -166,17 +169,31 @@ def _relay_broadcast(temps: np.ndarray, to_c: np.ndarray, to_a: np.ndarray, bits
 _RELAY_CHUNK = 131072
 
 
-def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[TranscriptStep],
-              side_c: int, side_a: int, tail_label: str, analytic: float, seed: int) -> Transcript:
-    """Draw the source packets of ``steps`` (A's, then C's), relay them and
-    check both decodes.
+def _exchange(scheme: str, config: LinkConfig, n_symbols: int,
+              loads: tuple[tuple[float, float], tuple[float, float]], overheard: float | None,
+              share: str, tail_label: str, analytic: float, seed: int) -> Transcript:
+    """Floor the source steps ``loads``, A's then C's ``(rate, symbols)``, to
+    whole-bit packets, relay them and check both decodes.
 
-    The relay forwards each packet without the prefix the opposite terminal
-    overheard (``side_c`` bits of A's, ``side_a`` of C's), and sends any
-    excess of the C-bound packet as ``tail_label``.  Terminal labels are
-    undone in the transcript when ``config`` was swapped.
+    The opposite terminal overhears each source step at the capacity
+    ``overheard`` (None: not at all), and the relay forwards each packet less
+    that whole-bit prefix, sending any excess of the C-bound one as
+    ``tail_label``.  An empty packet or suffix raises
+    :class:`ProtocolConfigError` naming the block at ``share`` (``"theta=0.5"``).
+    Terminal labels are undone in the transcript when ``config`` was swapped.
     """
-    bits_ac, bits_ca = steps[0].bits, steps[1].bits
+    (rate_ac, symbols_ac), (rate_ca, symbols_ca) = loads
+    sizes = [math.floor(symbols_ac * rate_ac), math.floor(symbols_ca * rate_ca)]
+    if overheard is not None:
+        sizes += [sizes[0] - math.floor(symbols_ac * overheard),
+                  sizes[1] - math.floor(symbols_ca * overheard)]
+    if min(sizes) < 1:
+        raise ProtocolConfigError(
+            f"block of {n_symbols} symbols at {share} leaves an empty packet (sizes: "
+            + ", ".join(map("{}={}".format, ("D_AC", "D_CA", "D_BC", "D_BA"), sizes)) + ")"
+        )
+    # the source packets, and the suffixes the relay forwards to C and to A
+    bits_ac, bits_ca, bits_c, n = sizes[:2] + sizes[-2:]
     if max(bits_ac, bits_ca) > MAX_BLOCK_SIZE:
         raise ValueError(
             f"source packets of {bits_ac} and {bits_ca} bits exceed the "
@@ -184,7 +201,6 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[Trans
         )
     # only the suffix the relay forwards is drawn: the overheard prefix is never
     # read.  A's suffix takes the seed's words from 0 on, C's the words after it
-    bits_c, n = bits_ac - side_c, bits_ca - side_a
     words_c = -(-bits_c // 64)
     # one buffer holds a chunk of each packet as drawn, then the relay's
     # temporaries; until the relay runs, the draws use that region as
@@ -207,7 +223,11 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int, steps: list[Trans
         if at_c.max(initial=0) or at_a.max(initial=0):
             raise ProtocolError(f"decode mismatch in {scheme} exchange")
     c1, c2 = capacity(config.gamma1), capacity(config.gamma2)
-    steps.append(TranscriptStep("B", c1, n / c1, n, "D_B"))
+    steps = [
+        TranscriptStep("A", rate_ac, symbols_ac, bits_ac, "D_AC"),
+        TranscriptStep("C", rate_ca, symbols_ca, bits_ca, "D_CA"),
+        TranscriptStep("B", c1, n / c1, n, "D_B"),
+    ]
     if bits_c > n:
         steps.append(TranscriptStep("B", c2, (bits_c - n) / c2, bits_c - n, tail_label))
 
@@ -255,37 +275,17 @@ def run_df(config: LinkConfig, n_symbols: int, theta: float, seed: int = 0) -> T
     Each terminal already holds the prefix it overheard, so the decode
     check covers the suffix the relay delivered.
 
-    Raises :class:`ProtocolConfigError` when the block is too short for
-    every packet to hold at least one bit.
+    A block too short for every packet and suffix to hold at least one bit
+    is refused, as :func:`_exchange` says.
     """
     _check_block(n_symbols)
     _check_seed(seed)
     breakdown = schemes.df_rate(config, theta)  # validates theta as well
-    c0 = capacity(config.gamma0)
-    c1 = capacity(config.gamma1)
-    c2 = capacity(config.gamma2)
-    n1 = n_symbols * (1.0 - theta)
-    n2 = n_symbols * theta
-
-    bits_ac = math.floor(n1 * c1)  # source packet A -> C
-    bits_ca = math.floor(n2 * c2)
-    side_c = math.floor(n1 * c0)  # prefix of D_AC that C overheard
-    side_a = math.floor(n2 * c0)
-    bits_bc = bits_ac - side_c
-    bits_ba = bits_ca - side_a
-    if min(bits_ac, bits_ca, bits_bc, bits_ba) < 1:
-        raise ProtocolConfigError(
-            f"block of {n_symbols} symbols at theta={theta:g} leaves an empty "
-            f"packet (sizes: D_AC={bits_ac}, D_CA={bits_ca}, "
-            f"D_BC={bits_bc}, D_BA={bits_ba})"
-        )
-
-    steps = [
-        TranscriptStep("A", c1, n1, bits_ac, "D_AC"),
-        TranscriptStep("C", c2, n2, bits_ca, "D_CA"),
-    ]
+    loads = ((capacity(config.gamma1), n_symbols * (1.0 - theta)),
+             (capacity(config.gamma2), n_symbols * theta))
     # a split tail is of D_BC, the suffix of D_AC that C did not overhear
-    return _exchange("DF", config, n_symbols, steps, side_c, side_a, "D_BC2", breakdown.rate, seed)
+    return _exchange("DF", config, n_symbols, loads, capacity(config.gamma0), f"theta={theta:g}",
+                     "D_BC2", breakdown.rate, seed)
 
 
 def run_jdf(config: LinkConfig, n_symbols: int, lam: float, seed: int = 0) -> Transcript:
@@ -302,16 +302,6 @@ def run_jdf(config: LinkConfig, n_symbols: int, lam: float, seed: int = 0) -> Tr
     _check_seed(seed)
     breakdown = schemes.jdf_rate(config, lam)  # validates lam
     pair = breakdown.rate_pair
-    bits_ac = math.floor(n_symbols * pair.rate_a)
-    bits_ca = math.floor(n_symbols * pair.rate_c)
-    if min(bits_ac, bits_ca) < 1:
-        raise ProtocolConfigError(
-            f"block of {n_symbols} symbols at lam={lam:g} leaves an empty "
-            f"packet (sizes: D_AC={bits_ac}, D_CA={bits_ca})"
-        )
-
-    steps = [
-        TranscriptStep("A", pair.rate_a, float(n_symbols), bits_ac, "D_AC"),
-        TranscriptStep("C", pair.rate_c, float(n_symbols), bits_ca, "D_CA"),
-    ]
-    return _exchange("JDF", config, n_symbols, steps, 0, 0, "D_AC2", breakdown.rate, seed)
+    loads = ((pair.rate_a, float(n_symbols)), (pair.rate_c, float(n_symbols)))
+    return _exchange("JDF", config, n_symbols, loads, None, f"lam={lam:g}", "D_AC2",
+                     breakdown.rate, seed)

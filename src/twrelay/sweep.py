@@ -274,20 +274,14 @@ class SweepSpec:
 class SweepRow:
     """Rates at one gamma1 grid point: one row of a :class:`SweepResult`.
 
-    ``gamma0_db`` holds one value per gamma0 rule, in the order of the
-    result's ``gamma0_labels``.  ``rates`` pairs column labels (``DF``, or
-    ``DF[g0=...]`` with several gamma0 rules, plus ``AF``/``JDF``/``DNF``)
-    with two-way rates, in output order.  With verification on,
-    ``oracle_rates`` and ``deviations`` carry the oracle's answers and the
-    relative gaps for the parameterized schemes.
+    ``rates`` pairs column labels (``DF``, or ``DF[g0=...]`` with several
+    gamma0 rules, plus ``AF``/``JDF``/``DNF``) with two-way rates, in output
+    order.  The result's columns hold the other link SNRs and, with
+    verification on, the oracle's answers and deviations.
     """
 
     gamma1_db: float
-    gamma2_db: float
-    gamma0_db: tuple[float, ...]
     rates: tuple[tuple[str, float], ...]
-    oracle_rates: tuple[tuple[str, float], ...] = ()
-    deviations: tuple[tuple[str, float], ...] = ()
 
     def rate(self, column: str) -> float:
         for label, value in self.rates:
@@ -321,14 +315,7 @@ class SweepResult(SequenceABC):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]
-
-        def at(group):
-            return tuple((label, column[i]) for label, column in group)
-
-        return SweepRow(
-            self.gamma1_db[i], self.gamma2_db[i], tuple(column[i] for column in self.gamma0_db),
-            at(self.rates), at(self.oracle_rates), at(self.deviations),
-        )
+        return SweepRow(self.gamma1_db[i], tuple((label, column[i]) for label, column in self.rates))
 
 
 def _per_rule(name: str, labels: Sequence[str]) -> list[str]:

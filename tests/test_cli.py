@@ -124,10 +124,13 @@ def test_sweep_plot_needs_out(capsys):
 @pytest.mark.parametrize("fmt", ["csv", "plot"])
 def test_sweep_rejects_an_empty_out(tmp_path, capsys, monkeypatch, fmt):
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, "sweep", "--gamma1-db", "0:1:1", "--format", fmt, "--out", "")
-    assert code == 1 and out == ""
-    assert err == "error: --out must name a file, got ''\n"
-    assert not any(tmp_path.iterdir())
+    # Path("out/") names "out": the trailing separator alone shows a directory
+    for given in ("", "out/"):
+        code, out, err = run(capsys, "sweep", "--gamma1-db", "0:1:1", "--format", fmt,
+                             "--out", given)
+        assert code == 1 and out == ""
+        assert err == f"error: --out must name a file, got {given!r}\n"
+        assert not any(tmp_path.iterdir())
 
 
 def test_out_dir_environment_variable(tmp_path, capsys, monkeypatch):
@@ -360,6 +363,12 @@ def test_simulate_names_an_empty_relay_packet(capsys):
     assert (code, out) == (1, "")
     assert err == ("error: block of 20 symbols at theta=0.5 leaves an empty packet "
                    "(sizes: D_AC=9, D_CA=18, D_BC=0, D_BA=9)\n")
+    # JDF overhears no prefix, so only its two source packets are named
+    code, out, err = run(capsys, "simulate", "--scheme", "jdf", "--gamma1-db=-60",
+                         "--n-symbols", "5")
+    assert (code, out) == (1, "")
+    assert err == ("error: block of 5 symbols at lam=0.5 leaves an empty packet "
+                   "(sizes: D_AC=0, D_CA=0)\n")
 
 
 def test_a_new_scheme_row_needs_no_cli_edit(capsys, monkeypatch):

@@ -513,12 +513,12 @@ def _relay_spy(recovered):
 def test_exchange_relays_splits_pads_and_tails_across_chunk_edges(chunk, bits_c, n, seed):
     # what A and C recover, chunk after chunk, is the whole packets' relay
     recovered = []
-    steps = [protocol.TranscriptStep("A", 1.0, 1.0, bits_c, "D_AC"),
-             protocol.TranscriptStep("C", 1.0, 1.0, n, "D_CA")]
+    loads = ((1.0, float(bits_c)), (1.0, float(n)))  # packets of bits_c and n bits
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocol, "_RELAY_CHUNK", chunk)
         patch.setattr(protocol, "_relay_broadcast", _relay_spy(recovered))
-        t = protocol._exchange("DF", make_config(0.0, 1.0, 3.0), 1, steps, 0, 0, "T", 0.0, seed)
+        t = protocol._exchange("DF", make_config(0.0, 1.0, 3.0), 1, loads, None, "theta=0.5", "T",
+                               0.0, seed)
     assert len(recovered) == -(-max(bits_c, n) // (8 * chunk))
     to_c, to_a = (np.array(_reference_bits(seed, first_word, count), dtype=np.uint8)
                   for first_word, count in ((0, bits_c), (-(-bits_c // 64), n)))

@@ -252,9 +252,10 @@ def test_spec_cells_are_bounded(monkeypatch):
 
 def test_run_sweep_single_point_matches_closed_forms():
     spec = SweepSpec(0.0, 0.0, 1.0, gamma0_rules=(Gamma0Rule("zero"), Gamma0Rule("fraction", 0.1)))
-    (row,) = run_sweep(spec)
-    assert row.gamma1_db == 0.0 and row.gamma2_db == 0.0
-    assert row.gamma0_db == (-math.inf, -10.0)
+    result = run_sweep(spec)
+    (row,) = result
+    assert row.gamma1_db == 0.0 and list(result.gamma2_db) == [0.0]
+    assert [list(column) for column in result.gamma0_db] == [[-math.inf], [-10.0]]
     assert math.isclose(row.rate("DF[g0=0]"), 2.0 / 3.0, rel_tol=1e-12)
     assert math.isclose(row.rate("DF[g0=0.1*g1]"), 0.6986908164233079, rel_tol=1e-12)
     assert math.isclose(row.rate("AF"), 0.32192809488736235, rel_tol=1e-12)
@@ -290,11 +291,10 @@ def test_run_sweep_verification_deviations_are_tiny():
         gamma0_rules=(Gamma0Rule("zero"), Gamma0Rule("fraction", 0.1)),
         verify=True,
     )
-    rows = run_sweep(spec)
-    for row in rows:
-        assert len(row.oracle_rates) == 3  # two DF columns + JDF
-        for _, deviation in row.deviations:
-            assert deviation <= 1e-6
+    result = run_sweep(spec)
+    assert len(result.oracle_rates) == len(result.deviations) == 3  # two DF columns + JDF
+    for _, column in result.deviations:
+        assert len(column) == len(result) and max(column) <= 1e-6
 
 
 def test_run_sweep_verification_catches_wrong_formula(monkeypatch):
@@ -375,8 +375,8 @@ def test_sweep_result_is_a_sequence_of_rows():
     assert result[2:5] == rows[2:5] and type(result[2:5]) is list
     with pytest.raises(IndexError):
         result[31]
-    assert result.gamma0_labels == ("g0=0", "g0=0.1*g1") and len(rows[3].gamma0_db) == 2
-    assert [label for label, _ in rows[3].oracle_rates] == ["DF[g0=0]", "DF[g0=0.1*g1]", "JDF"]
+    assert result.gamma0_labels == ("g0=0", "g0=0.1*g1") and len(result.gamma0_db) == 2
+    assert [label for label, _ in result.oracle_rates] == ["DF[g0=0]", "DF[g0=0.1*g1]", "JDF"]
     # a row swapped into a slice, as the benchmark's self-check builds them
     scaled = dataclasses.replace(rows[4], rates=tuple((k, 2 * v) for k, v in rows[4].rates))
     edited = result[:4] + [scaled] + result[5:]
