@@ -192,8 +192,8 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int,
             f"block of {n_symbols} symbols at {share} leaves an empty packet (sizes: "
             + ", ".join(map("{}={}".format, ("D_AC", "D_CA", "D_BC", "D_BA"), sizes)) + ")"
         )
-    # the source packets, and the suffixes the relay forwards to C and to A
-    bits_ac, bits_ca, bits_c, n = sizes[:2] + sizes[-2:]
+    bits_ac, bits_ca = sizes[:2]
+    bits_c, n = sizes[-2:]  # the suffixes the relay forwards to C and to A
     if max(bits_ac, bits_ca) > MAX_BLOCK_SIZE:
         raise ValueError(
             f"source packets of {bits_ac} and {bits_ca} bits exceed the "

@@ -315,7 +315,7 @@ class SweepResult(SequenceABC):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]
-        return SweepRow(self.gamma1_db[i], tuple((label, column[i]) for label, column in self.rates))
+        return SweepRow(self.gamma1_db[i], tuple((label, col[i]) for label, col in self.rates))
 
 
 def _per_rule(name: str, labels: Sequence[str]) -> list[str]:
