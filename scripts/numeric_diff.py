@@ -23,7 +23,17 @@ For each config it evaluates every public closed form (``df_max_rate``,
 ``dnf_upper_bound``) with its parameter and every breakdown field,
 ``df_rate`` and ``jdf_rate`` at shares 0, 1 and a drawn one, and the
 ``GridResult`` of both 1-D oracles; every 200th config also runs
-``grid_max_ma_region``.  A call that raises is recorded as its exception.
+``grid_max_ma_region``.
+
+Then both trees simulate as many seeded exchanges as there are configs, at
+most ``EXCHANGES`` (600), each through ``run_df`` and ``run_jdf``: SNRs of
+-10..30 dB, equal links or a ratio above, gamma0 zero or a fraction of
+gamma1, a quarter swapped, shares of 0, 1 or between, and Python-int blocks
+of 1 to 10^5 symbols or, for a quarter of them, sized so that A's DF packet
+lies within a few bits of a 128 KiB relay chunk's edge (1 to 3 chunks in).  Every ``Transcript`` field
+is recorded, with a SHA-256 of the bytes each terminal recovers from the
+relay, read by wrapping ``protocol._relay_broadcast``.  A call that raises
+is recorded as its exception.
 
 It prints one line per value: how many were compared, how many raised in
 either tree, how many differ in their bits, and the largest difference in units in the last place (``inf``
@@ -36,6 +46,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
+import itertools
 import math
 import pickle
 import random
@@ -46,8 +58,10 @@ import warnings
 from pathlib import Path
 from typing import Iterator
 
-BLOCK = 500  # configs per message from a child
+BLOCK = 500  # records (configs, then exchanges) per message from a child
 REGION_EVERY = 200  # every so many configs also scan the multiple-access region
+EXCHANGES = 600  # simulated exchanges at most, each by both schemes
+CHUNK_BITS = 8 * 131072  # the relay's chunk, protocol._RELAY_CHUNK bytes
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -117,6 +131,27 @@ def draw(count: int, seed: int) -> Iterator[tuple[float, float, float, float]]:
         yield g0, ga, gc, rng.random()
 
 
+def draw_exchanges(count: int, seed: int) -> Iterator[tuple[float, float, float, int, float]]:
+    """``(gamma0, gamma_a, gamma_c, n_symbols, share)`` per exchange, each
+    run through both simulated schemes."""
+    rng = random.Random(f"exchanges {seed}")
+    for _ in range(count):
+        g1 = _db(rng.uniform(-10.0, 30.0))
+        g2 = g1 if rng.random() < 0.2 else g1 * _db(rng.uniform(0.0, 10.0))
+        g0 = 0.0 if rng.random() < 0.4 else rng.uniform(0.0, 0.9) * g1
+        ga, gc = (g2, g1) if rng.random() < 0.25 else (g1, g2)
+        u = rng.random()
+        share = 0.0 if u < 0.1 else 1.0 if u < 0.2 else rng.random()
+        if rng.random() < 0.25 and share < 1.0:
+            # A's DF packet, (1 - share) * N * C(gamma_a) bits, near a chunk edge
+            bits_per_symbol = (1.0 - share) * math.log2(1.0 + ga)
+            n_symbols = round(rng.randint(1, 3) * CHUNK_BITS / bits_per_symbol)
+            n_symbols = min(max(n_symbols + rng.randint(-2, 2), 1), 10**7)
+        else:
+            n_symbols = int(10.0 ** rng.uniform(0.0, 5.0))
+        yield g0, ga, gc, n_symbols, share
+
+
 # ------------------------------------------------------------------ child
 
 
@@ -171,6 +206,35 @@ def _evaluate(index: int, g0: float, ga: float, gc: float, share: float) -> dict
     return out
 
 
+def _simulate(recovered: list, g0: float, ga: float, gc: float, n_symbols: int,
+              share: float) -> dict:
+    from twrelay import channel, protocol
+
+    out: dict = {}
+    cfg = channel.make_config(g0, ga, gc)
+    for name in ("run_df", "run_jdf"):
+        recovered[:] = hashlib.sha256(), hashlib.sha256()
+        _record(name, lambda: getattr(protocol, name)(cfg, n_symbols, share, seed=1), out)
+        if not _raised(out.get(name)):
+            out[f"{name}.recovered_at_a"], out[f"{name}.recovered_at_c"] = (
+                digest.hexdigest() for digest in recovered)
+    return out
+
+
+def _digest_relay(protocol, recovered: list) -> None:
+    """Wrap ``protocol._relay_broadcast`` so that the bytes A and C recover,
+    chunk by chunk, feed the two digests in ``recovered``."""
+    relay = protocol._relay_broadcast
+
+    def digesting(*args):
+        at_a, at_c = relay(*args)
+        recovered[0].update(at_a)
+        recovered[1].update(at_c)
+        return at_a, at_c
+
+    protocol._relay_broadcast = digesting
+
+
 def child(src: str, count: int, seed: int) -> int:
     sys.path.insert(0, src)
     import twrelay
@@ -178,11 +242,18 @@ def child(src: str, count: int, seed: int) -> int:
     if Path(twrelay.__file__).resolve().parent != (Path(src) / "twrelay").resolve():
         print(f"imported twrelay from {twrelay.__file__}, not {src}", file=sys.stderr)
         return 2
+    from twrelay import protocol
+
     warnings.simplefilter("ignore")  # numpy's overflow warnings are not values
+    recovered: list = []
+    _digest_relay(protocol, recovered)
     stream = sys.stdout.buffer
     block = []
-    for index, args in enumerate(draw(count, seed)):
-        block.append(_evaluate(index, *args))
+    exchanges = draw_exchanges(min(count, EXCHANGES), seed)
+    for record in itertools.chain(
+            (_evaluate(index, *args) for index, args in enumerate(draw(count, seed))),
+            (_simulate(recovered, *args) for args in exchanges)):
+        block.append(record)
         if len(block) == BLOCK:
             pickle.dump(block, stream)
             block = []
@@ -237,10 +308,11 @@ def compare(parent_src: str, change_src: str, count: int, seed: int) -> tuple[li
                          stdout=subprocess.PIPE)
         for src in (parent_src, change_src)
     ]
+    exchanges = min(count, EXCHANGES)
     stats: dict[str, list] = {}  # key -> [compared, raised, differ, max ulps]
     missing = object()
     try:
-        for _ in range(count // BLOCK + 1):  # the children's messages, the last short
+        for _ in range((count + exchanges) // BLOCK + 1):  # the children's messages, the last short
             blocks = [pickle.load(proc.stdout) for proc in procs]
             for old, new in zip(*blocks):
                 for key in old.keys() | new.keys():
@@ -257,7 +329,8 @@ def compare(parent_src: str, change_src: str, count: int, seed: int) -> tuple[li
             proc.kill()
     if any([proc.wait() for proc in procs]):
         raise SystemExit(2)
-    lines = [f"numeric_diff: {count} configs (seed {seed}), {parent_src} against {change_src}",
+    lines = [f"numeric_diff: {count} configs (seed {seed}) and {exchanges} exchanges, "
+             f"{parent_src} against {change_src}",
              f"{'value':<48} {'compared':>9} {'raised':>7} {'differ':>7} {'max_ulps':>9}"]
     total = [0, 0, 0, 0]
     for key in sorted(stats):
@@ -272,7 +345,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("parent_src", metavar="PARENT_SRC")
     parser.add_argument("change_src", metavar="CHANGE_SRC")
     parser.add_argument("--count", type=int, default=100_000, help="configs (default 10^5)")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the config set (default 0)")
+    parser.add_argument("--seed", type=int, default=0, help="seed of both sets (default 0)")
     if argv[:1] == ["--child"]:  # one tree's values, as compare() spawns it
         return child(argv[1], int(argv[2]), int(argv[3]))
     args = parser.parse_args(argv)

@@ -8,12 +8,12 @@ against direct-link side information is modelled as prefix knowledge (the
 receiving terminal already holds the first bits of the incoming packet, so
 the relay only forwards the unknown suffix).
 
-Each scheme hands one exchange its source loads, a ``(rate, symbols)`` step
-per terminal; the exchange floors them, and any overheard prefixes, to whole
-bits per packet, refuses an empty packet, draws the packets packed 8 bits to
-a byte and relays them.  Symbol counts stay fractional, so the realized
-two-way rate approaches the analytic rate from below as the block length
-grows, with an O(1/N) gap.
+Each scheme hands one exchange its loads, a ``(rate, share of the block)``
+pair per terminal; the exchange checks the block and seed, scales the loads
+by N, floors them and any overheard prefixes to whole bits, refuses an empty
+packet, draws the packets packed 8 bits to a byte, relays them and names the
+split tail.  Symbol counts stay fractional, so the realized two-way rate
+approaches the analytic rate from below as the block grows, at O(1/N).
 """
 
 from __future__ import annotations
@@ -171,18 +171,26 @@ _RELAY_CHUNK = 131072
 
 def _exchange(scheme: str, config: LinkConfig, n_symbols: int,
               loads: tuple[tuple[float, float], tuple[float, float]], overheard: float | None,
-              share: str, tail_label: str, analytic: float, seed: int) -> Transcript:
-    """Floor the source steps ``loads``, A's then C's ``(rate, symbols)``, to
-    whole-bit packets, relay them and check both decodes.
+              share: str, analytic: float, seed: int) -> Transcript:
+    """Check the block and seed, turn the loads, A's then C's ``(rate, share
+    of the block)``, into whole-bit packets, relay them and check both decodes.
 
     The opposite terminal overhears each source step at the capacity
     ``overheard`` (None: not at all), and the relay forwards each packet less
-    that whole-bit prefix, sending any excess of the C-bound one as
-    ``tail_label``.  An empty packet or suffix raises
-    :class:`ProtocolConfigError` naming the block at ``share`` (``"theta=0.5"``).
-    Terminal labels are undone in the transcript when ``config`` was swapped.
+    that whole-bit prefix, sending any excess of the C-bound one as D_BC2
+    (of D_BC, what C did not overhear), or D_AC2 if none is overheard.  An
+    empty packet or suffix raises :class:`ProtocolConfigError` naming the
+    block at ``share`` (``"theta=0.5"``).  Terminal labels are undone in the
+    transcript when ``config`` was swapped.
     """
-    (rate_ac, symbols_ac), (rate_ca, symbols_ca) = loads
+    if not isinstance(n_symbols, (int, np.integer)) or isinstance(n_symbols, bool):
+        raise ValueError(f"n_symbols must be an integer, got {n_symbols!r}")
+    if not 1 <= n_symbols <= MAX_BLOCK_SIZE:
+        raise ValueError(f"n_symbols must lie in [1, {MAX_BLOCK_SIZE}], got {n_symbols!r}")
+    _check_seed(seed)
+    block = float(n_symbols)
+    (rate_ac, share_ac), (rate_ca, share_ca) = loads
+    symbols_ac, symbols_ca = block * share_ac, block * share_ca
     sizes = [math.floor(symbols_ac * rate_ac), math.floor(symbols_ca * rate_ca)]
     if overheard is not None:
         sizes += [sizes[0] - math.floor(symbols_ac * overheard),
@@ -229,10 +237,11 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int,
         TranscriptStep("B", c1, n / c1, n, "D_B"),
     ]
     if bits_c > n:
-        steps.append(TranscriptStep("B", c2, (bits_c - n) / c2, bits_c - n, tail_label))
+        tail = "D_AC2" if overheard is None else "D_BC2"
+        steps.append(TranscriptStep("B", c2, (bits_c - n) / c2, bits_c - n, tail))
 
     # the source steps fill the N symbols (JDF's two overlap, counted once)
-    total_symbols = n_symbols + sum(s.symbols for s in steps[2:])
+    total_symbols = block + sum(s.symbols for s in steps[2:])
     if config.swapped:
         steps = [replace(s, sender=s.sender.translate(_SWAP), label=s.label.translate(_SWAP))
                  for s in steps]
@@ -256,13 +265,6 @@ def _exchange(scheme: str, config: LinkConfig, n_symbols: int,
 MAX_BLOCK_SIZE = 100_000_000
 
 
-def _check_block(n_symbols) -> None:
-    if not isinstance(n_symbols, (int, np.integer)) or isinstance(n_symbols, bool):
-        raise ValueError(f"n_symbols must be an integer, got {n_symbols!r}")
-    if not 1 <= n_symbols <= MAX_BLOCK_SIZE:
-        raise ValueError(f"n_symbols must lie in [1, {MAX_BLOCK_SIZE}], got {n_symbols!r}")
-
-
 def run_df(config: LinkConfig, n_symbols: int, theta: float, seed: int = 0) -> Transcript:
     """Simulate the three-step DF exchange with network coding at the relay.
 
@@ -278,14 +280,10 @@ def run_df(config: LinkConfig, n_symbols: int, theta: float, seed: int = 0) -> T
     A block too short for every packet and suffix to hold at least one bit
     is refused, as :func:`_exchange` says.
     """
-    _check_block(n_symbols)
-    _check_seed(seed)
     breakdown = schemes.df_rate(config, theta)  # validates theta as well
-    loads = ((capacity(config.gamma1), n_symbols * (1.0 - theta)),
-             (capacity(config.gamma2), n_symbols * theta))
-    # a split tail is of D_BC, the suffix of D_AC that C did not overhear
+    loads = ((capacity(config.gamma1), 1.0 - theta), (capacity(config.gamma2), theta))
     return _exchange("DF", config, n_symbols, loads, capacity(config.gamma0), f"theta={theta:g}",
-                     "D_BC2", breakdown.rate, seed)
+                     breakdown.rate, seed)
 
 
 def run_jdf(config: LinkConfig, n_symbols: int, lam: float, seed: int = 0) -> Transcript:
@@ -298,10 +296,7 @@ def run_jdf(config: LinkConfig, n_symbols: int, lam: float, seed: int = 0) -> Tr
     excess when their lengths differ.  Each terminal strips its own packet
     from the XOR.
     """
-    _check_block(n_symbols)
-    _check_seed(seed)
     breakdown = schemes.jdf_rate(config, lam)  # validates lam
     pair = breakdown.rate_pair
-    loads = ((pair.rate_a, float(n_symbols)), (pair.rate_c, float(n_symbols)))
-    return _exchange("JDF", config, n_symbols, loads, None, f"lam={lam:g}", "D_AC2",
-                     breakdown.rate, seed)
+    return _exchange("JDF", config, n_symbols, ((pair.rate_a, 1.0), (pair.rate_c, 1.0)), None,
+                     f"lam={lam:g}", breakdown.rate, seed)

@@ -152,11 +152,11 @@ _CHUNK_BITS = 2**20  # the relay's 128 KiB chunks
 
 
 @pytest.mark.parametrize("run, n_symbols, chunks, calls_per_exchange", [
-    (protocol.run_df, 10**6, 1, 24),
-    (protocol.run_df, 10**7, 5, 24),
-    (protocol.run_jdf, 10**6, 1, 30),
-    (protocol.run_jdf, 2 * 10**6, 2, 30),
-    (protocol.run_jdf, 10**7, 8, 30),
+    (protocol.run_df, 10**6, 1, 23),
+    (protocol.run_df, 10**7, 5, 23),
+    (protocol.run_jdf, 10**6, 1, 29),
+    (protocol.run_jdf, 2 * 10**6, 2, 29),
+    (protocol.run_jdf, 10**7, 8, 29),
 ])
 def test_an_exchange_makes_12_python_calls_per_relay_chunk(
         run, n_symbols, chunks, calls_per_exchange):

@@ -1,5 +1,6 @@
 """scripts/numeric_diff.py: two trees compared value by value, bit for bit."""
 
+import math
 import shutil
 import subprocess
 import sys
@@ -49,6 +50,24 @@ def test_a_perturbed_copy_is_reported_value_by_value(tmp_path):
               if row[2] and key not in ("dnf_upper_bound.rate", "total")]
     assert others == []
     assert rows["total"][2:] == (300, 1.0)
+
+
+def test_a_copy_with_another_tail_label_is_reported_on_transcript_keys_only(tmp_path):
+    shutil.copytree(SRC / "twrelay", tmp_path / "twrelay",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    protocol = tmp_path / "twrelay" / "protocol.py"
+    text = protocol.read_text()
+    assert text.count('"D_BC2"') == 1
+    protocol.write_text(text.replace('"D_BC2"', '"D_BC3"'))  # DF's split tail
+    proc, rows = _run(SRC, tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.startswith("numeric_diff: 300 configs (seed 0) and 300 exchanges")
+    differing = [key for key, row in rows.items() if row[2] and key != "total"]
+    assert differing == ["run_df.steps[3].label"]
+    compared, _, differ, ulps = rows["run_df.steps[3].label"]
+    assert differ == compared > 0 and ulps == math.inf
+    # the digests of what each terminal recovered are compared, and agree
+    assert rows["run_df.recovered_at_c"][0] > 0 and rows["run_df.recovered_at_c"][2] == 0
 
 
 def test_a_tree_without_the_package_is_an_error(tmp_path):

@@ -98,13 +98,34 @@ def test_run_df_swapped_config_reports_original_labels():
     assert mirror.realized_rate == t.realized_rate
 
 
-def test_run_df_degenerate_block():
+def _refuses_degenerate_blocks(run):
+    """``run`` refuses a 1-symbol block as too short, and a block that is
+    no integer, or one outside [1, MAX_BLOCK_SIZE], by the block rule."""
+    cfg = make_config(0.0, 1.0, 1.0)
     with pytest.raises(protocol.ProtocolConfigError):
-        protocol.run_df(make_config(0.0, 1.0, 1.0), 1, 0.5, seed=0)
-    with pytest.raises(ValueError):
-        protocol.run_df(make_config(0.0, 1.0, 1.0), 0, 0.5, seed=0)
-    with pytest.raises(ValueError):
-        protocol.run_df(make_config(0.0, 1.0, 1.0), 1000.5, 0.5, seed=0)
+        run(cfg, 1, 0.5, seed=0)
+    for n_symbols in (0, 1000.5, True, "5", None, protocol.MAX_BLOCK_SIZE + 1):
+        with pytest.raises(ValueError, match="^n_symbols must"):
+            run(cfg, n_symbols, 0.5, seed=0)
+
+
+# one test per scheme, rather than one parametrized test, so that each
+# keeps its id
+def test_run_df_degenerate_block():
+    _refuses_degenerate_blocks(protocol.run_df)
+
+
+def test_run_jdf_degenerate_block():
+    _refuses_degenerate_blocks(protocol.run_jdf)
+
+
+@pytest.mark.parametrize("run, param", [(protocol.run_df, 0.6), (protocol.run_jdf, 0.25)])
+def test_a_numpy_integer_block_gives_the_python_int_transcript(run, param):
+    # every symbol count is a Python float, whatever integer type the block is
+    cfg = make_config(0.3 if run is protocol.run_df else 0.0, 3.0, 1.0)
+    t = run(cfg, 3003, param, seed=5)
+    t_np = run(cfg, np.int64(3003), param, seed=5)
+    assert t_np == t and repr(t_np) == repr(t)
 
 
 @pytest.mark.parametrize("run, cfg, delivered", [
@@ -179,11 +200,6 @@ def test_run_jdf_saturated_hits_weaker_capacity():
     t = protocol.run_jdf(cfg, 1000000, 1.0, seed=7)
     assert math.isclose(t.realized_rate, 1.0, rel_tol=1e-9)
     assert t.success
-
-
-def test_run_jdf_degenerate_block():
-    with pytest.raises(protocol.ProtocolConfigError):
-        protocol.run_jdf(make_config(0.0, 1.0, 1.0), 1, 0.0, seed=0)
 
 
 def test_run_jdf_converges_like_one_over_n():
@@ -517,8 +533,8 @@ def test_exchange_relays_splits_pads_and_tails_across_chunk_edges(chunk, bits_c,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocol, "_RELAY_CHUNK", chunk)
         patch.setattr(protocol, "_relay_broadcast", _relay_spy(recovered))
-        t = protocol._exchange("DF", make_config(0.0, 1.0, 3.0), 1, loads, None, "theta=0.5", "T",
-                               0.0, seed)
+        t = protocol._exchange("DF", make_config(0.0, 1.0, 3.0), 1, loads, None, "theta=0.5", 0.0,
+                               seed)
     assert len(recovered) == -(-max(bits_c, n) // (8 * chunk))
     to_c, to_a = (np.array(_reference_bits(seed, first_word, count), dtype=np.uint8)
                   for first_word, count in ((0, bits_c), (-(-bits_c // 64), n)))
@@ -527,7 +543,7 @@ def test_exchange_relays_splits_pads_and_tails_across_chunk_edges(chunk, bits_c,
     assert np.array_equal(at_a, ref_a) and np.array_equal(at_c, ref_c)
     # one relay step, and one tail, for the whole exchange
     assert [(s.label, s.bits) for s in t.steps[2:]] == (
-        [("D_B", n)] + ([("T", bits_c - n)] if bits_c > n else []))
+        [("D_B", n)] + ([("D_AC2", bits_c - n)] if bits_c > n else []))
 
 
 _CHUNKED_CASES = {
