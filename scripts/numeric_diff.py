@@ -22,8 +22,10 @@ For each config it evaluates every public closed form (``df_max_rate``,
 ``df_max_rate_no_direct``, ``af_rate``, ``jdf_max_rate``,
 ``dnf_upper_bound``) with its parameter and every breakdown field,
 ``df_rate`` and ``jdf_rate`` at shares 0, 1 and a drawn one, and the
-``GridResult`` of both 1-D oracles; every 200th config also runs
-``grid_max_ma_region``.
+``GridResult`` of both 1-D grid oracles and, in a tree that has them, of
+both exact oracles (``exact_max_df``, ``exact_max_jdf``; against a tree
+without them their rows exist in one tree only); every 200th config also
+runs ``grid_max_ma_region``.
 
 Then both trees simulate as many seeded exchanges as there are configs, at
 most ``EXCHANGES`` (600), each through ``run_df`` and ``run_jdf``: SNRs of
@@ -188,6 +190,11 @@ def _read_scheme_rate(best, key: str, out: dict) -> None:
 def _evaluate(index: int, g0: float, ga: float, gc: float, share: float) -> dict:
     from twrelay import channel, oracle, schemes
 
+    try:
+        from twrelay import exact
+    except ImportError:  # a tree from before the exact oracles
+        exact = None
+
     out: dict = {}
     try:
         cfg = channel.make_config(g0, ga, gc)
@@ -201,6 +208,9 @@ def _evaluate(index: int, g0: float, ga: float, gc: float, share: float) -> dict
             _record(f"{name}@{label}", lambda: getattr(schemes, name)(cfg, x), out)
     _record("grid_max_df_theta", lambda: oracle.grid_max_df_theta(cfg), out)
     _record("grid_max_jdf_lambda", lambda: oracle.grid_max_jdf_lambda(cfg), out)
+    if exact is not None:
+        for name in ("exact_max_df", "exact_max_jdf"):
+            _record(name, lambda: getattr(exact, name)(cfg), out)
     if index % REGION_EVERY == 0:
         _record("grid_max_ma_region", lambda: oracle.grid_max_ma_region(cfg), out)
     return out

@@ -2,7 +2,7 @@
 
 Subcommands: ``rate`` (closed-form rates at one operating point), ``sweep``
 (rate curves over a gamma1 grid, as CSV or a gnuplot script), ``verify``
-(closed forms against the brute-force oracle on random configurations) and
+(closed forms against the exact oracles on random configurations) and
 ``simulate`` (bit-exact protocol run).
 
 Exit codes: 0 success, 1 usage or configuration error, 2 verification
@@ -189,8 +189,8 @@ def _cmd_verify(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     _check_seed(args.seed, "--seed")  # the simulator's seed domain, which verify shares
-    # the standard library's generator draws the configs: numpy loads only
-    # with the oracles, and numpy.random not at all
+    # the standard library's generator draws the configs and the exact
+    # oracles need no numpy: verify loads none of it
     import random
 
     rng = random.Random(args.seed)
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="twrelay",
         description="Two-way relay channel rates: closed forms, sweeps, "
-        "brute-force verification and bit-exact simulation.",
+        "exact verification and bit-exact simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "its entries are read as flags placed before the given ones")
     swp.set_defaults(handler=_cmd_sweep)
 
-    ver = sub.add_parser("verify", help="closed forms against brute force on random configs")
+    ver = sub.add_parser("verify", help="closed forms against exact oracles on random configs")
     ver.add_argument("--samples", type=int, default=200)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--gamma1-db-range", default="-10:30",
@@ -312,8 +312,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # twrelay makes no BLAS call, yet numpy's bundled OpenBLAS starts a worker
     # thread per further core when numpy loads: on a 2-core Linux VM that cost
-    # a cold verify or simulate about 60 of its 210 ms.  Set before any
-    # subcommand imports numpy; a value the user set is kept
+    # a cold simulate about 60 of its 210 ms.  Set before simulate, the one
+    # subcommand that imports numpy; a value the user set is kept
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:

@@ -9,7 +9,8 @@ independent answers against the formulas.
 The 1-D scans build the scheme's rate rule of :mod:`schemes` once per
 config (``_df_two_way``, ``_jdf_two_way``: a function of the time share),
 evaluate it on the whole grid in one numpy pass, then refine on the same
-rule with Python floats.
+rule with Python floats.  They assume nothing of the rule's shape, which
+the exact oracles of :mod:`exact`, the ones ``verify`` runs, rely on.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import schemes
 from .channel import MAX_GRID_POINTS, LinkConfig, capacity, ma_region
+from .exact import GridResult
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -33,18 +35,6 @@ _REFINE_TOL = 1e-10  # golden-section refinement stops below this bracket width
 _THETA_GRID = np.linspace(0.0, 1.0, 1003)
 _LAM_GRID = np.linspace(0.0, 1.0, 1001)
 _THETA_GRID.flags.writeable = _LAM_GRID.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class GridResult:
-    """Outcome of a brute-force maximization.
-
-    ``best_param`` is the optimizing parameter: a float for the 1-D
-    searches, an ``(rate_a, rate_c)`` pair for the region search.
-    """
-
-    best_param: object
-    best_rate: float
 
 
 def _golden_max(rule: Callable, lo: float, hi: float) -> float:

@@ -99,40 +99,46 @@ class SchemeRate:
         return self._breakdown()
 
 
-def _broadcast_duration(to_c, to_a, c1: float, c2: float):
+def _broadcast_duration(to_c, to_a, c1: float, c2: float, one=1.0):
     """Symbols spent per unit source phase when the relay must deliver
     ``to_c`` bits per source symbol to C and ``to_a`` to A: the XOR at the
     weaker-link rate ``c1``, any excess of ``to_c`` at the stronger ``c2``,
 
         1 + to_a/c1 + max(to_c - to_a, 0)/c2
 
-    for Python floats or numpy arrays."""
+    for Python floats or numpy arrays, or exactly for Fractions with
+    ``one``, the unit source phase, given as ``Fraction(1)``."""
     # max(to_c - to_a, 0) as plain float arithmetic for scalars (the oracles
     # call this per grid point) and elementwise for arrays; a negative
     # excess times False is -0.0, which leaves the sum exact
     excess = (to_c - to_a) * (to_c > to_a)
-    return 1.0 + to_a / c1 + excess / c2
+    return one + to_a / c1 + excess / c2
 
 
 # The two rate rules below take per-config capacities (Python floats) and
 # return a function of the time share that applies only + - * / to it, so
 # an array of shares gives, elementwise, exactly the floats that one call
-# per share gives.  The breakdown functions and the oracles' grid scans
+# per share gives.  Their one constant, 1, is formed at build time in the
+# capacities' type: built on Fractions, a rule is exact (a float 1.0 would
+# round it, and an int literal costs the float path about 5% of a grid
+# scan).  The breakdown functions, the grid scans and the exact oracles
 # share them; what depends on the config alone is formed once per rule.
 
 
 def _df_two_way(c0: float, c1: float, c2: float):
     """DF's rule from the link capacities ``c0``, ``c1``, ``c2``: a function
     of the time split ``theta`` giving ``(size_dbc, size_dba, duration,
-    rate)`` for a unit-length source phase, for a Python float or
-    elementwise for a numpy array."""
+    rate)`` for a unit-length source phase, for a Python float,
+    elementwise for a numpy array, or exactly for Fraction capacities and
+    share."""
     gap1, gap2 = c1 - c0, c2 - c0
+    one = type(c1)(1)
 
     def rule(theta):
-        rest = 1.0 - theta
+        rest = one - theta
         size_dbc = rest * gap1
         size_dba = theta * gap2
-        duration = _broadcast_duration(size_dbc, size_dba, c1, c2)
+        duration = _broadcast_duration(size_dbc, size_dba, c1, c2, one)
         delivered = rest * c1 + theta * c2  # source-phase bits, N = 1
         return size_dbc, size_dba, duration, delivered / duration
 
@@ -142,23 +148,25 @@ def _df_two_way(c0: float, c1: float, c2: float):
 def _jdf_two_way(region: MaRegion):
     """JDF's rule on the dominant face of ``region``: a function of the
     time share ``lam`` giving ``(rate_a, rate_c, duration, rate)``, for a
-    Python float or elementwise for a numpy array.  The terminals load the
-    point ``(1 - lam)*corner_lc + lam*corner_la`` of the face."""
+    Python float, elementwise for a numpy array, or exactly for a region
+    and share of Fractions.  The terminals load the point
+    ``(1 - lam)*corner_lc + lam*corner_la`` of the face."""
     lc_a, lc_c = region.corner_lc.rate_a, region.corner_lc.rate_c
     la_a, la_c = region.corner_la.rate_a, region.corner_la.rate_c
     c1, c2, cap_sum = region.cap_a, region.cap_c, region.cap_sum
     # C1 subnormal and C2 not: rate_c/C1 overflows, and the duration with
     # it, so the rate runs on C1 times the duration and is scaled by C1.
     # rate_c >= C(g2/(1+g1)) is then far above C1 >= rate_a: no excess of
-    # rate_a.  Elsewhere not this form: it rounds the golden *_verify.csv
-    # deviations apart
+    # rate_a.  Elsewhere not this form: it rounds jdf_rate's and the grid
+    # scan's rates apart.  A quotient of Fractions never overflows: not scaled
     scaled = not cap_sum / c1 < math.inf
+    one = type(c1)(1)
 
     def rule(lam):
-        rest = 1.0 - lam
+        rest = one - lam
         rate_a = rest * lc_a + lam * la_a
         rate_c = rest * lc_c + lam * la_c
-        duration = _broadcast_duration(rate_a, rate_c, c1, c2)
+        duration = _broadcast_duration(rate_a, rate_c, c1, c2, one)
         # rate_a + rate_c == cap_sum on the dominant face
         rate = c1 * (cap_sum / (c1 + rate_c)) if scaled else cap_sum / duration
         return rate_a, rate_c, duration, rate

@@ -11,7 +11,7 @@ capacity-level rule in :mod:`schemes` that its closed form also calls.
 :class:`SweepResult` keeps every output column as an ``array('d')``, 8
 bytes a cell; indexing it gives a :class:`SweepRow`.  With
 ``verify=True`` every closed-form optimum is re-checked against the
-brute-force oracle.  The CSV is formatted in blocks of
+exact oracle.  The CSV is formatted in blocks of
 ``_CSV_CHUNK_ROWS`` rows, so that it can be written without being held
 whole.
 """
@@ -36,8 +36,8 @@ _CSV_CHUNK_ROWS = 4096  # CSV rows formatted into one block of output
 
 @dataclass(frozen=True)
 class SchemeEntry:
-    """One scheme: its closed form in :mod:`schemes`, its brute-force
-    oracle in :mod:`oracle` (or None), whether it takes gamma0 (one column
+    """One scheme: its closed form in :mod:`schemes`, its exact oracle in
+    :mod:`exact` (or None), whether it takes gamma0 (one column
     per gamma0 rule), the text ``twrelay rate`` prints after its rate, its
     sweep column: the rates at every grid point, in order, from the
     sequences ``(g0, g1, g2, c0, c1, c2)`` of the link SNRs and capacities
@@ -64,9 +64,9 @@ class SchemeEntry:
         """The oracle's rate at ``config`` and the relative deviation of the
         closed-form rate ``closed`` from it, at most ``VERIFY_TOLERANCE`` or
         else a :class:`VerificationError` naming ``column`` and ``where``."""
-        from . import oracle  # numpy, which only verification needs
+        from . import exact  # fractions, which only verification needs
 
-        best = getattr(oracle, self.oracle)(config).best_rate
+        best = getattr(exact, self.oracle)(config).best_rate
         deviation = abs(best - closed) / closed
         if not deviation <= VERIFY_TOLERANCE:  # a NaN rate fails too
             raise VerificationError(
@@ -92,7 +92,7 @@ def _as_given(share: float, config: LinkConfig) -> float:
 
 SCHEME_TABLE = {
     "DF": SchemeEntry(
-        "df_max_rate", "grid_max_df_theta", True,
+        "df_max_rate", "exact_max_df", True,
         lambda best, config: f"theta* = {_as_given(best.parameter, config):.9g}  "
                              f"[{best.breakdown.case}]",
         lambda g0, g1, g2, c0, c1, c2: map(
@@ -104,7 +104,7 @@ SCHEME_TABLE = {
         lambda g0, g1, g2, c0, c1, c2: map(itemgetter(-1), map(schemes._af_two_way, g1, g2)),
     ),
     "JDF": SchemeEntry(
-        "jdf_max_rate", "grid_max_jdf_lambda", False,
+        "jdf_max_rate", "exact_max_jdf", False,
         lambda best, config: f"lambda* = {_as_given(best.parameter, config):.9g}  "
                              f"[{best.breakdown.regime}]",
         lambda g0, g1, g2, c0, c1, c2: map(schemes._jdf_max, g1, g2, c1),
@@ -122,7 +122,7 @@ class SweepConfigError(ValueError):
 
 
 class VerificationError(RuntimeError):
-    """A closed-form rate disagrees with the brute-force oracle."""
+    """A closed-form rate disagrees with its oracle."""
 
 
 class _Kind(NamedTuple):

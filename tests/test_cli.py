@@ -555,7 +555,7 @@ def _main_in_capped_child(argv):
     (["rate", "--gamma1-db", "x"], 1),
 ])
 def test_rate_and_sweep_leave_numpy_unimported(argv, code):
-    # numpy's import is most of a cold start; only verify and simulate need it
+    # numpy's import is most of a cold start; only simulate needs it
     proc = _child(
         "import sys\n"
         "from twrelay.cli import main\n"
@@ -567,12 +567,14 @@ def test_rate_and_sweep_leave_numpy_unimported(argv, code):
     assert proc.stdout.endswith("numpy imported: False\n")
 
 
-def test_simulate_and_verify_import_numpy_when_they_run():
+def test_simulate_imports_numpy_when_it_runs_and_verify_does_not():
     simulate = ["simulate", "--scheme", "df", "--gamma1-db", "0", "--n-symbols", "1000"]
     proc = _child(
         "import sys\n"
         "from twrelay.cli import main\n"
-        f"codes = [main({simulate!r}), main(['verify', '--samples', '3'])]\n"
+        "codes = [main(['verify', '--samples', '3'])]\n"
+        "print('numpy' in sys.modules, 'twrelay.protocol' in sys.modules)\n"
+        f"codes.append(main({simulate!r}))\n"
         "print('numpy' in sys.modules, 'twrelay.protocol' in sys.modules)\n"
         "from twrelay import protocol\n"
         "relay = protocol._relay_broadcast\n"
@@ -585,7 +587,7 @@ def test_simulate_and_verify_import_numpy_when_they_run():
         "print(codes)\n"
     )
     assert proc.returncode == 0
-    assert "decode check: ok\n" in proc.stdout and "\nok\n" in proc.stdout
+    assert "decode check: ok\n" in proc.stdout and "\nok\nFalse False\n" in proc.stdout
     assert proc.stdout.endswith("\nTrue True\n[0, 0, 2]\n")
     # the simulator's ProtocolError is caught although cli never imports it at module level
     assert proc.stderr == "simulation failed: decode mismatch in DF exchange\n"
@@ -610,8 +612,8 @@ def test_simulate_leaves_numpy_random_unloaded(scheme, gamma0):
 
 
 def test_verify_leaves_numpy_random_unloaded():
-    # verify draws its configs from the standard library; numpy comes only
-    # with the oracles, as it does for sweep --verify
+    # verify draws its configs from the standard library, and the exact
+    # oracles of verify and sweep --verify need no numpy at all
     proc = _child(
         "import sys\n"
         "from twrelay.cli import main\n"
@@ -621,7 +623,7 @@ def test_verify_leaves_numpy_random_unloaded():
     )
     assert proc.returncode == 0 and proc.stderr == ""
     assert "\nok\n" in proc.stdout and ",oracle[DF],oracle[JDF]," in proc.stdout
-    assert proc.stdout.endswith("\n[0, 0] True False\n")
+    assert proc.stdout.endswith("\n[0, 0] False False\n")
 
 
 _CLI_MODULES = {"twrelay", "twrelay.channel", "twrelay.cli", "twrelay.schemes", "twrelay.sweep"}
@@ -630,15 +632,15 @@ _CLI_MODULES = {"twrelay", "twrelay.channel", "twrelay.cli", "twrelay.schemes", 
 @pytest.mark.parametrize("argv, extra, numpy_loaded", [
     (["rate", "--gamma1-db", "10", "--gamma0", "zero,frac:0.1"], set(), False),
     (["sweep", "--gamma1-db", "0:2:1"], set(), False),
-    (["sweep", "--gamma1-db", "0:2:1", "--verify"], {"twrelay.oracle"}, True),
-    (["verify", "--samples", "1"], {"twrelay.oracle"}, True),
+    (["sweep", "--gamma1-db", "0:2:1", "--verify"], {"twrelay.exact"}, False),
+    (["verify", "--samples", "1"], {"twrelay.exact"}, False),
     (["simulate", "--scheme", "df", "--gamma1-db", "0", "--n-symbols", "1000"],
      {"twrelay.protocol"}, True),
 ], ids=["rate", "sweep", "sweep-verify", "verify", "simulate"])
 def test_each_subcommand_loads_only_the_modules_it_needs(argv, extra, numpy_loaded):
     # a cold start pays for every module a subcommand loads: rate and sweep
-    # need neither the oracles, the simulator nor numpy, and none needs
-    # numpy.random
+    # need neither the oracles, the simulator nor numpy, the exact oracles
+    # of verify and sweep --verify need no numpy, and none needs numpy.random
     proc = _child(
         "import sys\n"
         "from twrelay.cli import main\n"
@@ -671,16 +673,17 @@ _BLAS_THREADS = (
 ])
 def test_cli_starts_numpy_with_one_blas_thread(argv):
     # twrelay makes no BLAS call: numpy's OpenBLAS worker threads would only
-    # slow its import down
+    # slow its import down.  simulate is the one subcommand that loads
+    # numpy; verify starts no thread whatever the variable says
     proc = _child(_BLAS_THREADS.format(
         setup="os.environ.pop('OPENBLAS_NUM_THREADS', None)", argv=argv))
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.endswith("\n1 1\n")
-    # a value the user set is kept
+    # a value the user set is kept, and numpy honours it
     proc = _child(_BLAS_THREADS.format(setup="os.environ['OPENBLAS_NUM_THREADS'] = '2'",
                                        argv=argv))
     assert proc.returncode == 0 and proc.stderr == ""
-    assert proc.stdout.endswith("\n2 2\n")
+    assert proc.stdout.endswith("\n2 2\n" if argv[0] == "simulate" else "\n2 1\n")
 
 
 def test_importing_twrelay_leaves_the_environment_alone():

@@ -7,17 +7,20 @@ where no benchmark would show it.
 
 import gc
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from twrelay import oracle, protocol, schemes
+from twrelay import exact, oracle, protocol, schemes
 from twrelay.channel import db_to_linear, make_config
 from twrelay.sweep import SweepSpec, run_sweep
 
 INTERIOR = make_config(0.1, 1.0, 1.5)  # both optima inside (0, 1)
 DF_AT_ZERO = make_config(0.0, db_to_linear(-3230.0), 1e3)  # theta* rounds to 0
 JDF_SATURATED = make_config(0.0, 1.0, 3.0)  # lam* = 1
+# C(gamma0) rounds to C(gamma1) = C(gamma2): DF's packets never differ in size
+DF_NO_GAPS = make_config(1.2229185518811486e+152, 1.2229185518811488e+152, 1.2229185518811488e+152)
 
 
 def _counting(monkeypatch, module, name):
@@ -77,6 +80,25 @@ def test_the_jdf_oracle_builds_one_region(monkeypatch):
     regions = _counting(monkeypatch, oracle, "ma_region")
     oracle.grid_max_jdf_lambda(INTERIOR)
     assert len(regions) == 1
+
+
+@pytest.mark.parametrize("search, rule, config, evaluations", [
+    (exact.exact_max_df, "_df_two_way", INTERIOR, 3),
+    (exact.exact_max_jdf, "_jdf_two_way", INTERIOR, 3),
+    (exact.exact_max_df, "_df_two_way", DF_AT_ZERO, 3),
+    (exact.exact_max_jdf, "_jdf_two_way", JDF_SATURATED, 2),  # the loads never meet
+    (exact.exact_max_df, "_df_two_way", DF_NO_GAPS, 2),
+])
+def test_each_exact_oracle_builds_one_rule_and_evaluates_it_at_most_3_times(
+        monkeypatch, search, rule, config, evaluations):
+    rules = _counting_rules(monkeypatch, rule)
+    regions = _counting(monkeypatch, exact, "ma_region")
+    search(config)
+    assert len(rules) == 1 and len(regions) == (rule == "_jdf_two_way")
+    shares = rules[0]
+    # 0, the breakpoint where it lies in [0, 1], and 1, each exact
+    assert len(shares) == evaluations and shares[0] == 0 and shares[-1] == 1
+    assert all(type(x) in (int, Fraction) for x in shares)
 
 
 @pytest.mark.parametrize("config", [INTERIOR, DF_AT_ZERO, JDF_SATURATED,

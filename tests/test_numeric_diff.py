@@ -28,7 +28,8 @@ def test_the_same_tree_on_both_sides_differs_nowhere():
     assert rows["total"][2:] == (0, 0.0)
     for name in ("df_max_rate.rate", "jdf_max_rate.breakdown.regime",
                  "df_rate@u.size_dbc", "grid_max_df_theta.best_param",
-                 "grid_max_jdf_lambda.best_rate", "grid_max_ma_region.best_rate"):
+                 "grid_max_jdf_lambda.best_rate", "grid_max_ma_region.best_rate",
+                 "exact_max_df.best_rate", "exact_max_jdf.best_param"):
         assert rows[name][0] > 0, name
 
 
