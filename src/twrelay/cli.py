@@ -259,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     links = _Parser(add_help=False)
     links.add_argument("--gamma2", default="equal",
-                       help="gamma2 rule: equal, quad, db:<v> or ratio:<k> (default equal)")
+                       help=f"gamma2 rule: {Gamma2Rule._forms()} (default equal)")
     links.add_argument("--gamma0", default="zero",
-                       help="gamma0 rule: zero, frac:<f> or db:<v> (default zero); "
+                       help=f"gamma0 rule: {Gamma0Rule._forms()} (default zero); "
                        "a comma-separated list in rate and sweep")
     columns = _Parser(add_help=False)
     columns.add_argument("--schemes", default=",".join(SCHEME_NAMES),
-                         help="comma-separated subset of DF,AF,JDF,DNF (default all)")
+                         help=f"comma-separated subset of {','.join(SCHEME_TABLE)} (default all)")
 
     rate = sub.add_parser("rate", parents=[links, columns],
                           help="closed-form rates at one operating point")

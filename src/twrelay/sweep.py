@@ -175,9 +175,13 @@ class _Rule:
                     except ValueError:
                         raise ValueError(f"bad numeric field in rule {text!r}") from None
                     return cls(kind, db_to_linear(value) if prefix == "db:" else value)
+        raise ValueError(f"unrecognized {cls._SNR} rule {text!r} (expected {cls._forms()})")
+
+    @classmethod
+    def _forms(cls) -> str:
+        """Each kind's first spelling, listed: ``equal, quad, ... or ratio:<k>``."""
         *forms, last = (row.forms[0] for row in cls._KINDS.values())
-        raise ValueError(f"unrecognized {cls._SNR} rule {text!r} "
-                         f"(expected {', '.join(forms)} or {last})")
+        return f"{', '.join(forms)} or {last}"
 
     def apply(self, gamma1: float) -> float:
         return self._KINDS[self.kind].formula(self.value, gamma1)

@@ -408,6 +408,26 @@ def test_a_new_scheme_row_needs_no_cli_edit(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help text to the terminal
     out = run(capsys, "simulate", "--help")[1]
     assert re.search(r"--phi PHI +DFP time share \(default: optimal\)$", out, re.M)
+    for command in ("rate", "sweep"):
+        out = run(capsys, command, "--help")[1]
+        assert re.search(r"--schemes SCHEMES +comma-separated subset of DF,AF,JDF,DNF,DFX,DFP "
+                         r"\(default all\)$", out, re.M)
+
+
+def test_a_new_rule_kind_needs_no_cli_edit(capsys, monkeypatch):
+    # a gamma2 kind added to the table is parsed, listed in the error and in the help
+    monkeypatch.setitem(sweep.Gamma2Rule._KINDS, "double",
+                        sweep._Kind(("double",), lambda v, g: 2.0 * g, "g2=2*g1"))
+    code, out, err = run(capsys, "rate", "--gamma1-db", "0", "--gamma2", "double")
+    assert (code, err) == (0, "") and out.startswith("gamma1 = 1 (0 dB), gamma2 = 2 ")
+    code, out, err = run(capsys, "rate", "--gamma1-db", "0", "--gamma2", "triple")
+    assert (code, out) == (1, "")
+    assert err.endswith("(expected equal, quad, db:<v>, ratio:<k> or double)\n")
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help text to the terminal
+    for command in ("rate", "sweep", "simulate"):
+        out = run(capsys, command, "--help")[1]
+        assert re.search(r"--gamma2 GAMMA2 +gamma2 rule: equal, quad, db:<v>, ratio:<k> or "
+                         r"double \(default equal\)$", out, re.M), command
 
 
 def test_simulate_surface_comes_from_the_scheme_table(capsys, monkeypatch):
@@ -911,6 +931,18 @@ def test_config_entries_act_like_their_flags(tmp_path, capsys, monkeypatch, entr
         outputs.append((out, written.read_bytes() if written.exists() else None))
         written.unlink(missing_ok=True)
     assert outputs[0] == outputs[1]
+
+
+def test_every_sweep_option_is_a_config_key(tmp_path):
+    # --config reads a key=value entry for each of sweep's other options
+    sub = next(a for a in cli.build_parser()._actions if a.choices)
+    options = [a for a in sub.choices["sweep"]._actions if a.dest not in ("help", "config")]
+    for action in options:
+        value = action.choices[-1] if action.choices else "yes" if action.nargs == 0 else "x"
+        cfg = tmp_path / f"{action.dest}.cfg"
+        cfg.write_text(f"{action.dest}={value}\n")
+        args = cli.build_parser().parse_args(["sweep", *cli._config_flags(str(cfg))])
+        assert getattr(args, action.dest) == (True if value == "yes" else value), action.dest
 
 
 @pytest.mark.parametrize("entry, bad", [

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from twrelay import exact, oracle, protocol, schemes
-from twrelay.channel import db_to_linear, make_config
+from twrelay.channel import MaRegion, db_to_linear, make_config
 from twrelay.sweep import SweepSpec, run_sweep
 
 INTERIOR = make_config(0.1, 1.0, 1.5)  # both optima inside (0, 1)
@@ -96,9 +96,30 @@ def test_each_exact_oracle_builds_one_rule_and_evaluates_it_at_most_3_times(
     search(config)
     assert len(rules) == 1 and len(regions) == (rule == "_jdf_two_way")
     shares = rules[0]
-    # 0, the breakpoint where it lies in [0, 1], and 1, each exact
-    assert len(shares) == evaluations and shares[0] == 0 and shares[-1] == 1
+    # 0, 1, and the bend where the loads meet if it lies in [0, 1], each exact
+    assert len(shares) == evaluations and shares[:2] == [0, 1]
     assert all(type(x) in (int, Fraction) for x in shares)
+    assert all(0 <= x <= 1 for x in shares[2:])
+
+
+def test_an_exact_jdf_call_builds_one_region_the_one_ma_region_builds(monkeypatch):
+    # the rule takes ma_region's floats exactly; no copy of the region is built
+    built, taken = [], []
+    init, build = MaRegion.__init__, schemes._jdf_two_way
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_build(region, *args):
+        taken.append(region)
+        return build(region, *args)
+
+    monkeypatch.setattr(MaRegion, "__init__", counted_init)
+    monkeypatch.setattr(schemes, "_jdf_two_way", counted_build)
+    exact.exact_max_jdf(INTERIOR)
+    assert len(built) == 1 and taken[0] is built[0]
+    assert all(type(x) is float for x in (built[0].cap_a, built[0].corner_lc.rate_c))
 
 
 @pytest.mark.parametrize("config", [INTERIOR, DF_AT_ZERO, JDF_SATURATED,

@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twrelay import exact, schemes
-from twrelay.channel import capacity, db_to_linear, linear_to_db, make_config
+from twrelay.channel import capacity, db_to_linear, linear_to_db, ma_region, make_config
 from twrelay.cli import main
 
 _TOP_DB = linear_to_db(sys.float_info.max) - 1e-9
@@ -102,7 +102,7 @@ def _df_rule(cfg):
 
 
 def _jdf_rule(cfg):
-    return schemes._jdf_two_way(exact._exact_region(cfg))
+    return schemes._jdf_two_way(ma_region(cfg), Fraction)
 
 
 @given(_gamma1_db, _gamma2, _gamma0_share, st.integers(min_value=0, max_value=2**32))
@@ -178,9 +178,9 @@ def test_the_optima_are_rounded_once_from_their_exact_values():
     c, c2 = Fraction(capacity(3.0)), Fraction(capacity(6.0))
     df, jdf = exact.exact_max_df(cfg), exact.exact_max_jdf(cfg)
     assert (df.best_param, df.best_rate) == (0.5, float(2 * c / 3))
-    region = exact._exact_region(cfg)
-    lc, la = region.corner_lc, region.corner_la
-    at0, at1 = lc.rate_a - lc.rate_c, la.rate_a - la.rate_c
+    region = ma_region(cfg)
+    at0, at1 = (Fraction(p.rate_a) - Fraction(p.rate_c)
+                for p in (region.corner_lc, region.corner_la))
     assert jdf.best_param == float(at0 / (at0 - at1))
     assert jdf.best_rate == float(_jdf_rule(cfg)(at0 / (at0 - at1))[3])
     assert math.isclose(jdf.best_rate, float(c * 2 * c2 / (2 * c + c2)), rel_tol=1e-15)
