@@ -1,6 +1,6 @@
 """Time two twrelay source trees against each other in one interpreter.
 
-    python3 scripts/ab.py PARENT_SRC CHANGE_SRC [--op NAME ...] [--rounds N] [--seed S]
+    python3 scripts/ab.py PARENT CHANGE [--rounds N]
 
 Each argument is a directory holding the ``twrelay`` package (a ``src``
 directory) or a checkout whose ``src`` holds it.  The two trees are loaded
@@ -9,24 +9,25 @@ every import inside the package is relative, so each alias keeps its own
 modules.  Timing both in one process removes what separate processes add
 between trees: start-up, paths, page cache, where the interpreter lands.
 
-The ops are in-process forms of the benchmark's workloads, on inputs drawn
-from ``--seed`` alone and built by each tree's own functions:
+The ops are the benchmark's own: this checkout's ``perfbench/workloads.py``
+is loaded once per tree with its program modules rebound to that tree's
+(loading it also imports this checkout's ``twrelay``, which no op runs),
+and each op runs one round of a workload's ops, built by its
+``make_round`` from a fixed seed, through its ``run``:
 
-* ``oracle-verify``: 60 configs from ``twrelay verify``'s distribution,
-  each through ``df_max_rate``, ``grid_max_df_theta``, ``jdf_max_rate`` and
-  ``grid_max_jdf_lambda``;
+* ``oracle-verify``: 48 random configs and the two weak equal-link ones;
 * ``exact``: the same configs through ``exact_max_df`` and ``exact_max_jdf``;
-* ``sweep-dense``: ``run_sweep`` of a 3001-point grid with two gamma0
-  rules, then ``emit_csv``;
-* ``sim-large``: ``run_df`` and ``run_jdf`` of 10^6 symbols each.
+* ``sweep-dense``: four 3001-point sweeps, one per gamma2 rule;
+* ``sim-large``: the eight exchange kinds of 4 million bits.
 
+``cli-cold`` starts a process per op and stays with ``perfbench/run.py``.
 Each round times an op in the order A, B, B, A, with the garbage collector
 run before each call, after one untimed warm-up call per tree.  A round's
 ratio is B's time over A's, each summed over its two calls, so a ratio
 below 1 means the change is faster.  One JSON line is printed: per op, the
 median ratio, its interquartile range, the rounds the change won and the
 two-sided sign-test p-value.  Only work is timed; cold start and memory
-stay with ``perfbench/run.py``.  Standard library only; the trees need numpy.
+stay with ``perfbench/run.py``.  Needs numpy, as the trees and perfbench do.
 """
 
 from __future__ import annotations
@@ -37,20 +38,21 @@ import importlib
 import importlib.util
 import json
 import math
-import random
 import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
 ALIASES = ("tw_a", "tw_b")
-MODULES = ("channel", "schemes", "oracle", "exact", "sweep", "protocol")
+BOUND = ("channel", "cli", "oracle", "protocol", "schemes", "sweep")  # workloads.py's
+MODULES = BOUND + ("exact",)
 OPS = ("oracle-verify", "exact", "sweep-dense", "sim-large")
-VERIFY_CONFIGS = 60  # configs per oracle op
-SWEEP = (-20.0, 40.01, 0.02)  # start, stop and step in dB: 3001 points
-SIM_SYMBOLS = 10**6
+SEED = 0
 
 
 def src_dir(path: str) -> Path:
@@ -61,57 +63,41 @@ def src_dir(path: str) -> Path:
     raise SystemExit(f"error: no twrelay package in {path} or {path}/src")
 
 
+def _load(name: str, path: Path, **spec_args):
+    spec = importlib.util.spec_from_file_location(name, path, **spec_args)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_tree(src: Path, alias: str) -> SimpleNamespace:
     """The tree's package under ``alias``, with the submodules the ops use."""
     package = src / "twrelay"
-    spec = importlib.util.spec_from_file_location(
-        alias, package / "__init__.py", submodule_search_locations=[str(package)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[alias] = module
-    spec.loader.exec_module(module)
+    module = _load(alias, package / "__init__.py", submodule_search_locations=[str(package)])
     return SimpleNamespace(package=module, **{
         name: importlib.import_module(f"{alias}.{name}") for name in MODULES})
 
 
-def _draw_verify(rng: random.Random) -> list[tuple[float, float, float]]:
-    """``(gamma0, gamma1, gamma2)`` as ``twrelay verify`` draws them at -10..30 dB."""
-    draws = []
-    for _ in range(VERIFY_CONFIGS):
-        g1 = 10.0 ** (rng.uniform(-10.0, 30.0) / 10.0)
-        g2 = g1 * 10.0 ** (rng.uniform(0.0, 10.0) / 10.0)
-        g0 = 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 0.5) * g1
-        draws.append((g0, g1, g2))
-    return draws
+def _run_round(workload, ops) -> None:
+    for op in ops:
+        workload.run(op)
 
 
-def build_ops(tw: SimpleNamespace, seed: int) -> dict[str, Callable[[], object]]:
+def build_ops(tw: SimpleNamespace, alias: str) -> dict[str, Callable[[], object]]:
     """Each of ``OPS`` as a call of no arguments on ``tw``'s modules."""
-    rng = random.Random(seed)
-    configs = [tw.channel.make_config(*draw) for draw in _draw_verify(rng)]
-    s, oracle, exact = tw.schemes, tw.oracle, tw.exact
-    rule = tw.sweep.Gamma2Rule.parse(f"ratio:{rng.uniform(1.5, 8.0):.3f}")
-    spec = tw.sweep.SweepSpec(*SWEEP, rule, tuple(map(tw.sweep.Gamma0Rule.parse,
-                                                      ("zero", "frac:0.1"))))
-    g1 = 10.0 ** (rng.uniform(0.0, 10.0) / 10.0)
-    sim = tw.channel.make_config(0.1 * g1, g1, 2.0 * g1)
-    share, sim_seed = rng.uniform(0.2, 0.8), rng.randrange(2**31)
-
-    def oracle_verify():
-        return [(s.df_max_rate(c).rate, oracle.grid_max_df_theta(c).best_rate,
-                 s.jdf_max_rate(c).rate, oracle.grid_max_jdf_lambda(c).best_rate)
-                for c in configs]
-
-    def exact_pair():
-        return [(exact.exact_max_df(c), exact.exact_max_jdf(c)) for c in configs]
-
-    def sweep_dense():
-        return tw.sweep.emit_csv(tw.sweep.run_sweep(spec))
-
-    def sim_large():
-        return (tw.protocol.run_df(sim, SIM_SYMBOLS, share, sim_seed),
-                tw.protocol.run_jdf(sim, SIM_SYMBOLS, share, sim_seed))
-
-    return dict(zip(OPS, (oracle_verify, exact_pair, sweep_dense, sim_large)))
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))  # workloads.py imports its reference module
+    bench = _load(f"{alias}_workloads", BENCH / "workloads.py")
+    for name in BOUND:
+        setattr(bench, name, getattr(tw, name))
+    rounds = {name: (bench.WORKLOADS[name], bench.WORKLOADS[name].build(SEED, 1))
+              for name in OPS if name != "exact"}
+    configs = [op.args for op in rounds["oracle-verify"][1]]
+    ops = {name: partial(_run_round, *rounds[name]) for name in rounds}
+    ops["exact"] = lambda: [(tw.exact.exact_max_df(c), tw.exact.exact_max_jdf(c))
+                            for c in configs]
+    return {name: ops[name] for name in OPS}
 
 
 def _timed(op: Callable[[], object]) -> float:
@@ -148,20 +134,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--op", action="append", choices=OPS,
-                        help="an op to time (repeatable; default all)")
     parser.add_argument("--rounds", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     srcs = [src_dir(path) for path in (args.parent, args.change)]
-    trees = [load_tree(src, alias) for src, alias in zip(srcs, ALIASES)]
-    ops = [build_ops(tw, args.seed) for tw in trees]
-    names = args.op or OPS
+    ops = [build_ops(load_tree(src, alias), alias) for src, alias in zip(srcs, ALIASES)]
     result = {"parent": str(srcs[0]), "change": str(srcs[1]), "rounds": args.rounds,
-              "seed": args.seed,
-              "ops": {name: compare(ops[0][name], ops[1][name], args.rounds) for name in names}}
+              "ops": {name: compare(ops[0][name], ops[1][name], args.rounds) for name in OPS}}
     print(json.dumps(result))
     return 0
 

@@ -119,11 +119,10 @@ def _broadcast_duration(to_c, to_a, c1: float, c2: float, one=1.0):
 # return a function of the time share that applies only + - * / to it, so
 # an array of shares gives, elementwise, exactly the floats that one call
 # per share gives.  Their one constant, 1, is formed at build time in the
-# capacities' type (JDF's: in ``number``): built on Fractions, a rule is
-# exact (a float 1.0 would round it, and an int literal costs the float
-# path about 5% of a grid scan).  The breakdown functions, the grid scans
-# and the exact oracles share them; what depends on the config alone is
-# formed once per rule.
+# capacities' type: built on Fractions, a rule is exact (a float 1.0 would
+# round it, and an int literal costs the float path about 5% of a grid
+# scan).  The breakdown functions, the grid scans and the exact oracles
+# share them; what depends on the config alone is formed once per rule.
 
 
 def _df_two_way(c0: float, c1: float, c2: float):
@@ -146,24 +145,24 @@ def _df_two_way(c0: float, c1: float, c2: float):
     return rule
 
 
-def _jdf_two_way(region: MaRegion, number: Callable = float):
+def _jdf_two_way(region: MaRegion, number: Optional[Callable] = None):
     """JDF's rule on the dominant face of ``region``: a function of the
     time share ``lam`` giving ``(rate_a, rate_c, duration, rate)``, for a
     Python float, elementwise for a numpy array, or exactly for a
-    Fraction share with ``number=Fraction``.  The region's seven numbers
-    are taken through ``number``: ``Fraction`` takes each float exactly.
+    Fraction share with ``number=Fraction``, which takes each of the
+    region's seven floats exactly (by default they are used as they are).
     The terminals load the point ``(1 - lam)*corner_lc + lam*corner_la``
     of the face."""
-    lc_a, lc_c, la_a, la_c, c1, c2, cap_sum = map(number, (
-        region.corner_lc.rate_a, region.corner_lc.rate_c, region.corner_la.rate_a,
-        region.corner_la.rate_c, region.cap_a, region.cap_c, region.cap_sum))
+    numbers = (region.corner_lc.rate_a, region.corner_lc.rate_c, region.corner_la.rate_a,
+               region.corner_la.rate_c, region.cap_a, region.cap_c, region.cap_sum)
+    lc_a, lc_c, la_a, la_c, c1, c2, cap_sum = numbers if number is None else map(number, numbers)
     # C1 subnormal and C2 not: rate_c/C1 overflows, and the duration with
     # it, so the rate runs on C1 times the duration and is scaled by C1.
     # rate_c >= C(g2/(1+g1)) is then far above C1 >= rate_a: no excess of
     # rate_a.  Elsewhere not this form: it rounds jdf_rate's and the grid
     # scan's rates apart.  A quotient of Fractions never overflows: not scaled
     scaled = not cap_sum / c1 < math.inf
-    one = number(1)
+    one = type(c1)(1)
 
     def rule(lam):
         rest = one - lam

@@ -16,9 +16,14 @@ def _script():
     return module
 
 
+def _loaded(prefixes):
+    return [name for name in sys.modules if name.split(".")[0].startswith(prefixes)]
+
+
 def test_the_same_tree_twice_runs_as_two_packages(capsys, monkeypatch):
-    for name in [name for name in sys.modules if name.split(".")[0] in ("tw_a", "tw_b")]:
+    for name in _loaded(("tw_a", "tw_b", "reference")):
         monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # perfbench's directory goes on it
     ab = _script()
     # a src directory, and a checkout holding one; two rounds, no timing asserted
     assert ab.main([str(SRC), str(ROOT), "--rounds", "2"]) == 0
@@ -30,9 +35,15 @@ def test_the_same_tree_twice_runs_as_two_packages(capsys, monkeypatch):
             a, b = (sys.modules[f"{alias}.{name}"] for alias in ab.ALIASES)
             assert a is not b and a.__file__ == b.__file__ == str(SRC / "twrelay" / f"{name}.py")
         assert trees[0].schemes.SchemeRate is not trees[1].schemes.SchemeRate
+        # the benchmark's workloads run on each alias's own modules
+        benches = [sys.modules[f"{alias}_workloads"] for alias in ab.ALIASES]
+        for bench, alias in zip(benches, ab.ALIASES):
+            for name in ab.BOUND:
+                assert getattr(bench, name) is sys.modules[f"{alias}.{name}"]
     finally:
-        for name in [name for name in sys.modules if name.split(".")[0] in ab.ALIASES]:
+        for name in _loaded(ab.ALIASES + ("reference",)):
             del sys.modules[name]
+    assert set(result) == {"parent", "change", "rounds", "ops"}
     assert (result["parent"], result["change"]) == (str(SRC), str(SRC))
     assert result["rounds"] == 2
     assert tuple(result["ops"]) == ab.OPS == ("oracle-verify", "exact", "sweep-dense", "sim-large")
